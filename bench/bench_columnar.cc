@@ -1,10 +1,10 @@
-// Columnar (SoA) execution vs the row-batch and one-row Volcano engines
-// on scan/filter/aggregate/join-heavy workloads — the shapes where
-// selection vectors and type-specialized kernels should pay: a Q1-style
+// Columnar (SoA) execution vs the row-at-a-time Volcano engine on
+// scan/filter/aggregate/join-heavy workloads — the shapes where selection
+// vectors and type-specialized kernels should pay: a Q1-style
 // scan-filter-aggregate over lineitem, a pure hash group-by over orders,
 // a customer-orders join feeding an aggregate, and the section-1.1
 // OJ-then-agg subquery (decorrelated GroupBy over outerjoin). The
-// columnar/batch ratio on these is the speedup scripts/ci.sh gates.
+// row/columnar ratio on these is the speedup scripts/ci.sh gates.
 //
 // Benchmark argument: {milli-scale-factor}.
 #include "bench/bench_util.h"
@@ -47,13 +47,11 @@ constexpr Workload kWorkloads[] = {
 struct Mode {
   const char* name;
   bool batched;
-  bool columnar;
 };
 
 constexpr Mode kModes[] = {
-    {"row", false, false},
-    {"batch", true, false},
-    {"columnar", true, true},
+    {"row", false},
+    {"columnar", true},
 };
 
 void RegisterAll() {
@@ -63,7 +61,6 @@ void RegisterAll() {
           "Columnar_" + std::string(workload.name) + "/" + mode.name;
       EngineOptions options = EngineOptions::Full();
       options.exec.batched = mode.batched;
-      options.exec.columnar = mode.columnar;
       if (workload.pin_set_oriented) {
         options.optimizer.correlated_reintroduction = false;
       }

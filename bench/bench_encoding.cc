@@ -52,8 +52,6 @@ void RegisterAll() {
       std::string name =
           "Encoding_" + std::string(workload.name) + "/" + mode.name;
       EngineOptions options = EngineOptions::Full();
-      options.exec.batched = true;
-      options.exec.columnar = true;
       options.exec.table_encoding = mode.encoding;
       const char* sql = workload.sql;
       benchmark::RegisterBenchmark(

@@ -18,6 +18,19 @@ cmake --build --preset release -j "$(nproc)" >/dev/null
 # should be the stable ones.
 MIN_TIME="${ORQ_BENCH_MIN_TIME:=0.05}"
 
+# Every baseline line is stamped with the machine it was measured on, so
+# numbers from different machines are never compared silently.
+COMPILER_FILE="$(ls build/CMakeFiles/*/CMakeCXXCompiler.cmake | head -1)"
+COMPILER="$(sed -n 's/^set(CMAKE_CXX_COMPILER_ID "\(.*\)")$/\1/p' \
+  "${COMPILER_FILE}") $(sed -n \
+  's/^set(CMAKE_CXX_COMPILER_VERSION "\(.*\)")$/\1/p' "${COMPILER_FILE}")"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+STAMP="\"nproc\":$(nproc),\"compiler\":\"${COMPILER}\",\"build_type\":\"${BUILD_TYPE}\""
+stamp() {
+  sed -i "s|^{|{${STAMP},|" "$1"
+  build/tools/json_check "$1"
+}
+
 for pair in \
     bench_fig1_strategies:BENCH_fig1.json \
     bench_fig8_suite:BENCH_fig8.json \
@@ -30,12 +43,12 @@ for pair in \
   echo "=== ${bench_bin} -> ${out} ==="
   "build/bench/${bench_bin}" --benchmark_min_time="${MIN_TIME}" \
     --json "${out}" >/dev/null
-  build/tools/json_check "${out}"
+  stamp "${out}"
 done
 
 # The columnar baseline must itself clear the speedup gate ci.sh enforces
-# (columnar >= 1.5x over batch on >= 2 workloads): fail here at refresh
-# time rather than on the next CI run.
+# (columnar >= 1.5x over row-at-a-time on >= 2 workloads): fail here at
+# refresh time rather than on the next CI run.
 build/tools/bench_compare --speedup bench/baselines/BENCH_columnar.json
 # Likewise the encoded-storage baseline: encoded chunks >= 1.2x over plain
 # columnar on >= 1 dict-friendly aggregate workload.
@@ -48,7 +61,7 @@ build/tools/bench_compare --speedup bench/baselines/BENCH_encoding.json \
 echo "=== bench_fig8_suite --threads 4 -> bench/baselines/BENCH_parallel.json ==="
 build/bench/bench_fig8_suite --benchmark_min_time="${MIN_TIME}" \
   --threads 4 --json bench/baselines/BENCH_parallel.json >/dev/null
-build/tools/json_check bench/baselines/BENCH_parallel.json
+stamp bench/baselines/BENCH_parallel.json
 
 # Server-path baseline: the load generator against a self-hosted server,
 # same fixed seed and session count as the CI gate. Row counts are exact
@@ -57,7 +70,7 @@ build/tools/json_check bench/baselines/BENCH_parallel.json
 echo "=== orq_loadgen -> bench/baselines/BENCH_serve.json ==="
 build/tools/orq_loadgen --sessions 4 --queries 25 --seed 20260806 \
   --json bench/baselines/BENCH_serve.json >/dev/null
-build/tools/json_check bench/baselines/BENCH_serve.json
+stamp bench/baselines/BENCH_serve.json
 
 # Plan-cache baseline: the repeated-stream workload the CI cache gate
 # runs, with the same distinct-query cycle. Row counts are exact; the
@@ -66,6 +79,6 @@ echo "=== orq_loadgen --plan-cache -> bench/baselines/BENCH_cache.json ==="
 build/tools/orq_loadgen --sessions 4 --queries 60 --seed 20260806 \
   --plan-cache --distinct 5 --min-hit-rate 90 \
   --json bench/baselines/BENCH_cache.json >/dev/null
-build/tools/json_check bench/baselines/BENCH_cache.json
+stamp bench/baselines/BENCH_cache.json
 
 echo "baselines refreshed; review and commit bench/baselines/"

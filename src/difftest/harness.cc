@@ -152,15 +152,11 @@ Result<HarnessReport> RunDifftest(const HarnessOptions& options) {
   Catalog catalog;
   ORQ_RETURN_IF_ERROR(BuildDifftestCatalog(&catalog, options.seed));
   EngineOptions naive_options = NaiveReferenceOptions();
-  naive_options.exec.batched =
-      options.reference_batched || options.reference_columnar;
-  naive_options.exec.columnar = options.reference_columnar;
+  naive_options.exec.batched = options.reference_batched;
   naive_options.exec.num_threads = options.reference_threads;
   naive_options.exec.morsel_rows = options.morsel_rows;
   EngineOptions full_options = EngineOptions::Full();
-  full_options.exec.batched =
-      options.test_batched || options.test_columnar;
-  full_options.exec.columnar = options.test_columnar;
+  full_options.exec.batched = options.test_batched;
   full_options.exec.table_encoding = options.test_table_encoding;
   full_options.exec.num_threads = options.test_threads;
   full_options.exec.morsel_rows = options.morsel_rows;
@@ -174,9 +170,7 @@ Result<HarnessReport> RunDifftest(const HarnessOptions& options) {
   std::unique_ptr<QueryEngine> cache_engine;
   if (options.plan_cache_check) {
     EngineOptions cache_options = EngineOptions::Full();
-    cache_options.exec.batched =
-        options.test_batched || options.test_columnar;
-    cache_options.exec.columnar = options.test_columnar;
+    cache_options.exec.batched = options.test_batched;
     cache_options.plan_cache.enable = true;
     cache_engine = std::make_unique<QueryEngine>(&catalog, cache_options);
   }

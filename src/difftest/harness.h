@@ -20,23 +20,20 @@ struct HarnessOptions {
   int max_failures = 8;
   /// Print each generated query as it runs (debugging).
   bool verbose = false;
-  /// Execution mode per side. Defaults exercise the batched path on both;
-  /// flipping reference_batched off cross-checks batched execution against
-  /// the row-at-a-time Volcano engine (mixed mode).
+  /// Execution mode per side (ExecOptions::batched): true runs the
+  /// columnar engine, false the row-at-a-time reference. Defaults run the
+  /// serving mode (columnar) on both sides; reference row vs test columnar
+  /// is the columnar oracle.
   bool reference_batched = true;
   bool test_batched = true;
-  /// Columnar execution per side (implies batched shells on that side);
-  /// reference row vs test columnar is the columnar oracle.
-  bool reference_columnar = false;
-  bool test_columnar = false;
   /// Storage encoding for the test side's columnar scans (the reference
-  /// side always reads plain). Row/batch modes ignore it, so pair it with
-  /// test_columnar; reference row vs test columnar+auto is the encoded
-  /// oracle difftest_smoke_encoded runs.
+  /// side always reads plain). Row mode ignores it; reference row vs test
+  /// columnar+auto is the encoded oracle difftest_smoke_encoded runs.
   TableEncoding test_table_encoding = TableEncoding::kPlain;
   /// Worker threads per side; 0 runs the classic serial engine. A positive
   /// count turns that side into the morsel-driven parallel engine, so e.g.
-  /// reference row-mode vs test parallel is the parallel-vs-serial oracle.
+  /// reference row-mode vs test parallel columnar is the parallel-vs-serial
+  /// oracle.
   int reference_threads = 0;
   int test_threads = 0;
   /// Morsel size for parallel sides — tiny because the difftest tables

@@ -63,7 +63,7 @@ class DualOracle {
       : DualOracle(catalog, NaiveReferenceOptions(), EngineOptions::Full()) {}
 
   /// Explicit per-side configurations — used to cross-check execution
-  /// modes (e.g. row-at-a-time reference vs batched test engine).
+  /// modes (e.g. row-at-a-time reference vs columnar test engine).
   DualOracle(Catalog* catalog, EngineOptions naive_options,
              EngineOptions full_options)
       : naive_(catalog, std::move(naive_options)),

@@ -452,10 +452,9 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
       SharedTaskPool(options.exec.num_threads);
   // ctx after plan: it is destroyed first, so an Exchange's producers are
   // still wound down by the plan destructor before members vanish.
-  ORQ_RETURN_IF_ERROR(ValidateExecOptions(options.exec));
+  ORQ_RETURN_IF_ERROR(ValidateBatchSize(options.exec.batch_size));
   ExecContext ctx;
   ctx.batched = options.exec.batched;
-  ctx.columnar = options.exec.columnar;
   ctx.table_encoding = options.exec.table_encoding;
   ctx.batch_size = options.exec.batch_size;
   ctx.pool = pool.get();
@@ -563,11 +562,10 @@ Result<AnalyzedQuery> QueryEngine::ExecuteAnalyzed(
   instruments.stats = &collector;
   instruments.metrics = &analyzed.metrics;
   instruments.spans = analyze.record_spans ? &analyzed.spans : nullptr;
-  ORQ_RETURN_IF_ERROR(ValidateExecOptions(options.exec));
+  ORQ_RETURN_IF_ERROR(ValidateBatchSize(options.exec.batch_size));
   ExecContext ctx;
   ctx.instruments = &instruments;
   ctx.batched = options.exec.batched;
-  ctx.columnar = options.exec.columnar;
   ctx.table_encoding = options.exec.table_encoding;
   ctx.batch_size = options.exec.batch_size;
   ctx.pool = pool.get();

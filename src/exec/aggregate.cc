@@ -270,17 +270,38 @@ class HashAggregateOp : public PhysicalOp {
     return true;
   }
 
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
+  /// Columnar emission: each output column is built straight from a
+  /// window of group keys / finalized accumulators, with no intermediate
+  /// row. The scalar aggregate's one empty-input row goes through the row
+  /// adapter.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) override {
     if (!emitter_) return Status::OK();
-    if (scalar_ && emit_order_->empty()) return FillFromNextImpl(ctx, out);
-    while (emit_pos_ < emit_order_->size() && !out->full()) {
-      Row& slot = out->PushRow();
-      slot = *(*emit_order_)[emit_pos_];
-      const std::vector<Accumulator>& accs = (*emit_accs_)[emit_pos_++];
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        slot.push_back(Finalize(aggs_[i], accs[i]));
+    if (scalar_ && emit_order_->empty()) return FillColumnsFromRows(ctx, out);
+    const size_t begin = emit_pos_;
+    const uint32_t n = static_cast<uint32_t>(std::min(
+        emit_order_->size() - begin, static_cast<size_t>(out->capacity())));
+    if (n == 0) return Status::OK();
+    const size_t num_keys = group_slots_.size();
+    out->ResizeCols(layout_.size());
+    for (size_t k = 0; k < num_keys; ++k) {
+      ColumnVec& col = out->col(k);
+      col.StartBuild((*(*emit_order_)[begin])[k].type(), n);
+      for (uint32_t g = 0; g < n; ++g) {
+        col.AppendValue((*(*emit_order_)[begin + g])[k]);
       }
+      col.Seal();
     }
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      ColumnVec& col = out->col(num_keys + i);
+      for (uint32_t g = 0; g < n; ++g) {
+        Value v = Finalize(aggs_[i], (*emit_accs_)[begin + g][i]);
+        if (g == 0) col.StartBuild(v.type(), n);
+        col.AppendValue(v);
+      }
+      col.Seal();
+    }
+    out->set_num_rows(n);
+    emit_pos_ += n;
     return Status::OK();
   }
 
@@ -300,13 +321,12 @@ class HashAggregateOp : public PhysicalOp {
   }
 
  private:
-  /// Drains the child into the local group map. Batched input drain; group
-  /// keys probe a packed-key map (hash computed once per probe, key values
-  /// copied only on a new group) that indexes dense per-group accumulator
-  /// storage.
+  /// Drains the child into the local group map. Group keys probe a
+  /// packed-key map (hash computed once per probe, key values copied only
+  /// on a new group) that indexes dense per-group accumulator storage.
   Status DrainInput(ExecContext* ctx) {
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
-    Status status = ctx->columnar ? DrainColumnar(ctx) : DrainRows(ctx);
+    Status status = ctx->batched ? DrainColumnar(ctx) : DrainRowwise(ctx);
     children_[0]->Close();
     if (!status.ok()) return status;
     if (MetricsRegistry* m = metrics()) {
@@ -320,36 +340,27 @@ class HashAggregateOp : public PhysicalOp {
     return Status::OK();
   }
 
-  Status DrainRows(ExecContext* ctx) {
-    RowBatch batch(ctx->batch_size);
+  /// Row-mode drain: one Next per input row.
+  Status DrainRowwise(ExecContext* ctx) {
     Row key(group_slots_.size());
     MetricsRegistry* m = metrics();
-    while (true) {
-      ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &batch));
-      if (batch.empty()) break;
-      if (m != nullptr) {
-        m->Add(MetricCounter::kHashAggInputRows,
-               static_cast<int64_t>(batch.size()));
+    return DrainRows(children_[0].get(), ctx, [&](const Row& row) -> Status {
+      if (m != nullptr) m->Add(MetricCounter::kHashAggInputRows, 1);
+      for (size_t i = 0; i < group_slots_.size(); ++i) {
+        key[i] = row[group_slots_[i]];
       }
-      for (size_t r = 0; r < batch.size(); ++r) {
-        const Row& row = batch.row(r);
-        for (size_t i = 0; i < group_slots_.size(); ++i) {
-          key[i] = row[group_slots_[i]];
-        }
-        auto it = groups_.find(key);
-        if (it == groups_.end()) {
-          it = groups_
-                   .emplace(PackedKey(std::move(key)),
-                            static_cast<uint32_t>(accs_.size()))
-                   .first;
-          key = Row(group_slots_.size());
-          accs_.emplace_back(aggs_.size());
-          order_.push_back(&it->first.values);
-        }
-        ORQ_RETURN_IF_ERROR(Accumulate(&accs_[it->second], row, ctx));
+      auto it = groups_.find(key);
+      if (it == groups_.end()) {
+        it = groups_
+                 .emplace(PackedKey(std::move(key)),
+                          static_cast<uint32_t>(accs_.size()))
+                 .first;
+        key = Row(group_slots_.size());
+        accs_.emplace_back(aggs_.size());
+        order_.push_back(&it->first.values);
       }
-    }
-    return Status::OK();
+      return Accumulate(&accs_[it->second], row, ctx);
+    });
   }
 
   /// Columnar drain: group-key hashes are computed column-wise for the
@@ -361,6 +372,7 @@ class HashAggregateOp : public PhysicalOp {
     ColumnBatch batch(ctx->batch_size);
     std::vector<size_t> hashes;
     std::vector<const ColumnVec*> arg_cols(aggs_.size(), nullptr);
+    std::vector<const ColumnVec*> key_cols(group_slots_.size(), nullptr);
     Row key(group_slots_.size());
     Row decode_row;
     MetricsRegistry* m = metrics();
@@ -380,8 +392,9 @@ class HashAggregateOp : public PhysicalOp {
         }
       }
       InitKeyHashes(batch, &hashes);
-      for (int slot : group_slots_) {
-        HashCombineColumn(batch, batch.col(slot), &hashes);
+      for (size_t k = 0; k < group_slots_.size(); ++k) {
+        key_cols[k] = &batch.col(group_slots_[k]);
+        HashCombineColumn(batch, *key_cols[k], &hashes);
       }
       // Segment the live rows into maximal group-constant ranges and probe
       // the group table once per range. Clustered inputs (sorted tables,
@@ -401,8 +414,8 @@ class HashAggregateOp : public PhysicalOp {
           }
         }
         const uint32_t r = batch.RowAt(j);
-        const ColumnKeyRef ref{&batch, group_slots_.data(),
-                               group_slots_.size(), r, hashes[j]};
+        const ColumnKeyRef ref{key_cols.data(), key_cols.size(), r,
+                               hashes[j]};
         auto it = groups_.find(ref);
         if (it == groups_.end()) {
           for (size_t k = 0; k < group_slots_.size(); ++k) {

@@ -12,7 +12,7 @@ namespace orq {
 /// Cooperative cancellation handle for one query execution. The submitting
 /// side (a server session, a CLI with --timeout-ms, a test) owns the token
 /// and may cancel it or arm a deadline from any thread; the executing side
-/// polls Check() from the PhysicalOp Open/Next/NextBatch shells — the
+/// polls Check() from the PhysicalOp Open/Next/NextColumns shells — the
 /// single accounting sites every operator pull goes through — so a firing
 /// token unwinds the whole plan as an error within roughly one batch of
 /// work, releasing spools and hash arenas through the normal Close/

@@ -151,6 +151,44 @@ void ColumnVec::Seal() {
   nulls_ = any_null_ ? own_nulls_.data() : nullptr;
 }
 
+void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
+                           uint32_t n) {
+  StartBuild(src.type(), n);
+  switch (src.rep()) {
+    case ColumnRep::kInts:
+      for (uint32_t k = 0; k < n; ++k) {
+        if (src.IsNull(rows[k])) {
+          AppendNull();
+        } else {
+          AppendInt(src.IntAt(rows[k]));
+        }
+      }
+      break;
+    case ColumnRep::kDoubles:
+      for (uint32_t k = 0; k < n; ++k) {
+        if (src.IsNull(rows[k])) {
+          AppendNull();
+        } else {
+          AppendDouble(src.DoubleAt(rows[k]));
+        }
+      }
+      break;
+    case ColumnRep::kStrings:
+      for (uint32_t k = 0; k < n; ++k) {
+        if (src.IsNull(rows[k])) {
+          AppendNull();
+        } else {
+          AppendStr(src.StrAt(rows[k]));
+        }
+      }
+      break;
+    case ColumnRep::kValues:
+      for (uint32_t k = 0; k < n; ++k) AppendValue(src.ValAt(rows[k]));
+      break;
+  }
+  Seal();
+}
+
 void ColumnVec::PrepareScatter(DataType type, uint32_t n) {
   if (type == DataType::kString) {
     // No random-access arena writes; string results scatter as boxed Values.
@@ -279,6 +317,18 @@ void ColumnBatch::DecodeRow(uint32_t i, Row* out) const {
   for (size_t c = 0; c < cols_.size(); ++c) {
     (*out)[c] = cols_[c].GetValue(i);
   }
+}
+
+void ColumnBatch::SetRows(const Row* rows, uint32_t n, size_t width) {
+  ResizeCols(width);
+  for (size_t c = 0; c < width; ++c) {
+    ColumnVec& col = cols_[c];
+    col.StartBuild(n > 0 ? rows[0][c].type() : DataType::kInt64, n);
+    for (uint32_t i = 0; i < n; ++i) col.AppendValue(rows[i][c]);
+    col.Seal();
+  }
+  ClearSelection();
+  num_rows_ = n;
 }
 
 }  // namespace orq

@@ -273,6 +273,10 @@ class ColumnVec {
   /// Points the views at the owned storage. Call once, after the last
   /// append; the column then reads like any other.
   void Seal();
+  /// Owned, dense copy of `src` at physical rows rows[0, n), staying in
+  /// src's representation (no boxing unless src itself is boxed; encoded
+  /// sources decode). `src` must not be this column.
+  void GatherFrom(const ColumnVec& src, const uint32_t* rows, uint32_t n);
 
   // ---- owned, scattered build (typed kernels) ----
 
@@ -342,9 +346,9 @@ class ColumnVec {
 /// order; Filter narrows it instead of copying survivors. Without one the
 /// batch is dense: all num_rows() rows are live.
 ///
-/// Contract mirrors RowBatch: an operator's NextColumns fills a cleared
-/// batch; selected() == 0 on return means end of stream (operators never
-/// return a fully-filtered batch while input remains — they keep pulling).
+/// Contract: an operator's NextColumns fills a cleared batch; selected() ==
+/// 0 on return means end of stream (operators never return a
+/// fully-filtered batch while input remains — they keep pulling).
 class ColumnBatch {
  public:
   explicit ColumnBatch(int capacity = 1024)
@@ -390,6 +394,11 @@ class ColumnBatch {
 
   /// Materializes physical row i into `out` (resized to num_cols()).
   void DecodeRow(uint32_t i, Row* out) const;
+  /// The inverse of DecodeRow over a run of rows: refills the batch with
+  /// `width` owned columns holding rows[0, n), dense. Column types follow
+  /// the first row's value tags; a later tag mismatch degrades that column
+  /// to boxed values, so a wrong guess costs speed, never correctness.
+  void SetRows(const Row* rows, uint32_t n, size_t width);
 
  private:
   int capacity_;

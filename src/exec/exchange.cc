@@ -10,7 +10,8 @@ namespace orq {
 
 namespace {
 
-/// Bounded N-producer / 1-consumer queue of row batches. Producers block
+/// Bounded N-producer / 1-consumer queue of column batches, each dense and
+/// owning its storage (no views into producer scratch). Producers block
 /// when the queue is full; the consumer blocks until a batch arrives or
 /// every producer has finished. Cancel() (consumer abandoning the stream)
 /// unblocks producers: their next Push returns false and they wind down.
@@ -28,12 +29,12 @@ class BatchQueue {
   }
 
   /// False when the consumer cancelled; the producer should stop draining.
-  bool Push(std::vector<Row> rows) {
+  bool Push(ColumnBatch batch) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock,
                    [this] { return items_.size() < capacity_ || cancelled_; });
     if (cancelled_) return false;
-    items_.push_back(std::move(rows));
+    items_.push_back(std::move(batch));
     lock.unlock();
     not_empty_.notify_one();
     return true;
@@ -41,7 +42,7 @@ class BatchQueue {
 
   /// True with a batch in `out`, false at end of stream (all producers
   /// done, queue drained), or the first producer error.
-  Result<bool> Pop(std::vector<Row>* out) {
+  Result<bool> Pop(ColumnBatch* out) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] {
       return !items_.empty() || producers_left_ == 0 || !status_.ok();
@@ -91,7 +92,7 @@ class BatchQueue {
  private:
   mutable std::mutex mu_;
   std::condition_variable not_full_, not_empty_, all_done_;
-  std::deque<std::vector<Row>> items_;
+  std::deque<ColumnBatch> items_;
   size_t capacity_ = 1;
   int producers_left_ = 0;
   bool cancelled_ = false;
@@ -150,7 +151,7 @@ class ExchangeOp : public PhysicalOp {
     Shutdown();
     for (const SharedRegionStatePtr& state : shared_) state->Reset();
     queue_.Reset(instances, /*capacity=*/4 * static_cast<size_t>(instances));
-    staging_.clear();
+    staging_.Clear();
     staging_pos_ = 0;
     parent_ctx_ = ctx;
     pool_ = ctx->pool;
@@ -166,6 +167,7 @@ class ExchangeOp : public PhysicalOp {
     worker_params_ = ctx->params;
     worker_batched_ = ctx->batched;
     worker_batch_size_ = ctx->batch_size;
+    worker_table_encoding_ = ctx->table_encoding;
     worker_morsel_rows_ = ctx->morsel_rows;
     worker_cancel_ = ctx->cancel;
     // Gang admission: concurrent queries may share this pool, and two
@@ -181,34 +183,26 @@ class ExchangeOp : public PhysicalOp {
     return Status::OK();
   }
 
+  /// Row-mode consumer: decodes the queued batches one row at a time.
   Result<bool> NextImpl(ExecContext*, Row* row) override {
-    while (staging_pos_ >= staging_.size()) {
-      staging_.clear();
+    while (staging_pos_ >= staging_.num_rows()) {
+      staging_.Clear();
       staging_pos_ = 0;
       ORQ_ASSIGN_OR_RETURN(bool more, queue_.Pop(&staging_));
       if (!more) return false;
     }
-    *row = std::move(staging_[staging_pos_++]);
+    staging_.DecodeRow(staging_pos_++, row);
     return true;
   }
 
-  Status NextBatchImpl(ExecContext*, RowBatch* out) override {
-    while (!out->full()) {
-      if (staging_pos_ >= staging_.size()) {
-        staging_.clear();
-        staging_pos_ = 0;
-        ORQ_ASSIGN_OR_RETURN(bool more, queue_.Pop(&staging_));
-        if (!more) break;
-        continue;
-      }
-      out->PushRow() = std::move(staging_[staging_pos_++]);
-    }
-    return Status::OK();
+  /// Columnar consumer: hands each queued batch out whole.
+  Status NextColumnsImpl(ExecContext*, ColumnBatch* out) override {
+    return queue_.Pop(out).status();
   }
 
   void CloseImpl() override {
     Shutdown();
-    staging_.clear();
+    staging_.Clear();
     staging_pos_ = 0;
     if (parent_ctx_ != nullptr) {
       for (int64_t rows : worker_rows_) parent_ctx_->rows_produced += rows;
@@ -252,6 +246,7 @@ class ExchangeOp : public PhysicalOp {
     wctx.params = worker_params_;
     wctx.batched = worker_batched_;
     wctx.batch_size = worker_batch_size_;
+    wctx.table_encoding = worker_table_encoding_;
     wctx.morsel_rows = worker_morsel_rows_;
     // Every producer polls the same token, so a deadline or cancel stops
     // the whole gang; the first failing worker's status surfaces from Pop.
@@ -265,21 +260,56 @@ class ExchangeOp : public PhysicalOp {
     PhysicalOp* op = children_[i].get();
     Status status = op->Open(&wctx);
     if (status.ok()) {
-      RowBatch batch(wctx.batch_size);
-      while (true) {
-        status = op->NextBatch(&wctx, &batch);
-        if (!status.ok() || batch.empty()) break;
-        std::vector<Row> rows;
-        rows.reserve(batch.size());
-        for (size_t r = 0; r < batch.size(); ++r) {
-          rows.push_back(std::move(batch.row(r)));
-        }
-        if (!queue_.Push(std::move(rows))) break;  // consumer cancelled
-      }
+      status =
+          wctx.batched ? ProduceColumns(op, &wctx) : ProduceRows(op, &wctx);
       op->Close();
     }
     worker_rows_[i] = wctx.rows_produced;
     queue_.ProducerDone(status);
+  }
+
+  /// Columnar producer: pulls the instance's batches and queues an owned,
+  /// dense copy of each one's live rows — a pulled batch may view operator
+  /// scratch that the instance's next pull overwrites.
+  Status ProduceColumns(PhysicalOp* op, ExecContext* wctx) {
+    ColumnBatch batch(wctx->batch_size);
+    std::vector<uint32_t> live_rows;
+    while (true) {
+      ORQ_RETURN_IF_ERROR(op->NextColumns(wctx, &batch));
+      const uint32_t live = batch.selected();
+      if (live == 0) return Status::OK();
+      live_rows.resize(live);
+      for (uint32_t j = 0; j < live; ++j) live_rows[j] = batch.RowAt(j);
+      ColumnBatch owned(wctx->batch_size);
+      owned.ResizeCols(batch.num_cols());
+      for (size_t c = 0; c < batch.num_cols(); ++c) {
+        owned.col(c).GatherFrom(batch.col(c), live_rows.data(), live);
+      }
+      owned.set_num_rows(live);
+      if (!queue_.Push(std::move(owned))) return Status::OK();  // cancelled
+    }
+  }
+
+  /// Row-mode producer: pulls the instance row by row and queues each
+  /// batch_size run of rows transposed into a batch.
+  Status ProduceRows(PhysicalOp* op, ExecContext* wctx) {
+    std::vector<Row> rows(static_cast<size_t>(wctx->batch_size));
+    while (true) {
+      size_t n = 0;
+      bool more = true;
+      while (n < rows.size()) {
+        ORQ_ASSIGN_OR_RETURN(more, op->Next(wctx, &rows[n]));
+        if (!more) break;
+        ++n;
+      }
+      if (n > 0) {
+        ColumnBatch owned(wctx->batch_size);
+        owned.SetRows(rows.data(), static_cast<uint32_t>(n),
+                      op->layout().size());
+        if (!queue_.Push(std::move(owned))) return Status::OK();  // cancelled
+      }
+      if (!more) return Status::OK();
+    }
   }
 
   /// Idempotent producer wind-down: cancel the queue so blocked Pushes
@@ -303,6 +333,7 @@ class ExchangeOp : public PhysicalOp {
   std::unordered_map<ColumnId, Value> worker_params_;
   bool worker_batched_ = true;
   int worker_batch_size_ = kDefaultBatchRows;
+  TableEncoding worker_table_encoding_ = TableEncoding::kPlain;
   int worker_morsel_rows_ = kDefaultMorselRows;
   const CancelToken* worker_cancel_ = nullptr;
   /// Per-worker output (rows_produced) and instrumentation shards; slot i
@@ -310,9 +341,9 @@ class ExchangeOp : public PhysicalOp {
   std::vector<int64_t> worker_rows_;
   std::vector<StatsCollector> worker_stats_;
   std::vector<MetricsRegistry> worker_metrics_;
-  /// Consumer-side staging: the batch currently being handed out.
-  std::vector<Row> staging_;
-  size_t staging_pos_ = 0;
+  /// Row-mode consumer staging: the batch currently being decoded.
+  ColumnBatch staging_;
+  uint32_t staging_pos_ = 0;
 };
 
 }  // namespace

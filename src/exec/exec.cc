@@ -33,41 +33,10 @@ Result<bool> PhysicalOp::NextInstrumented(ExecContext* ctx, Row* row) {
   return more;
 }
 
-Status PhysicalOp::NextBatchInstrumented(ExecContext* ctx, RowBatch* batch) {
-  const int64_t start = ObsNowNanos();
-  Status status = ctx->columnar && columnar_capable_
-                      ? FillFromColumnsImpl(ctx, batch)
-                      : ctx->batched ? NextBatchImpl(ctx, batch)
-                                     : FillFromNextImpl(ctx, batch);
-  if (stats_ != nullptr) {
-    stats_->wall_nanos += ObsNowNanos() - start;
-    ++stats_->next_calls;
-  }
-  if (status.ok()) {
-    const int64_t rows = static_cast<int64_t>(batch->size());
-    ctx->rows_produced += rows;
-    if (rows > 0) {
-      // The terminal empty pull is excluded from fill accounting: every
-      // stream ends with one, so counting it only dilutes the signal.
-      const int64_t slots = static_cast<int64_t>(batch->capacity());
-      if (stats_ != nullptr) {
-        stats_->rows_out += rows;
-        stats_->batch_slots += slots;
-      }
-      if (metrics_ != nullptr && slots > 0) {
-        metrics_->Observe(MetricHistogram::kBatchFillPercent,
-                          100 * rows / slots);
-      }
-    }
-  }
-  return status;
-}
-
 Status PhysicalOp::NextColumnsInstrumented(ExecContext* ctx,
                                            ColumnBatch* batch) {
   const int64_t start = ObsNowNanos();
-  Status status = columnar_capable_ ? NextColumnsImpl(ctx, batch)
-                                    : FillColumnsFromRows(ctx, batch);
+  Status status = NextColumnsImpl(ctx, batch);
   if (stats_ != nullptr) {
     stats_->wall_nanos += ObsNowNanos() - start;
     ++stats_->next_calls;
@@ -76,6 +45,8 @@ Status PhysicalOp::NextColumnsInstrumented(ExecContext* ctx,
     const int64_t rows = static_cast<int64_t>(batch->selected());
     ctx->rows_produced += rows;
     if (rows > 0) {
+      // The terminal empty pull is excluded from fill accounting: every
+      // stream ends with one, so counting it only dilutes the signal.
       const int64_t slots = static_cast<int64_t>(batch->capacity());
       if (stats_ != nullptr) {
         stats_->rows_out += rows;
@@ -84,8 +55,11 @@ Status PhysicalOp::NextColumnsInstrumented(ExecContext* ctx,
       }
       if (metrics_ != nullptr && slots > 0) {
         metrics_->Add(MetricCounter::kColumnBatches, 1);
-        // batch_slots counts capacity while rows counts selected, so this
-        // is the selection-vector density, not physical fill.
+        // Physical fill (rows the batch carries, live or not) and
+        // selection density (live rows) over the same capacity.
+        metrics_->Observe(MetricHistogram::kBatchFillPercent,
+                          100 * static_cast<int64_t>(batch->num_rows()) /
+                              slots);
         metrics_->Observe(MetricHistogram::kSelVectorSelectivity,
                           100 * rows / slots);
       }
@@ -95,42 +69,16 @@ Status PhysicalOp::NextColumnsInstrumented(ExecContext* ctx,
 }
 
 Status PhysicalOp::FillColumnsFromRows(ExecContext* ctx, ColumnBatch* batch) {
-  if (adapter_rows_ == nullptr) {
-    adapter_rows_ = std::make_unique<RowBatch>(batch->capacity());
+  const size_t capacity = static_cast<size_t>(batch->capacity());
+  size_t n = 0;
+  while (n < capacity) {
+    if (n == adapter_rows_.size()) adapter_rows_.emplace_back();
+    ORQ_ASSIGN_OR_RETURN(bool more, NextImpl(ctx, &adapter_rows_[n]));
+    if (!more) break;
+    ++n;
   }
-  adapter_rows_->Clear();
-  ORQ_RETURN_IF_ERROR(ctx->batched ? NextBatchImpl(ctx, adapter_rows_.get())
-                                   : FillFromNextImpl(ctx, adapter_rows_.get()));
-  const RowBatch& rows = *adapter_rows_;
-  const uint32_t n = static_cast<uint32_t>(rows.size());
-  batch->ResizeCols(layout_.size());
-  for (size_t c = 0; c < layout_.size(); ++c) {
-    ColumnVec& col = batch->col(c);
-    // Pick the declared type from the first row's tag (the engine is
-    // dynamically typed); AppendValue degrades to boxed on a later
-    // mismatch, so a wrong guess costs performance, never correctness.
-    DataType type = n > 0 ? rows.row(0)[c].type() : DataType::kInt64;
-    col.StartBuild(type, n);
-    for (uint32_t i = 0; i < n; ++i) col.AppendValue(rows.row(i)[c]);
-    col.Seal();
-  }
-  batch->set_num_rows(n);
-  return Status::OK();
-}
-
-Status PhysicalOp::FillFromColumnsImpl(ExecContext* ctx, RowBatch* batch) {
-  if (adapter_cols_ == nullptr) {
-    adapter_cols_ = std::make_unique<ColumnBatch>(
-        static_cast<int>(batch->capacity()));
-  }
-  ColumnBatch& cols = *adapter_cols_;
-  cols.Clear();
-  ORQ_RETURN_IF_ERROR(NextColumnsImpl(ctx, &cols));
-  const uint32_t m = cols.selected();
-  if (m > 0 && stats_ != nullptr) ++stats_->column_batches;
-  for (uint32_t j = 0; j < m; ++j) {
-    cols.DecodeRow(cols.RowAt(j), &batch->PushRow());
-  }
+  batch->SetRows(adapter_rows_.data(), static_cast<uint32_t>(n),
+                 layout_.size());
   return Status::OK();
 }
 
@@ -148,19 +96,12 @@ void PhysicalOp::CloseInstrumented() {
 Result<std::vector<Row>> ExecuteToVector(PhysicalOp* plan, ExecContext* ctx) {
   std::vector<Row> rows;
   ORQ_RETURN_IF_ERROR(plan->Open(ctx));
-  RowBatch batch(ctx->batch_size);
-  while (true) {
-    Status status = plan->NextBatch(ctx, &batch);
-    if (!status.ok()) {
-      plan->Close();
-      return status;
-    }
-    if (batch.empty()) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      rows.push_back(std::move(batch.row(i)));
-    }
-  }
+  Status status = DrainRows(plan, ctx, [&rows](Row& row) {
+    rows.push_back(std::move(row));
+    return Status::OK();
+  });
   plan->Close();
+  if (!status.ok()) return status;
   return rows;
 }
 

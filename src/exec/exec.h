@@ -18,9 +18,9 @@
 
 namespace orq {
 
-/// Rows moved between operators per NextBatch call. Large enough to
+/// Rows moved between operators per NextColumns call. Large enough to
 /// amortize the virtual call and the per-batch bookkeeping, small enough
-/// that a batch of rows stays cache-resident.
+/// that a batch's columns stay cache-resident.
 inline constexpr int kDefaultBatchRows = 1024;
 
 /// Upper bound on batch_size. Selection vectors and join gather lists
@@ -41,22 +41,17 @@ inline Status ValidateBatchSize(int batch_size) {
 
 /// Execution-mode knobs, threaded from EngineOptions into ExecContext.
 struct ExecOptions {
-  /// When false, every operator's NextBatch degrades to the row-at-a-time
-  /// adapter over NextImpl — the classic Volcano engine, kept as the
-  /// difftest reference configuration for the batched path.
+  /// The execution mode (`SET exec columnar|row`). True runs the columnar
+  /// engine: operators exchange ColumnBatches (exec/column_batch.h) through
+  /// NextColumns and run type-specialized kernels. False runs the classic
+  /// row-at-a-time Volcano engine through Next — the simple reference the
+  /// difftest oracles compare the columnar engine against.
   bool batched = true;
-  /// Columnar (SoA) execution: converted operators exchange ColumnBatches
-  /// (exec/column_batch.h) and run type-specialized kernels; unconverted
-  /// operators keep their row/batch paths behind transpose adapters.
-  /// Single-threaded only — the parallel engine's exchange queues move
-  /// RowBatch, so columnar together with num_threads >= 1 is rejected by
-  /// ValidateExecOptions (no silent fallback).
-  bool columnar = false;
   int batch_size = kDefaultBatchRows;
   /// Storage encoding columnar table scans request from the catalog
   /// (`SET table_encoding plain|dict|rle|auto`). Plain by default; kAuto
-  /// lets each column chunk pick dictionary/RLE by heuristic. Row and
-  /// batch modes ignore it (they read the row store directly).
+  /// lets each column chunk pick dictionary/RLE by heuristic. Row mode
+  /// ignores it (it reads the row store directly).
   TableEncoding table_encoding = TableEncoding::kPlain;
   /// Morsel-driven parallel execution. 0 keeps the classic single-threaded
   /// engine (no thread pool, plans unchanged); N >= 1 builds N instances of
@@ -67,21 +62,6 @@ struct ExecOptions {
   /// Rows per morsel claim for parallel table scans (see exec/parallel.h).
   int morsel_rows = 4096;
 };
-
-/// The single exec-mode validity check, shared by SET handlers and the
-/// engine's option intake (the ValidateBatchSize pattern): neither side
-/// silently clamps or falls back, so an impossible combination fails the
-/// query (or the SET) with the same message everywhere.
-inline Status ValidateExecOptions(const ExecOptions& exec) {
-  ORQ_RETURN_IF_ERROR(ValidateBatchSize(exec.batch_size));
-  if (exec.columnar && exec.num_threads > 0) {
-    return Status::InvalidArgument(
-        "exec columnar is single-threaded (exchange queues move row "
-        "batches); SET threads 0 or SET exec batch before combining, got "
-        "threads " + std::to_string(exec.num_threads));
-  }
-  return Status::OK();
-}
 
 /// Names for TableEncoding, shared by SET, difftest flags, and EXPLAIN.
 inline const char* TableEncodingName(TableEncoding mode) {
@@ -101,37 +81,6 @@ inline std::optional<TableEncoding> ParseTableEncoding(
   if (name == "auto") return TableEncoding::kAuto;
   return std::nullopt;
 }
-
-/// A fixed-capacity buffer of rows passed between operators. Row storage
-/// is preallocated and reused across refills: Clear() resets the logical
-/// size but keeps every row's Value vector (and the string payloads
-/// inside) allocated, so steady-state batch traffic does not allocate.
-/// Row addresses are stable — PushRow never reallocates — which lets
-/// operators hold a pointer to a row across calls while composing output.
-class RowBatch {
- public:
-  explicit RowBatch(int capacity = kDefaultBatchRows)
-      : rows_(capacity > 0 ? static_cast<size_t>(capacity) : 1) {}
-
-  size_t capacity() const { return rows_.size(); }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == rows_.size(); }
-
-  Row& row(size_t i) { return rows_[i]; }
-  const Row& row(size_t i) const { return rows_[i]; }
-
-  /// Exposes the next free slot and grows the logical size. The slot may
-  /// hold a stale row from a previous refill; callers overwrite it.
-  Row& PushRow() { return rows_[size_++]; }
-  /// Retracts the most recent PushRow (e.g. a row a predicate rejected).
-  void PopRow() { --size_; }
-  void Clear() { size_ = 0; }
-
- private:
-  std::vector<Row> rows_;
-  size_t size_ = 0;
-};
 
 class MetricsRegistry;
 class SpanRecorder;
@@ -159,18 +108,16 @@ struct ExecContext {
   std::vector<const std::vector<Row>*> segment_stack;
   /// Number of rows produced by all operators (a cheap work metric used by
   /// tests and benchmarks to compare strategies). Maintained by the
-  /// PhysicalOp::Next / NextBatch shells — the single accounting sites —
+  /// PhysicalOp::Next / NextColumns shells — the single accounting sites —
   /// whether or not instrumentation is attached.
   int64_t rows_produced = 0;
   /// Optional instrumentation (stats / metrics / spans). Null keeps the
   /// Volcano hot path at one extra branch per call.
   const ExecInstruments* instruments = nullptr;
-  /// Batch-at-a-time execution toggle and batch sizing (ExecOptions).
+  /// Execution mode and batch sizing (ExecOptions). Decides how the
+  /// materializing drains (DrainRows) pull their inputs; the pull protocol
+  /// everywhere else follows from the root's.
   bool batched = true;
-  /// Columnar execution toggle (ExecOptions::columnar). Set by the engine
-  /// only for single-threaded executions; operator shells route NextBatch
-  /// through the columnar path for columnar-capable operators when set.
-  bool columnar = false;
   int batch_size = kDefaultBatchRows;
   /// Storage encoding columnar table scans request from the catalog
   /// (ExecOptions::table_encoding).
@@ -182,8 +129,8 @@ struct ExecContext {
   /// Rows per parallel-scan morsel claim (ExecOptions::morsel_rows).
   int morsel_rows = 4096;
   /// Cooperative cancellation/deadline token, or nullptr when the caller
-  /// set no bound. Polled by the operator shells (every batch pull, every
-  /// Open, and a throttled fraction of row-mode pulls), so a firing token
+  /// set no bound. Polled by the operator shells (every column-batch pull,
+  /// every Open, and a throttled fraction of row pulls), so a firing token
   /// surfaces as Cancelled/DeadlineExceeded within one batch of work.
   const CancelToken* cancel = nullptr;
   /// Row-mode poll throttle: the per-row Next shell consults the token
@@ -203,17 +150,18 @@ struct ExecContext {
   }
 };
 
-/// Volcano-style iterator with an optional batched pull path. Operators are
-/// single-use: Open, drain via Next or NextBatch (one interface per Open,
-/// never interleaved), Close. Re-Open after Close restarts the operator
-/// (correlated inners are re-opened per outer row with fresh parameters).
+/// Volcano-style iterator with two pull protocols: Next (one row) and
+/// NextColumns (one ColumnBatch). Operators are single-use: Open, drain via
+/// Next or NextColumns (one interface per Open, never interleaved), Close.
+/// Re-Open after Close restarts the operator (correlated inners are
+/// re-opened per outer row with fresh parameters).
 ///
-/// Open/Next/NextBatch/Close are non-virtual shells around the OpenImpl/
-/// NextImpl/NextBatchImpl/CloseImpl hooks so the base class can account rows
-/// and, when the context carries a StatsCollector, per-operator call counts
-/// and wall time. NextBatchImpl defaults to an adapter that loops NextImpl;
-/// hot operators (scan, filter, project, hash join/aggregate, uncorrelated
-/// nested loops) override it with tight loops over whole batches.
+/// Open/Next/NextColumns/Close are non-virtual shells around the OpenImpl/
+/// NextImpl/NextColumnsImpl/CloseImpl hooks so the base class can account
+/// rows and, when the context carries a StatsCollector, per-operator call
+/// counts and wall time. NextImpl is every operator's row reference;
+/// NextColumnsImpl defaults to an adapter that transposes NextImpl's rows,
+/// and every operator on a hot path overrides it with column kernels.
 class PhysicalOp {
  public:
   virtual ~PhysicalOp() = default;
@@ -255,35 +203,13 @@ class PhysicalOp {
     return NextInstrumented(ctx, row);
   }
 
-  /// Clears `batch` and refills it with up to batch->capacity() rows. An
-  /// empty batch on return signals end of stream — implementations never
-  /// return an empty batch while rows remain. With a StatsCollector
-  /// attached, next_calls counts batch pulls while rows_out counts rows,
-  /// so the two diverge by roughly the batch size on this path.
-  Status NextBatch(ExecContext* ctx, RowBatch* batch) {
-    batch->Clear();
-    if (ctx->progress_rows != nullptr) {
-      ctx->progress_rows->store(ctx->rows_produced, std::memory_order_relaxed);
-    }
-    ORQ_RETURN_IF_ERROR(ctx->CheckCancel());
-    if (!instrumented_) {
-      Status status = ctx->columnar && columnar_capable_
-                          ? FillFromColumnsImpl(ctx, batch)
-                          : ctx->batched ? NextBatchImpl(ctx, batch)
-                                         : FillFromNextImpl(ctx, batch);
-      if (status.ok()) ctx->rows_produced += batch->size();
-      return status;
-    }
-    return NextBatchInstrumented(ctx, batch);
-  }
-
   /// Columnar pull: clears `batch` and refills it with up to capacity
   /// physical rows plus a selection vector over the live ones. An empty
   /// batch (selected() == 0) signals end of stream — implementations
   /// loop internally past all-filtered input rather than returning an
-  /// empty non-terminal batch. Operators without a columnar path are
-  /// adapted transparently: their row/batch output is transposed into
-  /// columns, so a columnar parent can always pull NextColumns.
+  /// empty non-terminal batch. With a StatsCollector attached, next_calls
+  /// counts batch pulls while rows_out counts rows, so the two diverge by
+  /// roughly the batch size on this path.
   Status NextColumns(ExecContext* ctx, ColumnBatch* batch) {
     batch->Clear();
     if (ctx->progress_rows != nullptr) {
@@ -291,8 +217,7 @@ class PhysicalOp {
     }
     ORQ_RETURN_IF_ERROR(ctx->CheckCancel());
     if (!instrumented_) {
-      Status status = columnar_capable_ ? NextColumnsImpl(ctx, batch)
-                                        : FillColumnsFromRows(ctx, batch);
+      Status status = NextColumnsImpl(ctx, batch);
       if (status.ok()) ctx->rows_produced += batch->selected();
       return status;
     }
@@ -331,36 +256,14 @@ class PhysicalOp {
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
   virtual Result<bool> NextImpl(ExecContext* ctx, Row* row) = 0;
-  /// Batched pull hook; the default adapts NextImpl row by row. Overrides
-  /// must honor the shell's contract: fill into `batch` (already cleared)
-  /// and treat an empty result as end of stream.
-  virtual Status NextBatchImpl(ExecContext* ctx, RowBatch* batch) {
-    return FillFromNextImpl(ctx, batch);
-  }
-  /// Columnar pull hook. Only dispatched to when the operator declared
-  /// itself columnar-capable (set columnar_capable_ = true in the
-  /// constructor alongside the override); everyone else is served by the
-  /// FillColumnsFromRows transpose adapter.
+  /// Columnar pull hook. Overrides must honor the shell's contract: fill
+  /// into `batch` (already cleared) and return a batch with no selected
+  /// rows only at end of stream. The default is the FillColumnsFromRows
+  /// transpose adapter over NextImpl.
   virtual Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) {
     return FillColumnsFromRows(ctx, batch);
   }
   virtual void CloseImpl() = 0;
-
-  /// Row-at-a-time adapter: loops NextImpl into batch slots. Calls the Impl
-  /// (not the Next shell) so rows are accounted exactly once, by the
-  /// NextBatch shell.
-  Status FillFromNextImpl(ExecContext* ctx, RowBatch* batch) {
-    while (!batch->full()) {
-      Row& slot = batch->PushRow();
-      Result<bool> more = NextImpl(ctx, &slot);
-      if (!more.ok()) return more.status();
-      if (!*more) {
-        batch->PopRow();
-        break;
-      }
-    }
-    return Status::OK();
-  }
 
   /// Stateful operators report the size of their materialized state (hash
   /// table, sort buffer, spool, segment map) after building it. No-op when
@@ -389,37 +292,26 @@ class PhysicalOp {
     }
   }
 
-  /// Row -> column adapter: pulls this operator's own row path (NextBatchImpl
-  /// or the NextImpl loop, per ctx->batched) into scratch and transposes the
-  /// rows into typed columns. Column types follow the first row's value tags;
-  /// later tag mismatches degrade that column to boxed values.
+  /// Row -> column adapter: loops this operator's NextImpl (not the Next
+  /// shell, so rows are accounted once, by the NextColumns shell) into
+  /// scratch rows and transposes them into typed columns
+  /// (ColumnBatch::SetRows).
   Status FillColumnsFromRows(ExecContext* ctx, ColumnBatch* batch);
 
   std::vector<ColumnId> layout_;
   std::vector<std::unique_ptr<PhysicalOp>> children_;
-  /// Set (in the constructor) by operators overriding NextColumnsImpl.
-  /// Consulted by both shells: NextColumns dispatches to the override, and
-  /// NextBatch in columnar mode routes through FillFromColumnsImpl so the
-  /// operator still runs its columnar path under a row-consuming parent.
-  bool columnar_capable_ = false;
 
  private:
   /// Out-of-line instrumented halves of the shells, so the header-inlined
   /// fast paths stay one branch each.
   Status OpenInstrumented(ExecContext* ctx);
   Result<bool> NextInstrumented(ExecContext* ctx, Row* row);
-  Status NextBatchInstrumented(ExecContext* ctx, RowBatch* batch);
   Status NextColumnsInstrumented(ExecContext* ctx, ColumnBatch* batch);
   void CloseInstrumented();
 
-  /// Column -> row adapter: pulls this operator's NextColumnsImpl into
-  /// scratch and decodes the selected rows into `batch`. Capacities match
-  /// (both sized ctx->batch_size), so one column batch fits one row batch.
-  Status FillFromColumnsImpl(ExecContext* ctx, RowBatch* batch);
-
-  /// Lazily allocated adapter scratch (most operators never adapt).
-  std::unique_ptr<RowBatch> adapter_rows_;
-  std::unique_ptr<ColumnBatch> adapter_cols_;
+  /// FillColumnsFromRows scratch, grown on demand (most operators never
+  /// adapt) and reused across pulls.
+  std::vector<Row> adapter_rows_;
 
   bool instrumented_ = false;
   OpStats* stats_ = nullptr;
@@ -433,6 +325,45 @@ class PhysicalOp {
 };
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
+
+/// Pulls the open operator `op` to end of stream in the context's mode —
+/// NextColumns batches decoded one selected row at a time when
+/// ctx->batched, Next otherwise — and hands each row to `fn`, which
+/// returns a Status and may move from the row. The one drain loop shared
+/// by ExecuteToVector and every materializing operator (hash build, sort
+/// input, spool, ExceptAll, SegmentApply partition), so each drains in the
+/// same protocol and rows_produced agrees across modes.
+template <typename Fn>
+Status DrainRows(PhysicalOp* op, ExecContext* ctx, Fn&& fn) {
+  if (!ctx->batched) {
+    // Pull batch_size rows, then consume them: running the producer's and
+    // the consumer's loops back to back instead of alternating per row
+    // keeps each hot in cache (alternating cost 8-20% on bench_columnar's
+    // row entries).
+    std::vector<Row> rows(static_cast<size_t>(ctx->batch_size));
+    while (true) {
+      size_t n = 0;
+      while (n < rows.size()) {
+        ORQ_ASSIGN_OR_RETURN(bool more, op->Next(ctx, &rows[n]));
+        if (!more) break;
+        ++n;
+      }
+      for (size_t i = 0; i < n; ++i) ORQ_RETURN_IF_ERROR(fn(rows[i]));
+      if (n < rows.size()) return Status::OK();
+    }
+  }
+  Row row;
+  ColumnBatch batch(ctx->batch_size);
+  while (true) {
+    ORQ_RETURN_IF_ERROR(op->NextColumns(ctx, &batch));
+    const uint32_t live = batch.selected();
+    if (live == 0) return Status::OK();
+    for (uint32_t j = 0; j < live; ++j) {
+      batch.DecodeRow(batch.RowAt(j), &row);
+      ORQ_RETURN_IF_ERROR(fn(row));
+    }
+  }
+}
 
 /// Runs a plan to completion, collecting all rows.
 Result<std::vector<Row>> ExecuteToVector(PhysicalOp* plan, ExecContext* ctx);

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "algebra/expr_util.h"
 #include "exec/evaluator.h"
 #include "exec/ops.h"
 #include "exec/packed_key.h"
@@ -62,45 +63,41 @@ class NLJoinOp : public PhysicalOp {
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
     have_left_ = false;
     inner_open_ = false;
-    if (!rebind_inner_) {
-      if (cache_inner_ && inner_cached_) {
-        // Uncorrelated inner re-opened (e.g. under an outer Apply or a
-        // SegmentApply): replay the spool instead of re-executing the
-        // subtree — its result cannot have changed.
-        if (MetricsRegistry* m = metrics()) {
-          m->Add(MetricCounter::kInnerCacheReplays, 1);
-        }
-      } else {
-        // Uncorrelated: materialize the inner once.
-        ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-        inner_rows_.clear();
-        RowBatch batch(ctx->batch_size);
-        while (true) {
-          ORQ_RETURN_IF_ERROR(children_[1]->NextBatch(ctx, &batch));
-          if (batch.empty()) break;
-          for (size_t i = 0; i < batch.size(); ++i) {
-            inner_rows_.push_back(std::move(batch.row(i)));
-          }
-        }
-        children_[1]->Close();
-        RecordPeak(static_cast<int64_t>(inner_rows_.size()));
-        if (MetricsRegistry* m = metrics()) {
-          m->Add(MetricCounter::kSpoolRows,
-                 static_cast<int64_t>(inner_rows_.size()));
-        }
-        inner_cached_ = cache_inner_;
+    outer_columnar_ = false;
+    outer_pos_ = 0;
+    if (outer_ != nullptr) outer_->Clear();
+    if (rebind_inner_) return Status::OK();
+    if (cache_inner_ && inner_cached_) {
+      // Uncorrelated inner re-opened (e.g. under an outer Apply or a
+      // SegmentApply): replay the spool instead of re-executing the
+      // subtree — its result cannot have changed.
+      if (MetricsRegistry* m = metrics()) {
+        m->Add(MetricCounter::kInnerCacheReplays, 1);
       }
-      probe_ = RowBatch(ctx->batch_size);
-      probe_pos_ = 0;
+      return Status::OK();
     }
+    // Uncorrelated: materialize the inner once.
+    ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
+    inner_rows_.clear();
+    Status drain = DrainRows(children_[1].get(), ctx, [this](Row& row) {
+      inner_rows_.push_back(std::move(row));
+      return Status::OK();
+    });
+    children_[1]->Close();
+    ORQ_RETURN_IF_ERROR(drain);
+    RecordPeak(static_cast<int64_t>(inner_rows_.size()));
+    if (MetricsRegistry* m = metrics()) {
+      m->Add(MetricCounter::kSpoolRows,
+             static_cast<int64_t>(inner_rows_.size()));
+    }
+    inner_cached_ = cache_inner_;
     return Status::OK();
   }
 
   Result<bool> NextImpl(ExecContext* ctx, Row* row) override {
-    const size_t right_width = children_[1]->layout().size();
     while (true) {
       if (!have_left_) {
-        ORQ_ASSIGN_OR_RETURN(bool more, children_[0]->Next(ctx, &left_row_));
+        ORQ_ASSIGN_OR_RETURN(bool more, NextOuter(ctx));
         if (!more) return false;
         have_left_ = true;
         matched_ = false;
@@ -118,44 +115,42 @@ class NLJoinOp : public PhysicalOp {
           }
         }
       }
-      // Fetch next inner row.
-      Row inner;
-      bool inner_more = false;
+      // Fetch the next inner row: one Next on the re-opened correlated
+      // inner (per-row pulls, so a semi/anti join stops the inner at its
+      // first match), or the next spooled row.
+      const Row* inner = nullptr;
       if (rebind_inner_) {
-        ORQ_ASSIGN_OR_RETURN(inner_more, children_[1]->Next(ctx, &inner));
+        ORQ_ASSIGN_OR_RETURN(bool more, children_[1]->Next(ctx, &inner_row_));
+        if (more) inner = &inner_row_;
       } else if (inner_pos_ < inner_rows_.size()) {
-        inner = inner_rows_[inner_pos_++];
-        inner_more = true;
+        inner = &inner_rows_[inner_pos_++];
       }
-      if (!inner_more) {
-        bool emit_unmatched = !matched_ && (kind_ == PhysJoinKind::kLeftOuter ||
-                                            kind_ == PhysJoinKind::kLeftAnti);
+      if (inner == nullptr) {
         have_left_ = false;
-        if (emit_unmatched) {
+        if (!matched_ && (kind_ == PhysJoinKind::kLeftOuter ||
+                          kind_ == PhysJoinKind::kLeftAnti)) {
           *row = left_row_;
           if (kind_ == PhysJoinKind::kLeftOuter) {
-            for (size_t i = 0; i < right_width; ++i) {
-              row->push_back(Value::Null(pad_types_[i]));
-            }
+            for (DataType type : pad_types_) row->push_back(Value::Null(type));
           }
           return true;
         }
         continue;
       }
-      // Evaluate the predicate on the combined row.
-      Row combined = left_row_;
-      combined.insert(combined.end(), inner.begin(), inner.end());
-      ORQ_ASSIGN_OR_RETURN(bool keep, predicate_.EvalPredicate(combined, ctx));
+      // Compose the combined row in place in the output row and evaluate
+      // the predicate on it; a rejected row is simply overwritten.
+      row->assign(left_row_.begin(), left_row_.end());
+      row->insert(row->end(), inner->begin(), inner->end());
+      ORQ_ASSIGN_OR_RETURN(bool keep, predicate_.EvalPredicate(*row, ctx));
       if (!keep) continue;
       matched_ = true;
       switch (kind_) {
         case PhysJoinKind::kInner:
         case PhysJoinKind::kLeftOuter:
-          *row = std::move(combined);
           return true;
         case PhysJoinKind::kLeftSemi:
-          *row = left_row_;
-          have_left_ = false;  // one match suffices
+          row->resize(left_row_.size());  // one match suffices
+          have_left_ = false;
           return true;
         case PhysJoinKind::kLeftAnti:
           have_left_ = false;  // disqualified
@@ -164,68 +159,13 @@ class NLJoinOp : public PhysicalOp {
     }
   }
 
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
-    // Correlated Apply stays row-at-a-time: the inner plan is re-opened
-    // per outer row, so there is no batch of inner rows to loop over.
-    if (rebind_inner_) return FillFromNextImpl(ctx, out);
-    while (true) {
-      if (!have_left_) {
-        if (probe_pos_ >= probe_.size()) {
-          ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &probe_));
-          if (probe_.empty()) return Status::OK();
-          probe_pos_ = 0;
-        }
-        left_ = &probe_.row(probe_pos_++);
-        have_left_ = true;
-        matched_ = false;
-        inner_pos_ = 0;
-      }
-      const Row& left = *left_;
-      while (have_left_ && inner_pos_ < inner_rows_.size()) {
-        if (out->full()) return Status::OK();
-        const Row& inner = inner_rows_[inner_pos_++];
-        // Compose the combined row in place in the output slot; rejected
-        // rows are retracted with PopRow.
-        Row& slot = out->PushRow();
-        slot.clear();
-        slot.reserve(left.size() + inner.size());
-        slot.insert(slot.end(), left.begin(), left.end());
-        slot.insert(slot.end(), inner.begin(), inner.end());
-        ORQ_ASSIGN_OR_RETURN(bool keep, predicate_.EvalPredicate(slot, ctx));
-        if (!keep) {
-          out->PopRow();
-          continue;
-        }
-        matched_ = true;
-        switch (kind_) {
-          case PhysJoinKind::kInner:
-          case PhysJoinKind::kLeftOuter:
-            break;
-          case PhysJoinKind::kLeftSemi:
-            slot.resize(left.size());  // drop the inner half
-            have_left_ = false;
-            break;
-          case PhysJoinKind::kLeftAnti:
-            out->PopRow();
-            have_left_ = false;
-            break;
-        }
-      }
-      if (have_left_ && inner_pos_ >= inner_rows_.size()) {
-        if (!matched_ && (kind_ == PhysJoinKind::kLeftOuter ||
-                          kind_ == PhysJoinKind::kLeftAnti)) {
-          if (out->full()) return Status::OK();
-          Row& slot = out->PushRow();
-          slot = std::move(*left_);
-          if (kind_ == PhysJoinKind::kLeftOuter) {
-            for (DataType type : pad_types_) {
-              slot.push_back(Value::Null(type));
-            }
-          }
-        }
-        have_left_ = false;
-      }
-    }
+  /// Columnar pull: the outer input is pulled in column batches (so the
+  /// outer subtree runs columnar) and decoded one row at a time; the join
+  /// itself — spool loop or per-row inner re-open — is NextImpl's, and its
+  /// output rows are transposed into the batch.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+    outer_columnar_ = true;
+    return FillColumnsFromRows(ctx, batch);
   }
 
   void CloseImpl() override {
@@ -250,21 +190,40 @@ class NLJoinOp : public PhysicalOp {
   }
 
  private:
+  /// Fetches the next outer row into left_row_ in this Open's protocol:
+  /// one Next, or one decoded row of the current outer column batch.
+  Result<bool> NextOuter(ExecContext* ctx) {
+    if (!outer_columnar_) return children_[0]->Next(ctx, &left_row_);
+    if (outer_ == nullptr) {
+      outer_ = std::make_unique<ColumnBatch>(ctx->batch_size);
+    }
+    if (outer_pos_ >= outer_->selected()) {
+      ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, outer_.get()));
+      if (outer_->selected() == 0) return false;
+      outer_pos_ = 0;
+    }
+    outer_->DecodeRow(outer_->RowAt(outer_pos_++), &left_row_);
+    return true;
+  }
+
   PhysJoinKind kind_;
   bool rebind_inner_;
   bool cache_inner_;
   std::vector<DataType> pad_types_;
   Evaluator predicate_;
-  Row left_row_;               // row path: current outer row (copy)
-  const Row* left_ = nullptr;  // batch path: current outer row, in probe_
+  Row left_row_;    // current outer row
+  Row inner_row_;   // current correlated-inner row
   bool have_left_ = false;
   bool matched_ = false;
   bool inner_open_ = false;
   std::vector<Row> inner_rows_;  // uncorrelated inner materialization
   bool inner_cached_ = false;    // inner_rows_ valid across Open cycles
   size_t inner_pos_ = 0;
-  RowBatch probe_{0};
-  size_t probe_pos_ = 0;
+  /// Columnar outer input (NextColumnsImpl): set per Open on the first
+  /// columnar pull; the batch is allocated once and reused.
+  bool outer_columnar_ = false;
+  std::unique_ptr<ColumnBatch> outer_;
+  uint32_t outer_pos_ = 0;
 };
 
 /// A bucket's slice of the slots permutation. `filled` is the build-time
@@ -407,34 +366,31 @@ class HashJoinOp : public PhysicalOp {
         pad_types_(
             ResolvePadTypes(std::move(right_types), right->layout().size())) {
     layout_ = CombinedLayout(*left, *right, kind);
-    // Columnar probing needs each probe key to be a plain column of the
-    // probe input — then key hashes vectorize and lookups never decode the
-    // probe row. Computed expressions as keys fall back to the row probe.
-    bool keys_are_slots = true;
-    const std::vector<ColumnId>& lcols = left->layout();
     for (auto& [l, r] : keys) {
-      int slot = -1;
-      if (l->kind == ScalarKind::kColumnRef) {
-        for (size_t i = 0; i < lcols.size(); ++i) {
-          if (lcols[i] == l->column) {
-            slot = static_cast<int>(i);
-            break;
-          }
-        }
-      }
-      if (slot >= 0) {
-        probe_slots_.push_back(slot);
-      } else {
-        keys_are_slots = false;
-      }
+      probe_keys_.push_back(std::make_unique<ColumnarEvaluator>());
+      probe_keys_.back()->Compile(l, left->layout());
       left_keys_.emplace_back(std::move(l), left->layout());
       right_keys_.emplace_back(std::move(r), right->layout());
     }
-    columnar_capable_ = keys_are_slots;
+    probe_cols_.resize(probe_keys_.size());
     if (residual != nullptr) {
       std::vector<ColumnId> combined = left->layout();
       combined.insert(combined.end(), right->layout().begin(),
                       right->layout().end());
+      // The columnar probe materializes only the combined-row slots the
+      // residual reads; the evaluator touches no other slot.
+      ColumnSet refs;
+      CollectColumnRefs(residual, &refs);
+      const size_t left_width = left->layout().size();
+      for (size_t s = 0; s < combined.size(); ++s) {
+        if (!refs.Contains(combined[s])) continue;
+        if (s < left_width) {
+          residual_left_.push_back(static_cast<int>(s));
+        } else {
+          residual_right_.push_back(static_cast<int>(s - left_width));
+        }
+      }
+      ccombined_.resize(combined.size());
       residual_ = Evaluator(std::move(residual), combined);
       has_residual_ = true;
     }
@@ -469,8 +425,6 @@ class HashJoinOp : public PhysicalOp {
     }
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
     have_left_ = false;
-    probe_ = RowBatch(ctx->batch_size);
-    probe_pos_ = 0;
     cjpos_ = 0;
     if (cin_ != nullptr) cin_->Clear();
     return Status::OK();
@@ -528,68 +482,6 @@ class HashJoinOp : public PhysicalOp {
     }
   }
 
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
-    while (true) {
-      if (!have_left_) {
-        if (probe_pos_ >= probe_.size()) {
-          ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &probe_));
-          if (probe_.empty()) return Status::OK();
-          probe_pos_ = 0;
-        }
-        left_ = &probe_.row(probe_pos_++);
-        have_left_ = true;
-        matched_ = false;
-        ORQ_RETURN_IF_ERROR(LookupBucket(*left_, ctx));
-      }
-      const Row& left = *left_;
-      while (have_left_ && bucket_pos_ < bucket_size_) {
-        if (out->full()) return Status::OK();
-        const Row& inner =
-            active_->arena[active_->slots[bucket_begin_ + bucket_pos_++]];
-        Row& slot = out->PushRow();
-        slot.clear();
-        slot.reserve(left.size() + inner.size());
-        slot.insert(slot.end(), left.begin(), left.end());
-        slot.insert(slot.end(), inner.begin(), inner.end());
-        if (has_residual_) {
-          ORQ_ASSIGN_OR_RETURN(bool keep, residual_.EvalPredicate(slot, ctx));
-          if (!keep) {
-            out->PopRow();
-            continue;
-          }
-        }
-        matched_ = true;
-        switch (kind_) {
-          case PhysJoinKind::kInner:
-          case PhysJoinKind::kLeftOuter:
-            break;
-          case PhysJoinKind::kLeftSemi:
-            slot.resize(left.size());  // drop the inner half
-            have_left_ = false;
-            break;
-          case PhysJoinKind::kLeftAnti:
-            out->PopRow();
-            have_left_ = false;
-            break;
-        }
-      }
-      if (have_left_ && bucket_pos_ >= bucket_size_) {
-        if (!matched_ && (kind_ == PhysJoinKind::kLeftOuter ||
-                          kind_ == PhysJoinKind::kLeftAnti)) {
-          if (out->full()) return Status::OK();
-          Row& slot = out->PushRow();
-          slot = std::move(*left_);
-          if (kind_ == PhysJoinKind::kLeftOuter) {
-            for (DataType type : pad_types_) {
-              slot.push_back(Value::Null(type));
-            }
-          }
-        }
-        have_left_ = false;
-      }
-    }
-  }
-
   /// Columnar probe: key hashes are computed column-wise for the whole
   /// probe batch, lookups go through ColumnKeyRef (no probe-row decode),
   /// and matches accumulate as (probe row, arena slot) pairs that are
@@ -604,19 +496,21 @@ class HashJoinOp : public PhysicalOp {
     if (cin_ == nullptr) {
       cin_ = std::make_unique<ColumnBatch>(ctx->batch_size);
     }
-    cpairs_.clear();
+    pair_left_.clear();
+    pair_right_.clear();
     while (true) {
       if (!have_left_) {
         if (cjpos_ >= cin_->selected()) {
           // Refilling invalidates the probe views the gathered pairs
           // reference; flush what we have first.
-          if (!cpairs_.empty()) break;
+          if (!pair_left_.empty()) break;
           ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, cin_.get()));
           if (cin_->selected() == 0) break;  // probe input exhausted
           cjpos_ = 0;
+          ORQ_RETURN_IF_ERROR(EvalProbeKeys(ctx));
           InitKeyHashes(*cin_, &chashes_);
-          for (int slot : probe_slots_) {
-            HashCombineColumn(*cin_, cin_->col(slot), &chashes_);
+          for (const ColumnVec* col : probe_cols_) {
+            HashCombineColumn(*cin_, *col, &chashes_);
           }
           if (MetricsRegistry* m = metrics()) {
             m->Add(MetricCounter::kHashJoinProbes,
@@ -631,7 +525,7 @@ class HashJoinOp : public PhysicalOp {
         ++cjpos_;
       }
       while (have_left_ && bucket_pos_ < bucket_size_ &&
-             cpairs_.size() < cap) {
+             pair_left_.size() < cap) {
         const uint32_t slot = active_->slots[bucket_begin_ + bucket_pos_++];
         if (has_residual_) {
           bool keep = false;
@@ -644,10 +538,10 @@ class HashJoinOp : public PhysicalOp {
         switch (kind_) {
           case PhysJoinKind::kInner:
           case PhysJoinKind::kLeftOuter:
-            cpairs_.push_back({cleft_, slot});
+            AddPair(cleft_, slot);
             break;
           case PhysJoinKind::kLeftSemi:
-            cpairs_.push_back({cleft_, kNoRight});
+            AddPair(cleft_, kNoRight);
             have_left_ = false;
             break;
           case PhysJoinKind::kLeftAnti:
@@ -660,28 +554,28 @@ class HashJoinOp : public PhysicalOp {
                           kind_ == PhysJoinKind::kLeftAnti)) {
           // No room for the pad/pass-through row: leave this probe row
           // current (bucket exhausted, unmatched) and resume here next call.
-          if (cpairs_.size() >= cap) break;
-          cpairs_.push_back({cleft_, kNoRight});
+          if (pair_left_.size() >= cap) break;
+          AddPair(cleft_, kNoRight);
         }
         have_left_ = false;
       }
-      if (cpairs_.size() >= cap) break;
+      if (pair_left_.size() >= cap) break;
     }
-    const uint32_t n = static_cast<uint32_t>(cpairs_.size());
+    const uint32_t n = static_cast<uint32_t>(pair_left_.size());
     if (n == 0) return Status::OK();  // EOS
     out->ResizeCols(layout_.size());
     for (size_t c = 0; c < left_width; ++c) {
-      GatherProbeColumn(cin_->col(c), &out->col(c));
+      out->col(c).GatherFrom(cin_->col(c), pair_left_.data(), n);
     }
     if (emit_right) {
       for (size_t k = 0; k < pad_types_.size(); ++k) {
         ColumnVec& dst = out->col(left_width + k);
         dst.StartBuild(pad_types_[k], n);
-        for (const ProbePair& p : cpairs_) {
-          if (p.right == kNoRight) {
+        for (uint32_t right : pair_right_) {
+          if (right == kNoRight) {
             dst.AppendNull();
           } else {
-            dst.AppendValue(active_->arena[p.right][k]);
+            dst.AppendValue(active_->arena[right][k]);
           }
         }
         dst.Seal();
@@ -711,6 +605,17 @@ class HashJoinOp : public PhysicalOp {
   }
 
  private:
+  /// Evaluates the build keys of `row` into `key`; false when a key is
+  /// NULL (NULL keys never join).
+  Result<bool> BuildKey(const Row& row, ExecContext* ctx, Row* key) const {
+    for (size_t i = 0; i < right_keys_.size(); ++i) {
+      ORQ_ASSIGN_OR_RETURN(Value v, right_keys_[i].Eval(row, ctx));
+      if (v.is_null()) return false;
+      (*key)[i] = std::move(v);
+    }
+    return true;
+  }
+
   /// Serial build: drain the right child into local_, keyed by a packed
   /// key (hash precomputed once per distinct key). Buckets are ranges into
   /// a single slots permutation rather than one vector of row copies per
@@ -719,43 +624,25 @@ class HashJoinOp : public PhysicalOp {
     local_.Clear();
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
     std::vector<BucketRange*> row_bucket;
-    RowBatch batch(ctx->batch_size);
     Row key(right_keys_.size());
-    while (true) {
-      Status status = children_[1]->NextBatch(ctx, &batch);
-      if (!status.ok()) {
-        children_[1]->Close();
-        return status;
-      }
-      if (batch.empty()) break;
-      for (size_t r = 0; r < batch.size(); ++r) {
-        Row& row = batch.row(r);
-        bool null_key = false;
-        for (size_t i = 0; i < right_keys_.size(); ++i) {
-          Result<Value> v = right_keys_[i].Eval(row, ctx);
-          if (!v.ok()) {
-            children_[1]->Close();
-            return v.status();
+    Status drain =
+        DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
+          ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
+          if (!joinable) return Status::OK();
+          auto it = local_.table.find(key);
+          if (it == local_.table.end()) {
+            it = local_.table
+                     .emplace(PackedKey(std::move(key)), BucketRange{})
+                     .first;
+            key = Row(right_keys_.size());
           }
-          if (v->is_null()) {
-            null_key = true;
-            break;
-          }
-          key[i] = std::move(*v);
-        }
-        if (null_key) continue;  // NULL keys never join
-        auto it = local_.table.find(key);
-        if (it == local_.table.end()) {
-          it = local_.table.emplace(PackedKey(std::move(key)), BucketRange{})
-                   .first;
-          key = Row(right_keys_.size());
-        }
-        ++it->second.size;
-        row_bucket.push_back(&it->second);
-        local_.arena.push_back(std::move(row));
-      }
-    }
+          ++it->second.size;
+          row_bucket.push_back(&it->second);
+          local_.arena.push_back(std::move(row));
+          return Status::OK();
+        });
     children_[1]->Close();
+    ORQ_RETURN_IF_ERROR(drain);
     FinishScatter(&local_, row_bucket);
     return Status::OK();
   }
@@ -766,35 +653,17 @@ class HashJoinOp : public PhysicalOp {
   Status DrainBuildPartial(ExecContext* ctx,
                            std::vector<std::pair<PackedKey, Row>>* partial) {
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      Status status = children_[1]->NextBatch(ctx, &batch);
-      if (!status.ok()) {
-        children_[1]->Close();
-        return status;
-      }
-      if (batch.empty()) break;
-      for (size_t r = 0; r < batch.size(); ++r) {
-        Row& row = batch.row(r);
-        Row key(right_keys_.size());
-        bool null_key = false;
-        for (size_t i = 0; i < right_keys_.size(); ++i) {
-          Result<Value> v = right_keys_[i].Eval(row, ctx);
-          if (!v.ok()) {
-            children_[1]->Close();
-            return v.status();
+    Status drain =
+        DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
+          Row key(right_keys_.size());
+          ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
+          if (joinable) {
+            partial->emplace_back(PackedKey(std::move(key)), std::move(row));
           }
-          if (v->is_null()) {
-            null_key = true;
-            break;
-          }
-          key[i] = std::move(*v);
-        }
-        if (null_key) continue;
-        partial->emplace_back(PackedKey(std::move(key)), std::move(row));
-      }
-    }
+          return Status::OK();
+        });
     children_[1]->Close();
+    ORQ_RETURN_IF_ERROR(drain);
     if (MetricsRegistry* m = metrics()) {
       m->Add(MetricCounter::kHashJoinBuildRows,
              static_cast<int64_t>(partial->size()));
@@ -835,26 +704,37 @@ class HashJoinOp : public PhysicalOp {
     m->Add(MetricCounter::kHashJoinArenaBytes, bytes);
   }
 
+  /// Points probe_cols_ at the current probe batch's key columns (a plain
+  /// column ref is cin_'s own column, read in place).
+  Status EvalProbeKeys(ExecContext* ctx) {
+    for (size_t k = 0; k < probe_keys_.size(); ++k) {
+      ORQ_ASSIGN_OR_RETURN(
+          probe_cols_[k],
+          probe_keys_[k]->EvalOrFallback(*cin_, left_keys_[k], ctx));
+    }
+    return Status::OK();
+  }
+
   /// Columnar analogue of LookupBucket: positions the bucket cursor for
-  /// the probe row at selection position `j` of cin_. Keys are column
-  /// slots, so NULL detection and the hash are free of per-row expression
-  /// evaluation; the heterogeneous find compares hash-first and only runs
-  /// the per-key comparison on a hash hit.
+  /// the probe row at selection position `j` of cin_. Key NULL detection
+  /// and the hash come from the key columns; the heterogeneous find
+  /// compares hash-first and only runs the per-key comparison on a hash
+  /// hit.
   void LookupBucketColumnar(uint32_t j) {
     bucket_begin_ = 0;
     bucket_size_ = 0;
     bucket_pos_ = 0;
     const uint32_t r = cin_->RowAt(j);
     bool null_key = false;
-    for (int slot : probe_slots_) {
-      if (cin_->col(slot).IsNull(r)) {
+    for (const ColumnVec* col : probe_cols_) {
+      if (col->IsNull(r)) {
         null_key = true;  // NULL keys never join
         break;
       }
     }
     if (!null_key) {
-      ColumnKeyRef ref{cin_.get(), probe_slots_.data(), probe_slots_.size(),
-                       r, chashes_[j]};
+      ColumnKeyRef ref{probe_cols_.data(), probe_cols_.size(), r,
+                       chashes_[j]};
       auto it = active_->table.find(ref);
       if (it != active_->table.end()) {
         bucket_begin_ = it->second.begin;
@@ -866,62 +746,27 @@ class HashJoinOp : public PhysicalOp {
     }
   }
 
-  /// Residual predicate for a (current probe row, arena slot) candidate:
-  /// the probe half decodes lazily once per probe row, the combined row is
-  /// assembled in a reused scratch, and evaluation goes through the same
-  /// row Evaluator the row paths use.
+  /// Residual predicate for a (current probe row, arena slot) candidate,
+  /// through the same row Evaluator the row path uses, over a reused
+  /// combined-row scratch in which only the slots the residual reads are
+  /// filled: the probe side's once per probe row, the build side's per
+  /// candidate.
   Result<bool> EvalResidualColumnar(uint32_t arena_slot, ExecContext* ctx) {
     if (!cleft_decoded_) {
-      cin_->DecodeRow(cleft_, &cdecode_);
+      for (int s : residual_left_) {
+        ccombined_[s] = cin_->col(s).GetValue(cleft_);
+      }
       cleft_decoded_ = true;
     }
     const Row& inner = active_->arena[arena_slot];
-    ccombined_ = cdecode_;
-    ccombined_.insert(ccombined_.end(), inner.begin(), inner.end());
+    const size_t left_width = children_[0]->layout().size();
+    for (int k : residual_right_) ccombined_[left_width + k] = inner[k];
     return residual_.EvalPredicate(ccombined_, ctx);
   }
 
-  /// Gathers the probe-side values of the accumulated pairs into an output
-  /// column, staying in the source's representation (no boxing unless the
-  /// source itself is boxed).
-  void GatherProbeColumn(const ColumnVec& src, ColumnVec* dst) const {
-    const uint32_t n = static_cast<uint32_t>(cpairs_.size());
-    dst->StartBuild(src.type(), n);
-    switch (src.rep()) {
-      case ColumnRep::kInts:
-        for (const ProbePair& p : cpairs_) {
-          if (src.IsNull(p.left)) {
-            dst->AppendNull();
-          } else {
-            dst->AppendInt(src.IntAt(p.left));
-          }
-        }
-        break;
-      case ColumnRep::kDoubles:
-        for (const ProbePair& p : cpairs_) {
-          if (src.IsNull(p.left)) {
-            dst->AppendNull();
-          } else {
-            dst->AppendDouble(src.DoubleAt(p.left));
-          }
-        }
-        break;
-      case ColumnRep::kStrings:
-        for (const ProbePair& p : cpairs_) {
-          if (src.IsNull(p.left)) {
-            dst->AppendNull();
-          } else {
-            dst->AppendStr(src.StrAt(p.left));
-          }
-        }
-        break;
-      case ColumnRep::kValues:
-        for (const ProbePair& p : cpairs_) {
-          dst->AppendValue(src.ValAt(p.left));
-        }
-        break;
-    }
-    dst->Seal();
+  void AddPair(uint32_t left, uint32_t right) {
+    pair_left_.push_back(left);
+    pair_right_.push_back(right);
   }
 
   /// Evaluates the probe keys for `left` and positions the bucket cursor;
@@ -960,33 +805,32 @@ class HashJoinOp : public PhysicalOp {
   BuildTable local_;                      // serial/cached build product
   const BuildTable* active_ = nullptr;    // table being probed (local or shared)
   bool built_ = false;                    // local_ valid across Open cycles
-  Row left_row_;               // row path: current probe row (copy)
-  const Row* left_ = nullptr;  // batch path: current probe row, in probe_
+  Row left_row_;               // row path: current probe row
   Row probe_key_;              // scratch for heterogeneous lookups
   bool have_left_ = false;
   bool matched_ = false;
   uint32_t bucket_begin_ = 0;
   uint32_t bucket_size_ = 0;
   uint32_t bucket_pos_ = 0;
-  RowBatch probe_{0};
-  size_t probe_pos_ = 0;
 
-  /// Columnar-probe state (NextColumnsImpl). Active only when every probe
-  /// key is a plain column ref (columnar_capable_); shares matched_ and
-  /// the bucket cursor with the row paths, which never interleave with it.
+  /// Columnar-probe state (NextColumnsImpl); shares matched_ and the
+  /// bucket cursor with the row path, which never interleaves with it.
   static constexpr uint32_t kNoRight = UINT32_MAX;  // pad / probe-only pair
-  struct ProbePair {
-    uint32_t left;   // physical row in cin_
-    uint32_t right;  // build arena slot, or kNoRight
-  };
-  std::vector<int> probe_slots_;        // probe key columns in cin_
+  /// Columnar probe keys, index-aligned with left_keys_.
+  std::vector<std::unique_ptr<ColumnarEvaluator>> probe_keys_;
+  std::vector<const ColumnVec*> probe_cols_;  // key columns of cin_
   std::unique_ptr<ColumnBatch> cin_;    // current probe input batch
   std::vector<size_t> chashes_;         // per-selection-position key hashes
   uint32_t cjpos_ = 0;                  // selection cursor into cin_
   uint32_t cleft_ = 0;                  // current probe row (physical)
-  bool cleft_decoded_ = false;          // cdecode_ holds cleft_'s row
-  std::vector<ProbePair> cpairs_;       // pairs gathered this call
-  Row cdecode_, ccombined_;             // residual-eval scratch
+  bool cleft_decoded_ = false;  // ccombined_ holds cleft_'s residual slots
+  /// Output pairs gathered this call: physical probe row in cin_, and
+  /// build arena slot or kNoRight.
+  std::vector<uint32_t> pair_left_, pair_right_;
+  /// Combined-row slots the residual reads: probe-side slots, and
+  /// build-side slots relative to the right layout.
+  std::vector<int> residual_left_, residual_right_;
+  Row ccombined_;  // residual-eval scratch, combined-layout wide
 };
 
 }  // namespace

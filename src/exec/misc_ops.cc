@@ -26,7 +26,6 @@ class FilterOp : public PhysicalOp {
  public:
   FilterOp(PhysicalOpPtr child, ScalarExprPtr predicate) {
     layout_ = child->layout();
-    columnar_capable_ = true;
     // A single non-AND predicate keeps rows by EvalPredicate's rule
     // (non-NULL, *boolean*, true); conjuncts split from an AND keep rows
     // the way the AND node consumes children: any non-NULL truthy value.
@@ -45,8 +44,6 @@ class FilterOp : public PhysicalOp {
   }
 
   Status OpenImpl(ExecContext* ctx) override {
-    input_ = RowBatch(ctx->batch_size);
-    in_pos_ = 0;
     return children_[0]->Open(ctx);
   }
 
@@ -58,22 +55,6 @@ class FilterOp : public PhysicalOp {
       if (keep) {
         return true;
       }
-    }
-  }
-
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
-    while (true) {
-      if (in_pos_ >= input_.size()) {
-        ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &input_));
-        if (input_.empty()) return Status::OK();
-        in_pos_ = 0;
-      }
-      while (in_pos_ < input_.size() && !out->full()) {
-        Row& row = input_.row(in_pos_++);
-        ORQ_ASSIGN_OR_RETURN(bool keep, predicate_.EvalPredicate(row, ctx));
-        if (keep) out->PushRow() = std::move(row);
-      }
-      if (out->full()) return Status::OK();
     }
   }
 
@@ -186,8 +167,6 @@ class FilterOp : public PhysicalOp {
   bool single_conjunct_ = false;
   std::vector<uint8_t> null_mark_;
   Row decode_row_;
-  RowBatch input_{0};
-  size_t in_pos_ = 0;
 };
 
 class ComputeOp : public PhysicalOp {
@@ -210,14 +189,10 @@ class ComputeOp : public PhysicalOp {
       cevals_.emplace_back(std::make_unique<ColumnarEvaluator>());
       cevals_.back()->Compile(item.expr, in);
     }
-    columnar_capable_ = true;
     children_.push_back(std::move(child));
   }
 
   Status OpenImpl(ExecContext* ctx) override {
-    input_ = RowBatch(ctx->batch_size);
-    in_pos_ = 0;
-    cinput_ = std::make_unique<ColumnBatch>(ctx->batch_size);
     return children_[0]->Open(ctx);
   }
 
@@ -235,65 +210,25 @@ class ComputeOp : public PhysicalOp {
     return true;
   }
 
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
-    while (true) {
-      if (in_pos_ >= input_.size()) {
-        ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &input_));
-        if (input_.empty()) return Status::OK();
-        in_pos_ = 0;
-      }
-      while (in_pos_ < input_.size() && !out->full()) {
-        const Row& input = input_.row(in_pos_++);
-        Row& slot = out->PushRow();
-        slot.clear();
-        slot.reserve(layout_.size());
-        for (int s : pass_slots_) slot.push_back(input[s]);
-        for (const Evaluator& eval : evals_) {
-          Result<Value> v = eval.Eval(input, ctx);
-          if (!v.ok()) return v.status();
-          slot.push_back(std::move(*v));
-        }
-      }
-      if (out->full()) return Status::OK();
-    }
-  }
-
   /// Columnar projection: passthrough columns are view assignments (zero
-  /// copy), vectorized expressions run the column kernels, and the rest
-  /// fall back to the row evaluator over decoded selected rows (decoding
-  /// each row once, shared by all fallback expressions).
+  /// copy), and each expression is a view of its ColumnarEvaluator's
+  /// result (column kernels, or the row evaluator per decoded row).
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) override {
+    if (cinput_ == nullptr) {
+      cinput_ = std::make_unique<ColumnBatch>(out->capacity());
+    }
     ColumnBatch& in = *cinput_;
-    in.Clear();
     ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, &in));
-    const uint32_t m = in.selected();
-    if (m == 0) return Status::OK();  // end of stream
+    if (in.selected() == 0) return Status::OK();  // end of stream
     const uint32_t n = in.num_rows();
     out->ResizeCols(layout_.size());
     for (size_t k = 0; k < pass_slots_.size(); ++k) {
       out->col(k).AssignView(in.col(pass_slots_[k]));
     }
-    bool any_fallback = false;
     for (size_t j = 0; j < cevals_.size(); ++j) {
-      ColumnVec& dst = out->col(pass_slots_.size() + j);
-      if (cevals_[j]->vectorizable()) {
-        ORQ_ASSIGN_OR_RETURN(const ColumnVec* r, cevals_[j]->Eval(in, ctx));
-        dst.AssignView(*r);
-      } else {
-        dst.PrepareScatterVals(cevals_[j]->expr()->type, n);
-        any_fallback = true;
-      }
-    }
-    if (any_fallback) {
-      for (uint32_t j = 0; j < m; ++j) {
-        const uint32_t i = in.RowAt(j);
-        in.DecodeRow(i, &decode_row_);
-        for (size_t k = 0; k < cevals_.size(); ++k) {
-          if (cevals_[k]->vectorizable()) continue;
-          ORQ_ASSIGN_OR_RETURN(Value v, evals_[k].Eval(decode_row_, ctx));
-          out->col(pass_slots_.size() + k).MutableVals()[i] = std::move(v);
-        }
-      }
+      ORQ_ASSIGN_OR_RETURN(const ColumnVec* r,
+                           cevals_[j]->EvalOrFallback(in, evals_[j], ctx));
+      out->col(pass_slots_.size() + j).AssignView(*r);
     }
     out->set_num_rows(n);
     if (in.has_selection()) *out->MutableSelection() = in.selection();
@@ -309,10 +244,7 @@ class ComputeOp : public PhysicalOp {
   /// unique_ptr so the vector stays movable even though ColumnarEvaluator
   /// holds scratch-pool state; index-aligned with evals_.
   std::vector<std::unique_ptr<ColumnarEvaluator>> cevals_;
-  std::unique_ptr<ColumnBatch> cinput_;
-  Row decode_row_;
-  RowBatch input_{0};
-  size_t in_pos_ = 0;
+  std::unique_ptr<ColumnBatch> cinput_;  // allocated on the first pull
 };
 
 class SortOp : public PhysicalOp {
@@ -323,22 +255,18 @@ class SortOp : public PhysicalOp {
     for (const SortKey& key : keys_) {
       evals_.emplace_back(key.expr, layout_);
     }
-    columnar_capable_ = true;
     children_.push_back(std::move(child));
   }
 
   Status OpenImpl(ExecContext* ctx) override {
     rows_.clear();
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &batch));
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        rows_.push_back(std::move(batch.row(i)));
-      }
-    }
+    Status drain = DrainRows(children_[0].get(), ctx, [this](Row& row) {
+      rows_.push_back(std::move(row));
+      return Status::OK();
+    });
     children_[0]->Close();
+    ORQ_RETURN_IF_ERROR(drain);
     RecordPeak(static_cast<int64_t>(rows_.size()));
     if (MetricsRegistry* m = metrics()) {
       m->Add(MetricCounter::kSpoolRows, static_cast<int64_t>(rows_.size()));
@@ -380,37 +308,18 @@ class SortOp : public PhysicalOp {
 
   Result<bool> NextImpl(ExecContext*, Row* row) override {
     if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_++];
-    return true;
-  }
-
-  Status NextBatchImpl(ExecContext*, RowBatch* batch) override {
     // The buffer is rebuilt on re-Open, so emission can move rows out.
-    while (pos_ < rows_.size() && !batch->full()) {
-      batch->PushRow() = std::move(rows_[pos_++]);
-    }
-    return Status::OK();
+    *row = std::move(rows_[pos_++]);
+    return true;
   }
 
   /// Columnar emission: the sorted buffer is transposed window-by-window
   /// into typed columns, so a columnar parent keeps its batch pipeline
-  /// across the sort instead of falling back to the row adapter. Values
-  /// are copied (AppendValue), never moved — only the row path owns the
-  /// move-out optimization.
+  /// across the sort.
   Status NextColumnsImpl(ExecContext*, ColumnBatch* batch) override {
-    if (pos_ >= rows_.size()) return Status::OK();
     const uint32_t n = static_cast<uint32_t>(std::min(
         rows_.size() - pos_, static_cast<size_t>(batch->capacity())));
-    batch->ResizeCols(layout_.size());
-    for (size_t c = 0; c < layout_.size(); ++c) {
-      ColumnVec& col = batch->col(c);
-      col.StartBuild(rows_[pos_][c].type(), n);
-      for (uint32_t i = 0; i < n; ++i) {
-        col.AppendValue(rows_[pos_ + i][c]);
-      }
-      col.Seal();
-    }
-    batch->set_num_rows(n);
+    batch->SetRows(rows_.data() + pos_, n, layout_.size());
     pos_ += n;
     return Status::OK();
   }
@@ -450,11 +359,23 @@ class Max1rowOp : public PhysicalOp {
     return true;
   }
 
+  /// Pass-through of whole batches; a second row anywhere in the stream
+  /// fails the query, as on the row path.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+    ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, batch));
+    seen_ += static_cast<int64_t>(batch->selected());
+    if (seen_ > 1) {
+      return Status::CardinalityViolation(
+          "scalar subquery returned more than one row");
+    }
+    return Status::OK();
+  }
+
   void CloseImpl() override { children_[0]->Close(); }
   std::string name() const override { return "Max1row"; }
 
  private:
-  int seen_ = 0;
+  int64_t seen_ = 0;
 };
 
 class UnionAllOp : public PhysicalOp {
@@ -463,7 +384,6 @@ class UnionAllOp : public PhysicalOp {
              std::vector<ColumnId> layout) {
     layout_ = std::move(layout);
     children_ = std::move(children);
-    columnar_capable_ = true;
   }
 
   Status OpenImpl(ExecContext* ctx) override {
@@ -487,24 +407,9 @@ class UnionAllOp : public PhysicalOp {
     return false;
   }
 
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* batch) override {
-    // Whole-batch passthrough: children produce positionally aligned
-    // layouts, so the current child fills the output batch directly.
-    while (current_ < children_.size()) {
-      ORQ_RETURN_IF_ERROR(children_[current_]->NextBatch(ctx, batch));
-      if (!batch->empty()) return Status::OK();
-      children_[current_]->Close();
-      ++current_;
-      if (current_ < children_.size()) {
-        ORQ_RETURN_IF_ERROR(children_[current_]->Open(ctx));
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Columnar passthrough, same child rotation: encoded scan views cross
-  /// the union untouched (non-columnar children are adapted by their own
-  /// shell), so a columnar parent never drops to the row adapter here.
+  /// Whole-batch passthrough, same child rotation: children produce
+  /// positionally aligned layouts, so the current child fills the output
+  /// batch directly and encoded scan views cross the union untouched.
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
     while (current_ < children_.size()) {
       ORQ_RETURN_IF_ERROR(children_[current_]->NextColumns(ctx, batch));
@@ -537,21 +442,16 @@ class ExceptAllOp : public PhysicalOp {
   Status OpenImpl(ExecContext* ctx) override {
     counts_.clear();
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-    RowBatch batch(ctx->batch_size);
-    while (true) {
-      ORQ_RETURN_IF_ERROR(children_[1]->NextBatch(ctx, &batch));
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        ++counts_[std::move(batch.row(i))];
-      }
-    }
+    Status drain = DrainRows(children_[1].get(), ctx, [this](Row& row) {
+      ++counts_[std::move(row)];
+      return Status::OK();
+    });
     children_[1]->Close();
+    ORQ_RETURN_IF_ERROR(drain);
     RecordPeak(static_cast<int64_t>(counts_.size()));
     if (MetricsRegistry* m = metrics()) {
       m->Add(MetricCounter::kSpoolRows, static_cast<int64_t>(counts_.size()));
     }
-    input_ = RowBatch(ctx->batch_size);
-    in_pos_ = 0;
     return children_[0]->Open(ctx);
   }
 
@@ -568,23 +468,29 @@ class ExceptAllOp : public PhysicalOp {
     }
   }
 
-  Status NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
+  /// Columnar emission: the left child fills `out`, and rows cancelled
+  /// by a right-side occurrence drop out of the selection vector, in
+  /// stream order exactly like the row path. Loops past fully cancelled
+  /// batches so an empty selection still means end of stream.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) override {
     while (true) {
-      if (in_pos_ >= input_.size()) {
-        ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &input_));
-        if (input_.empty()) return Status::OK();
-        in_pos_ = 0;
-      }
-      while (in_pos_ < input_.size() && !out->full()) {
-        Row& row = input_.row(in_pos_++);
-        auto it = counts_.find(row);
+      ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, out));
+      const uint32_t live = out->selected();
+      if (live == 0) return Status::OK();
+      keep_.clear();
+      for (uint32_t j = 0; j < live; ++j) {
+        const uint32_t i = out->RowAt(j);
+        out->DecodeRow(i, &decode_row_);
+        auto it = counts_.find(decode_row_);
         if (it != counts_.end() && it->second > 0) {
           --it->second;
           continue;
         }
-        out->PushRow() = std::move(row);
+        keep_.push_back(i);
       }
-      if (out->full()) return Status::OK();
+      if (keep_.empty()) continue;
+      if (keep_.size() < live) *out->MutableSelection() = keep_;
+      return Status::OK();
     }
   }
 
@@ -596,8 +502,8 @@ class ExceptAllOp : public PhysicalOp {
 
  private:
   std::unordered_map<Row, int64_t, RowHash, RowGroupEq> counts_;
-  RowBatch input_{0};
-  size_t in_pos_ = 0;
+  std::vector<uint32_t> keep_;  // surviving physical rows of one batch
+  Row decode_row_;
 };
 
 }  // namespace

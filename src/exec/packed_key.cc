@@ -9,7 +9,7 @@ bool PackedKeyEq::operator()(const PackedKey& a, const ColumnKeyRef& b) const {
   if (a.values.size() != b.num_keys) return false;
   for (size_t k = 0; k < b.num_keys; ++k) {
     if (!GroupEqualsRefs(LoadValue(a.values[k]),
-                         LoadElem(b.batch->col(b.slots[k]), b.row))) {
+                         LoadElem(*b.cols[k], b.row))) {
       return false;
     }
   }

@@ -18,16 +18,16 @@ struct PackedKey {
   explicit PackedKey(Row v) : values(std::move(v)), hash(RowHash{}(values)) {}
 };
 
-class ColumnBatch;
+class ColumnVec;
 
-/// A columnar probe key: one physical row of a ColumnBatch viewed through
-/// `num_keys` column slots, with its RowHash-compatible hash precomputed
-/// column-wise (see HashCombineColumn in exec/vector_kernels.h). Lets the
-/// columnar aggregate/join paths probe PackedKey tables without decoding
-/// the key into a Row unless the probe actually inserts.
+/// A columnar probe key: one physical row read through `num_keys` key
+/// columns (of one batch, indexed by the same physical rows), with its
+/// RowHash-compatible hash precomputed column-wise (see HashCombineColumn
+/// in exec/vector_kernels.h). Lets the columnar aggregate/join paths probe
+/// PackedKey tables without decoding the key into a Row unless the probe
+/// actually inserts.
 struct ColumnKeyRef {
-  const ColumnBatch* batch;
-  const int* slots;
+  const ColumnVec* const* cols;
   size_t num_keys;
   uint32_t row;
   size_t hash;

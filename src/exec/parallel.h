@@ -47,8 +47,9 @@ SharedRegionStatePtr MakeSharedAggState(int workers);
 
 /// N-producers/1-consumer re-serialization point above a parallel region.
 /// Opens one task per instance on the context's TaskPool; each task drains
-/// its instance into a bounded batch queue which NextBatch/Next consume on
-/// the caller's thread. Workers execute with private instrumentation
+/// its instance into a bounded queue of owned ColumnBatches which
+/// NextColumns (whole batches) or Next (decoded rows) consume on the
+/// caller's thread. Workers execute with private instrumentation
 /// shards (stats/metrics/rows_produced) that Close merges back into the
 /// parent context — after every producer finished, so the merge is
 /// race-free by construction. `shared` lists the region's shared states

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 
 #include "exec/evaluator.h"
@@ -9,169 +10,57 @@ namespace orq {
 
 namespace {
 
-/// Atomic claim cursor shared by the N MorselScan instances of one table
-/// scan. fetch_add partitions the row space into disjoint ranges with no
-/// locks; the scan that claims past the end simply finishes.
-class MorselSource final : public SharedRegionState {
+/// State and helpers shared by the serial and the morsel table scans: the
+/// row copy of the Next path and the zero-copy column views of the
+/// NextColumns path, both reading at pos_.
+class TableScanBase : public PhysicalOp {
  public:
-  void Reset() override { next_.store(0, std::memory_order_relaxed); }
-
-  /// Claims the next `morsel_rows` range; false when `total` is exhausted.
-  bool Claim(size_t total, size_t morsel_rows, size_t* begin, size_t* end) {
-    const size_t start =
-        static_cast<size_t>(next_.fetch_add(static_cast<int64_t>(morsel_rows),
-                                            std::memory_order_relaxed));
-    if (start >= total) return false;
-    *begin = start;
-    *end = start + morsel_rows < total ? start + morsel_rows : total;
-    return true;
-  }
-
- private:
-  std::atomic<int64_t> next_{0};
-};
-
-/// One worker's instance of a parallel table scan: claims morsels from the
-/// shared source and emits their rows. The union of all instances is
-/// exactly one full scan.
-class MorselScanOp : public PhysicalOp {
- public:
-  MorselScanOp(const Table* table, std::vector<int> ordinals,
-               std::vector<ColumnId> layout, SharedRegionStatePtr source)
-      : table_(table),
-        ordinals_(std::move(ordinals)),
-        source_(std::static_pointer_cast<MorselSource>(source)) {
-    layout_ = std::move(layout);
-  }
-
-  Status OpenImpl(ExecContext* ctx) override {
-    pos_ = 0;
-    end_ = 0;
-    morsel_rows_ = ctx->morsel_rows > 0
-                       ? static_cast<size_t>(ctx->morsel_rows)
-                       : static_cast<size_t>(kDefaultMorselRows);
-    return Status::OK();
-  }
-
-  Result<bool> NextImpl(ExecContext*, Row* row) override {
-    if (pos_ >= end_ && !ClaimMorsel()) return false;
-    const Row& src = table_->rows()[pos_++];
-    row->resize(ordinals_.size());
-    for (size_t i = 0; i < ordinals_.size(); ++i) {
-      (*row)[i] = src[ordinals_[i]];
-    }
-    return true;
-  }
-
-  Status NextBatchImpl(ExecContext*, RowBatch* batch) override {
-    const std::vector<Row>& rows = table_->rows();
-    const size_t width = ordinals_.size();
-    while (!batch->full()) {
-      if (pos_ >= end_ && !ClaimMorsel()) break;
-      while (pos_ < end_ && !batch->full()) {
-        const Row& src = rows[pos_++];
-        Row& slot = batch->PushRow();
-        slot.resize(width);
-        for (size_t i = 0; i < width; ++i) {
-          slot[i] = src[ordinals_[i]];
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  void CloseImpl() override {}
-  std::string name() const override {
-    return "MorselScan(" + table_->name() + ")";
-  }
-
- private:
-  bool ClaimMorsel() {
-    if (!source_->Claim(table_->num_rows(), morsel_rows_, &pos_, &end_)) {
-      return false;
-    }
-    if (MetricsRegistry* m = metrics()) {
-      m->Add(MetricCounter::kMorselsClaimed, 1);
-    }
-    return true;
-  }
-
-  const Table* table_;
-  std::vector<int> ordinals_;
-  std::shared_ptr<MorselSource> source_;
-  size_t pos_ = 0;
-  size_t end_ = 0;
-  size_t morsel_rows_ = kDefaultMorselRows;
-};
-
-class TableScanOp : public PhysicalOp {
- public:
-  TableScanOp(const Table* table, std::vector<int> ordinals,
-              std::vector<ColumnId> layout)
+  TableScanBase(const Table* table, std::vector<int> ordinals,
+                std::vector<ColumnId> layout)
       : table_(table), ordinals_(std::move(ordinals)) {
     layout_ = std::move(layout);
-    columnar_capable_ = true;
   }
 
-  Status OpenImpl(ExecContext*) override {
+ protected:
+  void Restart() {
     pos_ = 0;
     recorded_enc_ = false;
-    return Status::OK();
   }
 
-  Result<bool> NextImpl(ExecContext*, Row* row) override {
-    if (pos_ >= table_->num_rows()) return false;
+  /// Copies table row pos_ (its `ordinals_` columns) into `row`; advances.
+  void CopyRow(Row* row) {
     const Row& src = table_->rows()[pos_++];
     row->resize(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
       (*row)[i] = src[ordinals_[i]];
     }
-    return true;
   }
 
-  Status NextBatchImpl(ExecContext*, RowBatch* batch) override {
-    const std::vector<Row>& rows = table_->rows();
-    const size_t end = table_->num_rows();
-    const size_t width = ordinals_.size();
-    while (pos_ < end && !batch->full()) {
-      const Row& src = rows[pos_++];
-      Row& slot = batch->PushRow();
-      slot.resize(width);
-      for (size_t i = 0; i < width; ++i) {
-        slot[i] = src[ordinals_[i]];
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Zero-copy columnar scan: each output column is a view into the
-  /// table's columnar chunk cache, windowed at the current position. No
-  /// per-row work at all — the batch is pointers plus a row count. Under
-  /// an encoded table_encoding the views carry the chunk's physical form
-  /// (dict codes / RLE runs) instead of decoding; downstream kernels
-  /// decide per column whether to exploit or transparently decode it.
-  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
-    const size_t end = table_->num_rows();
-    if (pos_ >= end) return Status::OK();
+  /// Points `batch`'s columns at table rows [pos_, pos_ + n) of the column
+  /// chunks for the session's table_encoding, one view per ordinal, and
+  /// advances. No per-row work at all — the batch is pointers plus a row
+  /// count. Encoded chunks keep their physical form (dict codes / RLE
+  /// runs); downstream kernels decide per column whether to exploit or
+  /// transparently decode it.
+  void ViewRows(ExecContext* ctx, uint32_t n, ColumnBatch* batch) {
     const std::vector<Table::ColumnChunk>& chunks =
         table_->ColumnarChunks(ctx->table_encoding);
     if (!recorded_enc_) RecordEncodingShape(chunks);
-    const uint32_t n = static_cast<uint32_t>(
-        std::min(end - pos_, static_cast<size_t>(batch->capacity())));
+    const size_t pos = pos_;
     batch->ResizeCols(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
       const Table::ColumnChunk& chunk = chunks[ordinals_[i]];
       ColumnVec& col = batch->col(i);
       if (chunk.mixed) {
-        col.SetValuesView(chunk.type, chunk.vals.data() + pos_, n);
+        col.SetValuesView(chunk.type, chunk.vals.data() + pos, n);
         continue;
       }
       if (chunk.encoding == ChunkEncoding::kDict) {
-        col.SetDictView(chunk.type, chunk.codes.data() + pos_,
+        col.SetDictView(chunk.type, chunk.codes.data() + pos,
                         chunk.ints.data(), chunk.chars.data(),
                         chunk.offsets.data(), chunk.dict_hashes.data(),
                         static_cast<uint32_t>(chunk.dict_size()),
-                        chunk.any_null ? chunk.nulls.data() + pos_ : nullptr,
+                        chunk.any_null ? chunk.nulls.data() + pos : nullptr,
                         n);
         continue;
       }
@@ -181,31 +70,31 @@ class TableScanOp : public PhysicalOp {
                        chunk.run_ends.data(),
                        chunk.any_null ? chunk.nulls.data() : nullptr,
                        static_cast<uint32_t>(chunk.num_runs()),
-                       static_cast<uint32_t>(pos_), n);
+                       static_cast<uint32_t>(pos), n);
         continue;
       }
       const uint8_t* nulls =
-          chunk.any_null ? chunk.nulls.data() + pos_ : nullptr;
+          chunk.any_null ? chunk.nulls.data() + pos : nullptr;
       switch (chunk.type) {
         case DataType::kDouble:
-          col.SetDoubleView(chunk.doubles.data() + pos_, nulls, n);
+          col.SetDoubleView(chunk.doubles.data() + pos, nulls, n);
           break;
         case DataType::kString:
-          col.SetStringView(chunk.chars.data(), chunk.offsets.data() + pos_,
+          col.SetStringView(chunk.chars.data(), chunk.offsets.data() + pos,
                             nulls, n);
           break;
         default:
-          col.SetIntView(chunk.type, chunk.ints.data() + pos_, nulls, n);
+          col.SetIntView(chunk.type, chunk.ints.data() + pos, nulls, n);
           break;
       }
     }
     batch->set_num_rows(n);
     pos_ += n;
-    return Status::OK();
   }
 
-  void CloseImpl() override {}
-  std::string name() const override { return "TableScan(" + table_->name() + ")"; }
+  const Table* table_;
+  std::vector<int> ordinals_;
+  size_t pos_ = 0;
 
  private:
   /// Once per Open, on the first columnar pull: per-scan encoding shape
@@ -241,10 +130,115 @@ class TableScanOp : public PhysicalOp {
     }
   }
 
-  const Table* table_;
-  std::vector<int> ordinals_;
-  size_t pos_ = 0;
   bool recorded_enc_ = false;
+};
+
+/// Atomic claim cursor shared by the N MorselScan instances of one table
+/// scan. fetch_add partitions the row space into disjoint ranges with no
+/// locks; the scan that claims past the end simply finishes.
+class MorselSource final : public SharedRegionState {
+ public:
+  void Reset() override { next_.store(0, std::memory_order_relaxed); }
+
+  /// Claims the next `morsel_rows` range; false when `total` is exhausted.
+  bool Claim(size_t total, size_t morsel_rows, size_t* begin, size_t* end) {
+    const size_t start =
+        static_cast<size_t>(next_.fetch_add(static_cast<int64_t>(morsel_rows),
+                                            std::memory_order_relaxed));
+    if (start >= total) return false;
+    *begin = start;
+    *end = start + morsel_rows < total ? start + morsel_rows : total;
+    return true;
+  }
+
+ private:
+  std::atomic<int64_t> next_{0};
+};
+
+/// One worker's instance of a parallel table scan: claims morsels from the
+/// shared source and emits their rows. The union of all instances is
+/// exactly one full scan.
+class MorselScanOp : public TableScanBase {
+ public:
+  MorselScanOp(const Table* table, std::vector<int> ordinals,
+               std::vector<ColumnId> layout, SharedRegionStatePtr source)
+      : TableScanBase(table, std::move(ordinals), std::move(layout)),
+        source_(std::static_pointer_cast<MorselSource>(source)) {}
+
+  Status OpenImpl(ExecContext* ctx) override {
+    Restart();
+    end_ = 0;
+    morsel_rows_ = ctx->morsel_rows > 0
+                       ? static_cast<size_t>(ctx->morsel_rows)
+                       : static_cast<size_t>(kDefaultMorselRows);
+    return Status::OK();
+  }
+
+  Result<bool> NextImpl(ExecContext*, Row* row) override {
+    if (pos_ >= end_ && !ClaimMorsel()) return false;
+    CopyRow(row);
+    return true;
+  }
+
+  /// Views windowed inside the claimed morsel [pos_, end_): a batch never
+  /// spans two morsels, so the last batch of a morsel may be short.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+    if (pos_ >= end_ && !ClaimMorsel()) return Status::OK();
+    ViewRows(ctx,
+             static_cast<uint32_t>(std::min(
+                 end_ - pos_, static_cast<size_t>(batch->capacity()))),
+             batch);
+    return Status::OK();
+  }
+
+  void CloseImpl() override {}
+  std::string name() const override {
+    return "MorselScan(" + table_->name() + ")";
+  }
+
+ private:
+  bool ClaimMorsel() {
+    if (!source_->Claim(table_->num_rows(), morsel_rows_, &pos_, &end_)) {
+      return false;
+    }
+    if (MetricsRegistry* m = metrics()) {
+      m->Add(MetricCounter::kMorselsClaimed, 1);
+    }
+    return true;
+  }
+
+  std::shared_ptr<MorselSource> source_;
+  size_t end_ = 0;
+  size_t morsel_rows_ = kDefaultMorselRows;
+};
+
+class TableScanOp : public TableScanBase {
+ public:
+  using TableScanBase::TableScanBase;
+
+  Status OpenImpl(ExecContext*) override {
+    Restart();
+    return Status::OK();
+  }
+
+  Result<bool> NextImpl(ExecContext*, Row* row) override {
+    if (pos_ >= table_->num_rows()) return false;
+    CopyRow(row);
+    return true;
+  }
+
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+    const size_t end = table_->num_rows();
+    if (pos_ >= end) return Status::OK();
+    ViewRows(ctx,
+             static_cast<uint32_t>(std::min(
+                 end - pos_, static_cast<size_t>(batch->capacity()))),
+             batch);
+    return Status::OK();
+  }
+
+  void CloseImpl() override {}
+  std::string name() const override { return "TableScan(" + table_->name() + ")"; }
 };
 
 class IndexSeekOp : public PhysicalOp {
@@ -358,10 +352,11 @@ class SegmentScanOp : public PhysicalOp {
     *row = (*segment_)[pos_++];
     return true;
   }
-  Status NextBatchImpl(ExecContext*, RowBatch* batch) override {
-    while (pos_ < segment_->size() && !batch->full()) {
-      batch->PushRow() = (*segment_)[pos_++];
-    }
+  Status NextColumnsImpl(ExecContext*, ColumnBatch* batch) override {
+    const uint32_t n = static_cast<uint32_t>(std::min(
+        segment_->size() - pos_, static_cast<size_t>(batch->capacity())));
+    batch->SetRows(segment_->data() + pos_, n, layout_.size());
+    pos_ += n;
     return Status::OK();
   }
   void CloseImpl() override {}

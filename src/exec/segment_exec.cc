@@ -1,3 +1,4 @@
+#include <memory>
 #include <unordered_map>
 
 #include "exec/ops.h"
@@ -25,26 +26,22 @@ class SegmentApplyOp : public PhysicalOp {
     segments_.clear();
     order_.clear();
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
-    RowBatch batch(ctx->batch_size);
     Row key(key_slots_.size());
-    while (true) {
-      ORQ_RETURN_IF_ERROR(children_[0]->NextBatch(ctx, &batch));
-      if (batch.empty()) break;
-      for (size_t r = 0; r < batch.size(); ++r) {
-        Row& row = batch.row(r);
-        key.resize(key_slots_.size());
-        for (size_t i = 0; i < key_slots_.size(); ++i) {
-          key[i] = row[key_slots_[i]];
-        }
-        auto it = segments_.find(key);
-        if (it == segments_.end()) {
-          it = segments_.emplace(std::move(key), std::vector<Row>()).first;
-          order_.push_back(&*it);
-        }
-        it->second.push_back(std::move(row));
+    Status drain = DrainRows(children_[0].get(), ctx, [&](Row& row) {
+      key.resize(key_slots_.size());
+      for (size_t i = 0; i < key_slots_.size(); ++i) {
+        key[i] = row[key_slots_[i]];
       }
-    }
+      auto it = segments_.find(key);
+      if (it == segments_.end()) {
+        it = segments_.emplace(std::move(key), std::vector<Row>()).first;
+        order_.push_back(&*it);
+      }
+      it->second.push_back(std::move(row));
+      return Status::OK();
+    });
     children_[0]->Close();
+    ORQ_RETURN_IF_ERROR(drain);
     RecordPeak(static_cast<int64_t>(segments_.size()));
     segment_pos_ = 0;
     inner_open_ = false;
@@ -55,12 +52,7 @@ class SegmentApplyOp : public PhysicalOp {
     while (true) {
       if (!inner_open_) {
         if (segment_pos_ >= order_.size()) return false;
-        ctx->segment_stack.push_back(&order_[segment_pos_]->second);
-        ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-        inner_open_ = true;
-        if (MetricsRegistry* m = metrics()) {
-          m->Add(MetricCounter::kSegmentInnerOpens, 1);
-        }
+        ORQ_RETURN_IF_ERROR(OpenInner(ctx));
       }
       Row inner;
       Result<bool> more = children_[1]->Next(ctx, &inner);
@@ -79,6 +71,48 @@ class SegmentApplyOp : public PhysicalOp {
     }
   }
 
+  /// Columnar emission: each segment's inner is pulled through
+  /// NextColumns, and every inner batch gets the segment key prepended as
+  /// constant columns; the inner's columns and selection pass through as
+  /// views (valid until the next pull, like any batch).
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) override {
+    if (inner_batch_ == nullptr) {
+      inner_batch_ = std::make_unique<ColumnBatch>(out->capacity());
+    }
+    while (true) {
+      if (!inner_open_) {
+        if (segment_pos_ >= order_.size()) return Status::OK();
+        ORQ_RETURN_IF_ERROR(OpenInner(ctx));
+      }
+      Status status = children_[1]->NextColumns(ctx, inner_batch_.get());
+      if (!status.ok()) {
+        CloseInner(ctx);
+        return status;
+      }
+      const ColumnBatch& in = *inner_batch_;
+      if (in.selected() == 0) {
+        CloseInner(ctx);
+        ++segment_pos_;
+        continue;
+      }
+      const Row& key = order_[segment_pos_]->first;
+      const uint32_t n = in.num_rows();
+      out->ResizeCols(layout_.size());
+      for (size_t k = 0; k < key.size(); ++k) {
+        ColumnVec& col = out->col(k);
+        col.StartBuild(key[k].type(), n);
+        for (uint32_t i = 0; i < n; ++i) col.AppendValue(key[k]);
+        col.Seal();
+      }
+      for (size_t c = 0; c < in.num_cols(); ++c) {
+        out->col(key.size() + c).AssignView(in.col(c));
+      }
+      out->set_num_rows(n);
+      if (in.has_selection()) *out->MutableSelection() = in.selection();
+      return Status::OK();
+    }
+  }
+
   void CloseImpl() override {
     segments_.clear();
     order_.clear();
@@ -87,6 +121,21 @@ class SegmentApplyOp : public PhysicalOp {
   std::string name() const override { return "SegmentApply"; }
 
  private:
+  /// Publishes the current segment and (re-)opens the inner over it.
+  Status OpenInner(ExecContext* ctx) {
+    ctx->segment_stack.push_back(&order_[segment_pos_]->second);
+    Status status = children_[1]->Open(ctx);
+    if (!status.ok()) {
+      ctx->segment_stack.pop_back();
+      return status;
+    }
+    inner_open_ = true;
+    if (MetricsRegistry* m = metrics()) {
+      m->Add(MetricCounter::kSegmentInnerOpens, 1);
+    }
+    return Status::OK();
+  }
+
   void CloseInner(ExecContext* ctx) {
     if (inner_open_) {
       children_[1]->Close();
@@ -102,6 +151,7 @@ class SegmentApplyOp : public PhysicalOp {
   std::vector<SegmentMap::value_type*> order_;
   size_t segment_pos_ = 0;
   bool inner_open_ = false;
+  std::unique_ptr<ColumnBatch> inner_batch_;  // allocated on the first pull
 };
 
 }  // namespace

@@ -31,13 +31,16 @@ void TaskPool::Submit(std::function<void()> task) {
   const size_t target = static_cast<size_t>(
       next_worker_.fetch_add(1, std::memory_order_relaxed) %
       static_cast<int64_t>(workers_.size()));
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    workers_[target]->tasks.push_back(std::move(task));
-  }
+  // Count the task before it becomes visible: a worker may pop and finish
+  // it at once, and its decrement must not drive pending_ to zero (waking
+  // WaitIdle) while other submitted tasks are still outstanding.
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++pending_;
+  }
+  {
+    std::lock_guard<std::mutex> lock(workers_[target]->mu);
+    workers_[target]->tasks.push_back(std::move(task));
   }
   work_cv_.notify_all();
 }

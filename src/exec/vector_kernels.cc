@@ -431,6 +431,19 @@ Result<const ColumnVec*> ColumnarEvaluator::Eval(const ColumnBatch& batch,
   return EvalNode(*expr_, batch, ctx);
 }
 
+Result<const ColumnVec*> ColumnarEvaluator::EvalOrFallback(
+    const ColumnBatch& batch, const Evaluator& row_eval, ExecContext* ctx) {
+  if (vectorizable_) return Eval(batch, ctx);
+  fallback_.PrepareScatterVals(expr_->type, batch.num_rows());
+  Value* vals = fallback_.MutableVals();
+  for (uint32_t j = 0; j < batch.selected(); ++j) {
+    const uint32_t i = batch.RowAt(j);
+    batch.DecodeRow(i, &decode_);
+    ORQ_ASSIGN_OR_RETURN(vals[i], row_eval.Eval(decode_, ctx));
+  }
+  return &fallback_;
+}
+
 Status ColumnarEvaluator::CompareNode(const ScalarExpr& e,
                                       const ColumnBatch& batch,
                                       ExecContext* ctx, ColumnVec* out) {

@@ -8,6 +8,7 @@
 #include "algebra/scalar_expr.h"
 #include "common/result.h"
 #include "exec/column_batch.h"
+#include "exec/evaluator.h"
 #include "exec/exec.h"
 
 namespace orq {
@@ -41,8 +42,8 @@ inline int PredTruthElem(const ColumnVec& c, uint32_t i) {
 /// column refs, literals, AND/OR/NOT, comparisons, arithmetic except
 /// division (the one error site — division by zero — in an otherwise
 /// statically-typed tree), negate, IS [NOT] NULL. Everything else (LIKE,
-/// CASE, IN-lists, subquery remnants) stays on the row evaluator; callers
-/// check vectorizable() and fall back per decoded row.
+/// CASE, IN-lists, subquery remnants) stays on the row evaluator, which
+/// EvalOrFallback runs per decoded row.
 ///
 /// Eval runs over the batch's selected rows and returns a column indexed
 /// by physical row position (unselected slots hold garbage), valid until
@@ -58,6 +59,13 @@ class ColumnarEvaluator {
   const ScalarExprPtr& expr() const { return expr_; }
 
   Result<const ColumnVec*> Eval(const ColumnBatch& batch, ExecContext* ctx);
+
+  /// Eval when vectorizable(); otherwise runs `row_eval` (the row
+  /// Evaluator of the same expression) over each decoded selected row
+  /// into a boxed column. Either result lives until the next call.
+  Result<const ColumnVec*> EvalOrFallback(const ColumnBatch& batch,
+                                          const Evaluator& row_eval,
+                                          ExecContext* ctx);
 
  private:
   Result<const ColumnVec*> EvalNode(const ScalarExpr& e,
@@ -81,6 +89,8 @@ class ColumnarEvaluator {
   /// pointers handed out for earlier nodes survive pool growth.
   std::vector<std::unique_ptr<ColumnVec>> pool_;
   size_t pool_pos_ = 0;
+  ColumnVec fallback_;  // EvalOrFallback's per-row results
+  Row decode_;          // EvalOrFallback's decoded-row scratch
 };
 
 }  // namespace orq

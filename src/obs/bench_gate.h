@@ -45,12 +45,12 @@ Result<BenchGateReport> CompareBenchJson(const std::string& baseline_jsonl,
 
 /// Mode-vs-mode speedup gate over a single bench report: pairs every
 /// entry whose name contains `slow_tag` with the same name under
-/// `fast_tag` (e.g. "Columnar_GroupBy/batch/20" paired with
+/// `fast_tag` (e.g. "Columnar_GroupBy/row/20" paired with
 /// "Columnar_GroupBy/columnar/20") and requires at least `min_pairs`
 /// pairs to reach `min_ratio`. This is how ci.sh holds the columnar
-/// engine to its promised speedup over row-batch execution.
+/// engine to its promised speedup over row-at-a-time execution.
 struct SpeedupGateOptions {
-  std::string slow_tag = "/batch/";
+  std::string slow_tag = "/row/";
   std::string fast_tag = "/columnar/";
   /// slow wall_ms / fast wall_ms must reach this on min_pairs pairs.
   double min_ratio = 1.5;

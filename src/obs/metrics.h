@@ -37,7 +37,7 @@ enum class MetricCounter : int {
   kPlanCacheMisses,
   kPlanCacheEvictions,
   // Columnar execution (exec/column_batch.h): column batches produced by
-  // operators running in columnar mode (zero in row/batch mode).
+  // operators running in columnar mode (zero in row mode).
   kColumnBatches,
   // Encoded columnar storage (catalog/table.h): per-column-chunk counters
   // recorded by table scans once per Open, for the chunks they serve.
@@ -55,12 +55,13 @@ enum class MetricHistogram : int {
   kHashJoinChainLength = 0,  // matching build rows per probe
   kHashJoinBucketRows,       // build rows per distinct key, at build end
   kHashAggBucketChain,       // occupied-bucket chain lengths at build end
-  kBatchFillPercent,         // NextBatch fill ratio (0-100) per pull
+  kBatchFillPercent,         // physical rows / batch capacity (0-100) per
+                             // non-empty NextColumns pull
   kAdmissionQueueDepth,      // waiting queries observed at each admission
   kQueryLatencyMicros,       // server-side per-query wall time (admission
                              // wait + compile + execute), in microseconds
   kSelVectorSelectivity,     // selected rows / batch capacity (0-100) per
-                             // columnar pull — the selection-vector density
+                             // NextColumns pull — the selection density
 };
 inline constexpr int kNumMetricHistograms =
     static_cast<int>(MetricHistogram::kSelVectorSelectivity) + 1;

@@ -47,7 +47,7 @@ struct QueryRecord {
   int session_id = 0;
   std::string sql;
   std::string fingerprint;
-  std::string exec_mode;  // "row" | "batch" | "columnar"
+  std::string exec_mode;  // "columnar" | "row"
   QueryOutcome outcome = QueryOutcome::kOk;
   std::string error_message;
   int64_t submit_nanos = 0;   // ObsNowNanos timeline

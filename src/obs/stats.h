@@ -20,12 +20,12 @@ inline int64_t ObsNowNanos() {
 /// subtracting the children's inclusive totals).
 struct OpStats {
   int64_t open_calls = 0;
-  /// Pull calls into the operator: one per Next on the row-at-a-time path,
-  /// one per NextBatch on the batched path — so next_calls and rows_out
-  /// diverge by roughly the batch size when batching is on.
+  /// Pull calls into the operator: one per Next on the row path, one per
+  /// NextColumns on the columnar path — so next_calls and rows_out diverge
+  /// by roughly the batch size on the columnar path.
   int64_t next_calls = 0;
   int64_t close_calls = 0;
-  /// Rows this operator returned from Next/NextBatch (correlated
+  /// Rows this operator returned from Next/NextColumns (correlated
   /// re-executions accumulate across re-opens; identical in both modes).
   int64_t rows_out = 0;
   int64_t wall_nanos = 0;
@@ -33,14 +33,12 @@ struct OpStats {
   /// buckets' rows, aggregation groups, sort buffer rows, spooled inner
   /// rows, segment count. Zero for streaming operators.
   int64_t peak_cardinality = 0;
-  /// Capacity offered across all NextBatch pulls (batch size x pulls), so
-  /// rows_out / batch_slots is the operator's batch fill ratio. Zero on the
-  /// row-at-a-time path.
+  /// Capacity offered across all non-empty NextColumns pulls (batch size x
+  /// pulls). rows_out counts selected rows, so rows_out / batch_slots is
+  /// the operator's selection-vector density. Zero on the row path.
   int64_t batch_slots = 0;
-  /// Column batches this operator produced (columnar mode only). Nonzero
-  /// marks the operator as having run columnar; on that path rows_out
-  /// counts selected rows while batch_slots counts capacity, so the fill
-  /// ratio doubles as the selection-vector density.
+  /// Non-empty column batches this operator produced; nonzero marks the
+  /// operator as having run columnar.
   int64_t column_batches = 0;
   /// Encoded-storage shape of the column chunks a table scan served,
   /// recorded once per Open (scans under Apply accumulate across

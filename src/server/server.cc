@@ -317,10 +317,8 @@ Result<WireResult> QueryServer::RunQuery(
   // A server already stopping cancels this query before it runs anything.
   if (stopping_.load(std::memory_order_relaxed)) live->token.RequestCancel();
 
-  const ExecOptions& exec_options = session->engine_options().exec;
-  const char* exec_mode = exec_options.columnar ? "columnar"
-                          : exec_options.batched ? "batch"
-                                                 : "row";
+  const char* exec_mode =
+      session->engine_options().exec.batched ? "columnar" : "row";
 
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);

@@ -68,39 +68,20 @@ Status Session::ApplySet(const std::string& command) {
       static_cast<unsigned char>(c)));
   if (name == "threads") {
     ORQ_ASSIGN_OR_RETURN(int64_t n, ParseInt(name, value, 0, 64));
-    // Validate the combined exec options before committing, so an illegal
-    // combination (columnar + threads) fails the SET with the same message
-    // the engine would give, instead of poisoning the session.
-    ExecOptions next = options_.exec;
-    next.num_threads = static_cast<int>(n);
-    ORQ_RETURN_IF_ERROR(ValidateExecOptions(next));
-    options_.exec = next;
-  } else if (name == "batch") {
-    if (value == "on" || value == "true" || value == "1") {
-      options_.exec.batched = true;
-    } else if (value == "off" || value == "false" || value == "0") {
-      options_.exec.batched = false;
-    } else {
-      return Status::InvalidArgument("SET batch expects on|off, got: " +
-                                     value);
-    }
+    options_.exec.num_threads = static_cast<int>(n);
   } else if (name == "exec") {
-    ExecOptions next = options_.exec;
-    if (value == "row") {
-      next.batched = false;
-      next.columnar = false;
+    if (value == "columnar") {
+      options_.exec.batched = true;
+    } else if (value == "row") {
+      options_.exec.batched = false;
     } else if (value == "batch") {
-      next.batched = true;
-      next.columnar = false;
-    } else if (value == "columnar") {
-      next.batched = true;
-      next.columnar = true;
+      return Status::InvalidArgument(
+          "SET exec batch: the row-batch mode was retired; columnar is the "
+          "batched mode (SET exec columnar), row the row-at-a-time one");
     } else {
       return Status::InvalidArgument(
-          "SET exec expects row|batch|columnar, got: " + value);
+          "SET exec expects row|columnar, got: " + value);
     }
-    ORQ_RETURN_IF_ERROR(ValidateExecOptions(next));
-    options_.exec = next;
   } else if (name == "table_encoding") {
     std::optional<TableEncoding> enc = ParseTableEncoding(value);
     if (!enc.has_value()) {
@@ -138,7 +119,7 @@ Status Session::ApplySet(const std::string& command) {
   } else {
     return Status::InvalidArgument(
         "unknown SET option \"" + name +
-        "\" (known: threads, exec, batch, batch_size, table_encoding, "
+        "\" (known: threads, exec, batch_size, table_encoding, "
         "morsel_rows, timeout_ms, slow_query_ms, plan_cache)");
   }
   ++options_generation_;

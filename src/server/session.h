@@ -56,9 +56,10 @@ class Session {
 
   /// Applies one SET command ("name value" or "name=value"). Knobs:
   ///   threads N      -- morsel-parallel worker count (0 = serial)
-  ///   exec row|batch|columnar -- execution mode (columnar = SoA batches)
-  ///   batch on|off   -- batch-at-a-time vs row-at-a-time execution
-  ///   batch_size N   -- rows per batch (1..65536)
+  ///   exec columnar|row -- execution mode: SoA column batches (the
+  ///                    default) or the row-at-a-time reference engine
+  ///   batch_size N   -- rows per column batch (1..65536)
+  ///   table_encoding plain|dict|rle|auto -- columnar scan chunk encoding
   ///   morsel_rows N  -- rows per parallel-scan morsel claim
   ///   timeout_ms N   -- per-query deadline (0 disables)
   ///   plan_cache on|off -- fingerprint-keyed plan cache + parameterization

@@ -1,88 +1,133 @@
-// Batch-execution unit tests: RowBatch mechanics, batch-boundary behavior
-// of the batched operators (exact multiples of the batch size, unmatched
-// left-outer rows straddling a boundary), typed NULL padding, and the
-// row-mode vs batch-mode equivalence of results and stats.
+// Column-batch protocol tests: the NextColumns contract at batch
+// boundaries for every operator with a columnar path — batch sizes 1, 2,
+// 1023 and 1025 over inputs longer than two batches, output that
+// straddles the batch capacity and resumes on the next pull (join fan-out
+// and left-outer padding crossing a batch edge, aggregate groups, morsels,
+// segments), the empty-terminal contract, and re-open after Close — each
+// checked against the row-mode (Next) reference of the same plan. Also
+// typed NULL padding, and rows/stats agreement across the two protocols.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "exec/ops.h"
+#include "exec/parallel.h"
+#include "exec/task_pool.h"
 #include "obs/stats.h"
 #include "tests/test_util.h"
 
 namespace orq {
 namespace {
 
-// Drains `op` with an explicit batch size and execution mode.
-Result<std::vector<Row>> DrainBatched(PhysicalOp* op, int batch_size,
-                                      bool batched,
-                                      StatsCollector* stats = nullptr) {
+/// Longer than two batches at every size under test, and an exact
+/// multiple of 1025 (so one size ends on a batch edge, 1023 does not).
+constexpr int kRows = 2050;
+constexpr int kBoundarySizes[] = {1, 2, 1023, 1025};
+
+ExecContext MakeContext(bool batched, int batch_size, TaskPool* pool) {
   ExecContext ctx;
   ctx.batched = batched;
   ctx.batch_size = batch_size;
-  ExecInstruments instruments;
-  instruments.stats = stats;
-  if (stats != nullptr) ctx.instruments = &instruments;
-  return ExecuteToVector(op, &ctx);
+  ctx.pool = pool;
+  ctx.morsel_rows = 700;  // morsels end mid-batch at the larger sizes
+  return ctx;
 }
 
-TEST(RowBatchTest, PushPopClearAndCapacity) {
-  RowBatch batch(4);
-  EXPECT_EQ(batch.capacity(), 4u);
-  EXPECT_TRUE(batch.empty());
-  EXPECT_FALSE(batch.full());
-
-  Row& first = batch.PushRow();
-  first = {Value::Int64(1)};
-  EXPECT_EQ(batch.size(), 1u);
-  batch.PushRow() = {Value::Int64(2)};
-  batch.PopRow();
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.row(0)[0].int64_value(), 1);
-
-  while (!batch.full()) batch.PushRow();
-  EXPECT_EQ(batch.size(), 4u);
-
-  // Clear keeps capacity and storage; the next PushRow exposes the old
-  // slot for overwrite.
-  batch.Clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.capacity(), 4u);
-  EXPECT_EQ(batch.PushRow()[0].int64_value(), 1);  // stale slot 0
+/// Drains the open `op` through NextColumns, checking the protocol on the
+/// way: no batch carries more than batch_size physical rows, a batch with
+/// no selected row appears only at end of stream, and a pull past the end
+/// stays empty.
+std::vector<Row> PullColumns(PhysicalOp* op, ExecContext* ctx) {
+  std::vector<Row> rows;
+  ColumnBatch batch(ctx->batch_size);
+  while (true) {
+    Status status = op->NextColumns(ctx, &batch);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    if (!status.ok()) return rows;
+    EXPECT_LE(batch.num_rows(), static_cast<uint32_t>(ctx->batch_size));
+    if (batch.selected() == 0) break;
+    for (uint32_t j = 0; j < batch.selected(); ++j) {
+      rows.emplace_back();
+      batch.DecodeRow(batch.RowAt(j), &rows.back());
+    }
+  }
+  EXPECT_TRUE(op->NextColumns(ctx, &batch).ok());
+  EXPECT_EQ(batch.selected(), 0u) << "pull past the end of stream";
+  return rows;
 }
 
-TEST(RowBatchTest, RowAddressesStableAcrossPush) {
-  RowBatch batch(8);
-  const Row* first = &batch.PushRow();
-  while (!batch.full()) batch.PushRow();
-  EXPECT_EQ(first, &batch.row(0));
+/// Runs make()'s plan in row mode for the reference, then in columnar mode
+/// at every boundary batch size, twice per plan instance (Open, drain,
+/// Close, re-Open, drain, Close): the rows and the rows_produced work
+/// metric must match the reference each time.
+void ExpectColumnarMatchesRows(const std::function<PhysicalOpPtr()>& make,
+                               const std::string& what,
+                               TaskPool* pool = nullptr) {
+  PhysicalOpPtr reference = make();
+  ExecContext row_ctx = MakeContext(false, kDefaultBatchRows, pool);
+  Result<std::vector<Row>> expected =
+      ExecuteToVector(reference.get(), &row_ctx);
+  ASSERT_TRUE(expected.ok()) << what << ": " << expected.status().ToString();
+  const std::vector<std::string> want = CanonicalRows(*expected);
+  for (int batch_size : kBoundarySizes) {
+    PhysicalOpPtr plan = make();
+    ExecContext ctx = MakeContext(true, batch_size, pool);
+    for (int open = 0; open < 2; ++open) {
+      ASSERT_TRUE(plan->Open(&ctx).ok()) << what;
+      std::vector<Row> got = PullColumns(plan.get(), &ctx);
+      plan->Close();
+      EXPECT_EQ(CanonicalRows(got), want)
+          << what << " batch_size=" << batch_size << " open=" << open;
+    }
+    EXPECT_EQ(ctx.rows_produced, 2 * row_ctx.rows_produced)
+        << what << " batch_size=" << batch_size;
+  }
 }
 
 class BatchExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // 12 left rows keyed 0..11; right matches even keys < 8 (two rows per
-    // match so join fan-out crosses batch boundaries at size 4).
-    t_ = *catalog_.CreateTable("t", {{"k", DataType::kInt64, false}});
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(t_->Append({Value::Int64(i)}).ok());
+    // t: kRows rows keyed 0..kRows-1 with a 5-way grouping column.
+    t_ = *catalog_.CreateTable("t", {{"k", DataType::kInt64, false},
+                                     {"g", DataType::kInt64, false}});
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(t_->Append({Value::Int64(i), Value::Int64(i % 5)}).ok());
     }
+    // s: three rows per even key < 8, so one probe row's matches alone
+    // overflow a batch of 1 or 2.
     s_ = *catalog_.CreateTable("s", {{"fk", DataType::kInt64, false},
                                      {"w", DataType::kInt64, false}});
     for (int i = 0; i < 8; i += 2) {
-      ASSERT_TRUE(s_->Append({Value::Int64(i), Value::Int64(i * 10)}).ok());
-      ASSERT_TRUE(
-          s_->Append({Value::Int64(i), Value::Int64(i * 10 + 1)}).ok());
+      for (int j = 0; j < 3; ++j) {
+        ASSERT_TRUE(
+            s_->Append({Value::Int64(i), Value::Int64(i * 10 + j)}).ok());
+      }
+    }
+    // u: every third key of t, and key 0 twice (bag semantics).
+    u_ = *catalog_.CreateTable("u", {{"k", DataType::kInt64, false}});
+    ASSERT_TRUE(u_->Append({Value::Int64(0)}).ok());
+    for (int i = 0; i < kRows; i += 3) {
+      ASSERT_TRUE(u_->Append({Value::Int64(i)}).ok());
     }
   }
 
-  PhysicalOpPtr ScanT() { return MakeTableScan(t_, {0}, {1}); }
-  PhysicalOpPtr ScanS() { return MakeTableScan(s_, {0, 1}, {2, 3}); }
+  PhysicalOpPtr ScanT() { return MakeTableScan(t_, {0, 1}, {1, 2}); }
+  PhysicalOpPtr ScanS() { return MakeTableScan(s_, {0, 1}, {3, 4}); }
 
-  ScalarExprPtr JoinPred() {
-    return Eq(CRef(1, DataType::kInt64), CRef(2, DataType::kInt64));
+  PhysicalOpPtr MakeJoin(PhysJoinKind kind, bool hash) {
+    if (hash) {
+      return MakeHashJoinOp(
+          kind, ScanT(), ScanS(),
+          {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}}, nullptr,
+          {DataType::kInt64, DataType::kInt64});
+    }
+    return MakeNLJoinOp(kind, ScanT(), ScanS(),
+                        Eq(CRef(1, DataType::kInt64),
+                           CRef(3, DataType::kInt64)),
+                        false, {DataType::kInt64, DataType::kInt64});
   }
 
   Catalog catalog_;
@@ -91,93 +136,162 @@ class BatchExecTest : public ::testing::Test {
   Table* u_ = nullptr;
 };
 
-// A stream whose length is an exact multiple of the batch size must end
-// with one final empty pull, not an error or a duplicated batch.
-TEST_F(BatchExecTest, ExactMultipleOfBatchSizeTerminates) {
-  PhysicalOpPtr scan = ScanT();  // 12 rows
-  ExecContext ctx;
-  ctx.batch_size = 4;
-  ASSERT_TRUE(scan->Open(&ctx).ok());
-  RowBatch batch(ctx.batch_size);
-  int pulls = 0;
-  size_t rows = 0;
-  for (;;) {
-    ASSERT_TRUE(scan->NextBatch(&ctx, &batch).ok());
-    ++pulls;
-    if (batch.empty()) break;
-    rows += batch.size();
-  }
-  scan->Close();
-  EXPECT_EQ(rows, 12u);
-  EXPECT_EQ(pulls, 4);  // three full batches + the empty EOS pull
+TEST_F(BatchExecTest, ScanAndSortBoundaries) {
+  ExpectColumnarMatchesRows([&] { return ScanT(); }, "TableScan");
+  ExpectColumnarMatchesRows(
+      [&] {
+        return MakeSortOp(ScanT(), {SortKey{CRef(1, DataType::kInt64), false}},
+                          -1);
+      },
+      "Sort");
 }
 
-// Empty input: the very first pull is the EOS pull.
-TEST_F(BatchExecTest, EmptyInputFirstPullIsEos) {
-  PhysicalOpPtr plan = MakeFilterOp(ScanT(), LitBool(false));
-  ExecContext ctx;
-  ctx.batch_size = 4;
-  ASSERT_TRUE(plan->Open(&ctx).ok());
-  RowBatch batch(ctx.batch_size);
-  ASSERT_TRUE(plan->NextBatch(&ctx, &batch).ok());
-  EXPECT_TRUE(batch.empty());
-  plan->Close();
+TEST_F(BatchExecTest, HashAggregateEmissionBoundaries) {
+  // kRows groups: the emission window straddles every batch size.
+  ExpectColumnarMatchesRows(
+      [&] {
+        return MakeHashAggregateOp(
+            ScanT(), {1},
+            {AggItem{AggFunc::kCountStar, nullptr, 5, false},
+             AggItem{AggFunc::kSum, CRef(2, DataType::kInt64), 6, false}},
+            false);
+      },
+      "HashAggregate");
+  // A scalar aggregate over empty input emits its one row.
+  ExpectColumnarMatchesRows(
+      [&] {
+        return MakeHashAggregateOp(
+            MakeFilterOp(ScanT(), LitBool(false)), {},
+            {AggItem{AggFunc::kCountStar, nullptr, 5, false},
+             AggItem{AggFunc::kSum, CRef(2, DataType::kInt64), 6, false}},
+            true);
+      },
+      "ScalarAggregate");
 }
 
-// Left-outer joins emit unmatched rows after the probe of each left row
-// fails; with batch size 4 and 8 unmatched left rows the padded output
-// straddles several batch boundaries. Both join implementations must agree
-// with the row-at-a-time drain exactly.
-TEST_F(BatchExecTest, LeftOuterUnmatchedStraddlesBatchBoundary) {
-  for (bool hash : {false, true}) {
-    auto make = [&]() -> PhysicalOpPtr {
-      if (hash) {
-        return MakeHashJoinOp(
-            PhysJoinKind::kLeftOuter, ScanT(), ScanS(),
-            {{CRef(1, DataType::kInt64), CRef(2, DataType::kInt64)}}, nullptr,
-            {DataType::kInt64, DataType::kInt64});
-      }
-      return MakeNLJoinOp(PhysJoinKind::kLeftOuter, ScanT(), ScanS(),
-                          JoinPred(), false,
-                          {DataType::kInt64, DataType::kInt64});
-    };
-    PhysicalOpPtr batched_plan = make();
-    Result<std::vector<Row>> batched = DrainBatched(batched_plan.get(), 4,
-                                                    /*batched=*/true);
-    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    PhysicalOpPtr row_plan = make();
-    Result<std::vector<Row>> row_mode = DrainBatched(row_plan.get(), 4,
-                                                     /*batched=*/false);
-    ASSERT_TRUE(row_mode.ok()) << row_mode.status().ToString();
-    // 4 matched keys x 2 right rows + 8 unmatched = 16 rows.
-    EXPECT_EQ(batched->size(), 16u) << (hash ? "hash" : "nl");
-    EXPECT_EQ(CanonicalRows(*batched), CanonicalRows(*row_mode))
-        << (hash ? "hash" : "nl");
+TEST_F(BatchExecTest, JoinBoundariesEveryKind) {
+  // Fan-out of three per matched key and kRows - 4 unmatched left rows:
+  // matches and NULL-padded rows cross batch edges at every size.
+  for (PhysJoinKind kind :
+       {PhysJoinKind::kInner, PhysJoinKind::kLeftOuter,
+        PhysJoinKind::kLeftSemi, PhysJoinKind::kLeftAnti}) {
+    for (bool hash : {false, true}) {
+      ExpectColumnarMatchesRows(
+          [&] { return MakeJoin(kind, hash); },
+          std::string(hash ? "HashJoin" : "NLJoin") +
+              " kind=" + std::to_string(static_cast<int>(kind)));
+    }
   }
+}
+
+TEST_F(BatchExecTest, HashJoinComputedProbeKeys) {
+  // A vectorizable key expression and a non-vectorizable one (division,
+  // the row evaluator's error site) both probe columnar.
+  for (ArithOp op : {ArithOp::kAdd, ArithOp::kDiv}) {
+    ExpectColumnarMatchesRows(
+        [&] {
+          ScalarExprPtr key = MakeArith(op, CRef(1, DataType::kInt64),
+                                        LitInt(op == ArithOp::kAdd ? 0 : 1));
+          return MakeHashJoinOp(PhysJoinKind::kLeftOuter, ScanT(), ScanS(),
+                                {{key, CRef(3, DataType::kInt64)}}, nullptr,
+                                {DataType::kInt64, DataType::kInt64});
+        },
+        op == ArithOp::kAdd ? "HashJoin(k + 0)" : "HashJoin(k / 1)");
+  }
+}
+
+TEST_F(BatchExecTest, HashJoinResidualEveryKind) {
+  // A residual over one probe-side and one build-side column (w > k
+  // rejects the first match of key 0 only); the columnar probe fills just
+  // those two slots of its combined row.
+  for (PhysJoinKind kind :
+       {PhysJoinKind::kInner, PhysJoinKind::kLeftOuter,
+        PhysJoinKind::kLeftSemi, PhysJoinKind::kLeftAnti}) {
+    ExpectColumnarMatchesRows(
+        [&] {
+          return MakeHashJoinOp(
+              kind, ScanT(), ScanS(),
+              {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}},
+              MakeCompare(CompareOp::kGt, CRef(4, DataType::kInt64),
+                          CRef(1, DataType::kInt64)),
+              {DataType::kInt64, DataType::kInt64});
+        },
+        "HashJoin residual kind=" + std::to_string(static_cast<int>(kind)));
+  }
+}
+
+TEST_F(BatchExecTest, ExceptAllBoundaries) {
+  ExpectColumnarMatchesRows(
+      [&] {
+        return MakeExceptAllOp(MakeTableScan(t_, {0}, {1}),
+                               MakeTableScan(u_, {0}, {7}), {1});
+      },
+      "ExceptAll");
+}
+
+TEST_F(BatchExecTest, SegmentApplyAndSegmentScanBoundaries) {
+  // Five segments of kRows / 5 rows, each re-read by a SegmentScan inner.
+  ExpectColumnarMatchesRows(
+      [&] {
+        return MakeSegmentApplyOp(ScanT(), MakeSegmentScanOp({10, 11}), {1},
+                                  {2, 10, 11});
+      },
+      "SegmentApply(SegmentScan)");
+}
+
+TEST_F(BatchExecTest, ExchangeOverMorselScansBoundaries) {
+  // Two workers claim 700-row morsels; the exchange moves owned column
+  // batches (row batches transposed on the row path). Each instance
+  // filters (a selection vector to compact) and computes a column (a view
+  // into evaluator scratch its next pull overwrites).
+  TaskPool pool(2);
+  ExpectColumnarMatchesRows(
+      [&] {
+        SharedRegionStatePtr source = MakeMorselSource();
+        std::vector<PhysicalOpPtr> instances;
+        for (int w = 0; w < 2; ++w) {
+          PhysicalOpPtr filtered = MakeFilterOp(
+              MakeMorselScan(t_, {0, 1}, {1, 2}, source),
+              MakeCompare(CompareOp::kGt, CRef(2, DataType::kInt64),
+                          LitInt(0)));
+          instances.push_back(MakeComputeOp(
+              std::move(filtered),
+              {ProjectItem{20, MakeArith(ArithOp::kAdd,
+                                         CRef(1, DataType::kInt64),
+                                         LitInt(1))}},
+              {1, 2}));
+        }
+        return MakeExchangeOp(std::move(instances), {source}, {1, 2, 20});
+      },
+      "Exchange(Compute(Filter(MorselScan)))", &pool);
 }
 
 // Unmatched LOJ padding must carry the right layout's declared types, not
 // default int64 (a Compute above the join dispatches on them).
 TEST_F(BatchExecTest, LeftOuterPadsDeclaredTypes) {
-  u_ = *catalog_.CreateTable("u", {{"fk", DataType::kInt64, false},
-                                   {"name", DataType::kString, false},
-                                   {"score", DataType::kDouble, false}});
-  ASSERT_TRUE(u_->Append({Value::Int64(0), Value::String("zero"),
-                          Value::Double(0.5)})
+  Table* v = *catalog_.CreateTable("v", {{"fk", DataType::kInt64, false},
+                                         {"name", DataType::kString, false},
+                                         {"score", DataType::kDouble, false}});
+  ASSERT_TRUE(v->Append({Value::Int64(0), Value::String("zero"),
+                         Value::Double(0.5)})
                   .ok());
   const std::vector<DataType> right_types = {
       DataType::kInt64, DataType::kString, DataType::kDouble};
-  auto scan_u = [&]() { return MakeTableScan(u_, {0, 1, 2}, {2, 3, 4}); };
-  PhysicalOpPtr nl = MakeNLJoinOp(PhysJoinKind::kLeftOuter, ScanT(), scan_u(),
-                                  JoinPred(), false, right_types);
+  auto scan_v = [&]() { return MakeTableScan(v, {0, 1, 2}, {3, 4, 5}); };
+  auto scan_t = [&]() { return MakeTableScan(t_, {0}, {1}); };
+  PhysicalOpPtr nl = MakeNLJoinOp(
+      PhysJoinKind::kLeftOuter, scan_t(), scan_v(),
+      Eq(CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)), false,
+      right_types);
   PhysicalOpPtr hash = MakeHashJoinOp(
-      PhysJoinKind::kLeftOuter, ScanT(), scan_u(),
-      {{CRef(1, DataType::kInt64), CRef(2, DataType::kInt64)}}, nullptr,
+      PhysJoinKind::kLeftOuter, scan_t(), scan_v(),
+      {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}}, nullptr,
       right_types);
   for (PhysicalOp* plan : {nl.get(), hash.get()}) {
-    Result<std::vector<Row>> rows = DrainBatched(plan, 4, /*batched=*/true);
+    ExecContext ctx = MakeContext(true, 4, nullptr);
+    Result<std::vector<Row>> rows = ExecuteToVector(plan, &ctx);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    ASSERT_EQ(rows->size(), 12u);
+    ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
     int padded = 0;
     for (const Row& row : *rows) {
       if (!row[1].is_null()) continue;  // matched k=0
@@ -186,106 +300,50 @@ TEST_F(BatchExecTest, LeftOuterPadsDeclaredTypes) {
       EXPECT_EQ(row[2].type(), DataType::kString);
       EXPECT_EQ(row[3].type(), DataType::kDouble);
     }
-    EXPECT_EQ(padded, 11);
+    EXPECT_EQ(padded, kRows - 1);
   }
 }
 
-// The two pull disciplines are one engine: identical rows, identical
-// rows_produced, identical per-operator rows_out/opens, and the batched
-// path pulls no more often than the row path.
+// The two pull protocols are one engine: identical rows, identical
+// rows_produced, and per-operator stats that account for every row.
 TEST_F(BatchExecTest, StatsConsistentAcrossModes) {
-  auto make = [&]() {
-    PhysicalOpPtr join = MakeHashJoinOp(
-        PhysJoinKind::kLeftOuter, ScanT(), ScanS(),
-        {{CRef(1, DataType::kInt64), CRef(2, DataType::kInt64)}}, nullptr,
-        {DataType::kInt64, DataType::kInt64});
-    return MakeHashAggregateOp(
-        std::move(join), {1},
-        {AggItem{AggFunc::kCountStar, nullptr, 5, false}}, false);
-  };
-
   auto run = [&](bool batched, StatsCollector* stats, int64_t* produced) {
-    PhysicalOpPtr plan = make();
-    ExecContext ctx;
-    ctx.batched = batched;
-    ctx.batch_size = 4;
+    PhysicalOpPtr plan = MakeHashAggregateOp(
+        MakeJoin(PhysJoinKind::kLeftOuter, /*hash=*/true), {1},
+        {AggItem{AggFunc::kCountStar, nullptr, 5, false}}, false);
+    ExecContext ctx = MakeContext(batched, 4, nullptr);
     ExecInstruments instruments;
     instruments.stats = stats;
-    if (stats != nullptr) ctx.instruments = &instruments;
+    ctx.instruments = &instruments;
     Result<std::vector<Row>> rows = ExecuteToVector(plan.get(), &ctx);
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     *produced = ctx.rows_produced;
     return CanonicalRows(*rows);
   };
-
-  StatsCollector batched_stats;
+  StatsCollector columnar_stats;
   StatsCollector row_stats;
-  int64_t batched_produced = 0;
+  int64_t columnar_produced = 0;
   int64_t row_produced = 0;
-  auto batched_rows = run(true, &batched_stats, &batched_produced);
+  auto columnar_rows = run(true, &columnar_stats, &columnar_produced);
   auto row_rows = run(false, &row_stats, &row_produced);
 
-  EXPECT_EQ(batched_rows, row_rows);
-  EXPECT_EQ(batched_produced, row_produced);
-  EXPECT_EQ(batched_stats.TotalRowsOut(), row_stats.TotalRowsOut());
-  EXPECT_EQ(batched_stats.TotalRowsOut(), batched_produced);
+  EXPECT_EQ(columnar_rows, row_rows);
+  EXPECT_EQ(columnar_produced, row_produced);
+  EXPECT_EQ(columnar_stats.TotalRowsOut(), row_stats.TotalRowsOut());
+  EXPECT_EQ(columnar_stats.TotalRowsOut(), columnar_produced);
 }
 
-// Result equivalence across every join kind, both implementations, and
-// batch sizes around the boundary cases (1, a non-divisor, the default).
-TEST_F(BatchExecTest, ModeEquivalenceSweep) {
-  for (PhysJoinKind kind :
-       {PhysJoinKind::kInner, PhysJoinKind::kLeftOuter, PhysJoinKind::kLeftSemi,
-        PhysJoinKind::kLeftAnti}) {
-    for (bool hash : {false, true}) {
-      auto make = [&]() -> PhysicalOpPtr {
-        if (hash) {
-          return MakeHashJoinOp(
-              kind, ScanT(), ScanS(),
-              {{CRef(1, DataType::kInt64), CRef(2, DataType::kInt64)}},
-              nullptr, {DataType::kInt64, DataType::kInt64});
-        }
-        return MakeNLJoinOp(kind, ScanT(), ScanS(), JoinPred(), false,
-                            {DataType::kInt64, DataType::kInt64});
-      };
-      PhysicalOpPtr reference_plan = make();
-      Result<std::vector<Row>> reference =
-          DrainBatched(reference_plan.get(), kDefaultBatchRows,
-                       /*batched=*/false);
-      ASSERT_TRUE(reference.ok());
-      auto expected = CanonicalRows(*reference);
-      for (int batch_size : {1, 3, kDefaultBatchRows}) {
-        PhysicalOpPtr plan = make();
-        Result<std::vector<Row>> rows =
-            DrainBatched(plan.get(), batch_size, /*batched=*/true);
-        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-        EXPECT_EQ(CanonicalRows(*rows), expected)
-            << (hash ? "hash" : "nl") << " kind=" << static_cast<int>(kind)
-            << " batch=" << batch_size;
-      }
-    }
-  }
-}
-
-// Correlated Apply (rebind_inner) stays on the row adapter but must still
-// honor the batched drain protocol from above.
-TEST_F(BatchExecTest, CorrelatedApplyUnderBatchedDrain) {
-  auto make = [&]() {
-    PhysicalOpPtr inner = MakeFilterOp(
-        ScanS(), Eq(CRef(2, DataType::kInt64), CRef(1, DataType::kInt64)));
-    return MakeNLJoinOp(PhysJoinKind::kInner, ScanT(), std::move(inner),
-                        TrueLiteral(), true);
-  };
-  PhysicalOpPtr batched_plan = make();
-  Result<std::vector<Row>> batched =
-      DrainBatched(batched_plan.get(), 4, /*batched=*/true);
-  ASSERT_TRUE(batched.ok());
-  EXPECT_EQ(batched->size(), 8u);  // 4 matched keys x 2 right rows
-  PhysicalOpPtr row_plan = make();
-  Result<std::vector<Row>> row_mode =
-      DrainBatched(row_plan.get(), 4, /*batched=*/false);
-  ASSERT_TRUE(row_mode.ok());
-  EXPECT_EQ(CanonicalRows(*batched), CanonicalRows(*row_mode));
+// A correlated Apply pulls its outer input in column batches but re-opens
+// and pulls its inner row by row; both protocols must agree.
+TEST_F(BatchExecTest, CorrelatedApplyUnderColumnarDrain) {
+  ExpectColumnarMatchesRows(
+      [&] {
+        PhysicalOpPtr inner = MakeFilterOp(
+            ScanS(), Eq(CRef(3, DataType::kInt64), CRef(1, DataType::kInt64)));
+        return MakeNLJoinOp(PhysJoinKind::kInner, ScanT(), std::move(inner),
+                            TrueLiteral(), true);
+      },
+      "Apply");
 }
 
 }  // namespace

@@ -192,13 +192,13 @@ TEST(BenchGateTest, SummaryNamesEveryFailure) {
   EXPECT_NE(summary.find("FAIL bench_q2/5"), std::string::npos);
 }
 
-// One report with batch/columnar twins for two workloads plus a row mode
+// One report with row/columnar twins for two workloads plus a third mode
 // that the speedup gate must ignore.
 const char kModeReport[] =
-    "{\"name\":\"Columnar_A/row/20\",\"wall_ms\":60.0,\"error\":false}\n"
-    "{\"name\":\"Columnar_A/batch/20\",\"wall_ms\":20.0,\"error\":false}\n"
+    "{\"name\":\"Columnar_A/encoded/20\",\"wall_ms\":3.0,\"error\":false}\n"
+    "{\"name\":\"Columnar_A/row/20\",\"wall_ms\":20.0,\"error\":false}\n"
     "{\"name\":\"Columnar_A/columnar/20\",\"wall_ms\":5.0,\"error\":false}\n"
-    "{\"name\":\"Columnar_B/batch/20\",\"wall_ms\":9.0,\"error\":false}\n"
+    "{\"name\":\"Columnar_B/row/20\",\"wall_ms\":9.0,\"error\":false}\n"
     "{\"name\":\"Columnar_B/columnar/20\",\"wall_ms\":4.0,\"error\":false}\n";
 
 TEST(SpeedupGateTest, PassesWhenEnoughPairsReachTheRatio) {
@@ -224,7 +224,7 @@ TEST(SpeedupGateTest, FailsWhenTooFewPairsReachTheRatio) {
 
 TEST(SpeedupGateTest, MissingCounterpartIsAFailure) {
   const std::string orphan =
-      "{\"name\":\"Columnar_A/batch/20\",\"wall_ms\":20.0,"
+      "{\"name\":\"Columnar_A/row/20\",\"wall_ms\":20.0,"
       "\"error\":false}\n";
   Result<BenchGateReport> report =
       CheckSpeedupJson(orphan, SpeedupGateOptions{});
@@ -248,7 +248,7 @@ TEST(SpeedupGateTest, NoiseFlooredPairsDoNotCount) {
   // Both slow sides under the 0.5ms floor: nothing eligible, so the gate
   // errors rather than passing on noise.
   const std::string tiny =
-      "{\"name\":\"Columnar_A/batch/1\",\"wall_ms\":0.1,\"error\":false}\n"
+      "{\"name\":\"Columnar_A/row/1\",\"wall_ms\":0.1,\"error\":false}\n"
       "{\"name\":\"Columnar_A/columnar/1\",\"wall_ms\":0.01,"
       "\"error\":false}\n";
   Result<BenchGateReport> report =
@@ -258,7 +258,7 @@ TEST(SpeedupGateTest, NoiseFlooredPairsDoNotCount) {
 
 TEST(SpeedupGateTest, ErroredModeRunsFailTheGate) {
   const std::string errored =
-      "{\"name\":\"Columnar_A/batch/20\",\"wall_ms\":20.0,"
+      "{\"name\":\"Columnar_A/row/20\",\"wall_ms\":20.0,"
       "\"error\":false}\n"
       "{\"name\":\"Columnar_A/columnar/20\",\"wall_ms\":0,"
       "\"error\":true}\n";

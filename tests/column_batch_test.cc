@@ -178,10 +178,10 @@ TEST(ValidateBatchSizeTest, SessionSetAndEngineShareTheCheck) {
   EXPECT_TRUE(session.ApplySet("batch_size 65536").ok());
   EXPECT_FALSE(session.ApplySet("batch_size 0").ok());
   EXPECT_FALSE(session.ApplySet("batch_size 65537").ok());
-  EXPECT_TRUE(session.ApplySet("exec columnar").ok());
-  EXPECT_TRUE(session.engine_options().exec.columnar);
   EXPECT_TRUE(session.ApplySet("exec row").ok());
-  EXPECT_FALSE(session.engine_options().exec.columnar);
+  EXPECT_FALSE(session.engine_options().exec.batched);
+  EXPECT_TRUE(session.ApplySet("exec columnar").ok());
+  EXPECT_TRUE(session.engine_options().exec.batched);
   EXPECT_FALSE(session.ApplySet("exec vector").ok());
 
   // The engine applies the same predicate at execution time, so an
@@ -199,45 +199,55 @@ TEST(ValidateBatchSizeTest, SessionSetAndEngineShareTheCheck) {
             std::string::npos);
 }
 
-TEST(ValidateExecOptionsTest, RejectsColumnarWithThreads) {
-  ExecOptions exec;
-  exec.batched = true;
-  exec.columnar = true;
-  exec.num_threads = 0;
-  EXPECT_TRUE(ValidateExecOptions(exec).ok());
-  exec.num_threads = 4;
-  Status status = ValidateExecOptions(exec);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("columnar"), std::string::npos);
-
-  // The session rejects the combination in either SET order, leaving the
-  // previous options intact.
+TEST(ExecModeTest, SetExecAcceptsRowAndColumnarOnly) {
   Session session(1, EngineOptions::Full(), 0);
-  EXPECT_TRUE(session.ApplySet("exec columnar").ok());
-  EXPECT_FALSE(session.ApplySet("threads 4").ok());
-  EXPECT_EQ(session.engine_options().exec.num_threads, 0);
-  EXPECT_TRUE(session.ApplySet("exec batch").ok());
-  EXPECT_TRUE(session.ApplySet("threads 4").ok());
-  EXPECT_FALSE(session.ApplySet("exec columnar").ok());
-  EXPECT_FALSE(session.engine_options().exec.columnar);
-
-  // And the engine applies the same predicate to programmatic options, so
-  // there is no silent single-thread fallback path left.
-  Catalog catalog;
-  Result<Table*> t =
-      catalog.CreateTable("t", {{"k", DataType::kInt64, false}});
-  ASSERT_TRUE(t.ok());
-  EngineOptions options = EngineOptions::Full();
-  options.exec.batched = true;
-  options.exec.columnar = true;
-  options.exec.num_threads = 2;
-  QueryEngine engine(&catalog, options);
-  Result<QueryResult> result = engine.Execute("select k from t");
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().ToString().find("columnar"), std::string::npos);
+  EXPECT_TRUE(session.engine_options().exec.batched);  // columnar default
+  // The retired row-batch mode is rejected with a message that names the
+  // two modes left, and the session keeps its options.
+  Status batch = session.ApplySet("exec batch");
+  ASSERT_EQ(batch.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(batch.ToString().find("retired"), std::string::npos);
+  EXPECT_NE(batch.ToString().find("columnar"), std::string::npos);
+  EXPECT_TRUE(session.engine_options().exec.batched);
+  // SET batch on|off is gone: one mode knob, so no hybrid of the two.
+  EXPECT_EQ(session.ApplySet("batch off").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(session.engine_options().exec.batched);
 }
 
-TEST(ValidateExecOptionsTest, TableEncodingKnobParsesAndRejects) {
+TEST(ExecModeTest, ColumnarComposesWithThreads) {
+  // Either SET order works; the exchange moves column batches.
+  Session session(1, EngineOptions::Full(), 0);
+  EXPECT_TRUE(session.ApplySet("exec columnar").ok());
+  EXPECT_TRUE(session.ApplySet("threads 4").ok());
+  EXPECT_EQ(session.engine_options().exec.num_threads, 4);
+  EXPECT_TRUE(session.ApplySet("exec row").ok());
+  EXPECT_TRUE(session.ApplySet("exec columnar").ok());
+
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("t", {{"k", DataType::kInt64, false},
+                                        {"g", DataType::kInt64, false}});
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(t->Append({Value::Int64(i), Value::Int64(i % 7)}).ok());
+  }
+  const std::string sql =
+      "select g, count(*), sum(k) from t where k > 100 group by g";
+  EngineOptions serial = EngineOptions::Full();
+  serial.exec.batched = false;
+  EngineOptions parallel = EngineOptions::Full();
+  parallel.exec.num_threads = 2;
+  parallel.exec.morsel_rows = 512;
+  for (TableEncoding enc : {TableEncoding::kPlain, TableEncoding::kAuto}) {
+    parallel.exec.table_encoding = enc;
+    Result<QueryResult> expect = QueryEngine(&catalog, serial).Execute(sql);
+    Result<QueryResult> actual = QueryEngine(&catalog, parallel).Execute(sql);
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(CanonicalRows(expect->rows), CanonicalRows(actual->rows));
+  }
+}
+
+TEST(ExecModeTest, TableEncodingKnobParsesAndRejects) {
   Session session(1, EngineOptions::Full(), 0);
   EXPECT_EQ(session.engine_options().exec.table_encoding,
             TableEncoding::kPlain);
@@ -478,8 +488,6 @@ class ColumnarExecTest : public ::testing::Test {
     row_options.exec.batched = false;
     row_options.exec.batch_size = 8;
     EngineOptions col_options = EngineOptions::Full();
-    col_options.exec.batched = true;
-    col_options.exec.columnar = true;
     col_options.exec.batch_size = 8;
     col_options.exec.table_encoding = encoding;
     QueryEngine row_engine(&catalog_, row_options);
@@ -557,8 +565,6 @@ TEST_F(ColumnarExecTest, EncodedStorageMatchesRowMode) {
 
 TEST_F(ColumnarExecTest, EncodedScanSurfacesEncodingInReport) {
   EngineOptions options = EngineOptions::Full();
-  options.exec.batched = true;
-  options.exec.columnar = true;
   options.exec.batch_size = 8;
   options.exec.table_encoding = TableEncoding::kDict;
   QueryEngine engine(&catalog_, options);
@@ -572,8 +578,6 @@ TEST_F(ColumnarExecTest, EncodedScanSurfacesEncodingInReport) {
 
 TEST_F(ColumnarExecTest, StatsInvariantHoldsColumnar) {
   EngineOptions options = EngineOptions::Full();
-  options.exec.batched = true;
-  options.exec.columnar = true;
   options.exec.batch_size = 8;
   QueryEngine engine(&catalog_, options);
   Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(

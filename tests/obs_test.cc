@@ -80,8 +80,8 @@ TEST_F(ObsTest, OperatorCountersAreConsistent) {
   ForEachNode(analyzed->plan, [&](const PlanStatsNode& node) {
     ++ops;
     EXPECT_EQ(node.stats.open_calls, node.stats.close_calls) << node.name;
-    // next_calls counts pulls, not rows: a NextBatch pull returns up to a
-    // batch of rows, so next_calls sits well below rows_out on batched
+    // next_calls counts pulls, not rows: a NextColumns pull returns up to
+    // a batch of rows, so next_calls sits well below rows_out on columnar
     // operators (that divergence is the point of the counter). Every pull
     // returns at most one batch.
     EXPECT_LE(node.stats.rows_out,
@@ -94,8 +94,8 @@ TEST_F(ObsTest, OperatorCountersAreConsistent) {
     EXPECT_GE(node.self_wall_nanos, 0) << node.name;
   });
   EXPECT_GE(ops, 3);
-  // The default engine batches: some operator must have moved many rows
-  // per pull, i.e. rows_out well above next_calls.
+  // The default engine is columnar: some operator must have moved many
+  // rows per pull, i.e. rows_out well above next_calls.
   bool diverged = false;
   ForEachNode(analyzed->plan, [&](const PlanStatsNode& node) {
     if (node.stats.rows_out > node.stats.next_calls) diverged = true;
@@ -299,6 +299,24 @@ TEST_F(ObsTest, ProfileRecordsEveryPipelinePhase) {
   EXPECT_EQ(phases->array[0].StringOr("phase", ""), "parse");
 }
 
+// Batch fill is physical: a filter narrows its output's selection vector
+// but not the rows the batch carries, so a selective filter over full scan
+// batches lowers the selection density and leaves the fill alone.
+TEST_F(ObsTest, BatchFillCountsPhysicalRowsNotSelectedOnes) {
+  QueryEngine engine(&catalog_);
+  Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(
+      "select count(*) from lineitem where l_quantity < 5");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const HistogramData& fill =
+      analyzed->metrics.histogram(MetricHistogram::kBatchFillPercent);
+  const HistogramData& selectivity =
+      analyzed->metrics.histogram(MetricHistogram::kSelVectorSelectivity);
+  ASSERT_GT(fill.count, 0);
+  EXPECT_EQ(fill.count, selectivity.count);
+  EXPECT_GT(fill.Mean(), selectivity.Mean());
+  EXPECT_GE(fill.max, 100);  // full scan batches
+}
+
 // ExplainAnalyze leads with the phase breakdown and (when metrics fired)
 // the engine-metrics section.
 TEST_F(ObsTest, ExplainAnalyzeShowsPhaseAndMetricsSections) {
@@ -323,9 +341,14 @@ TEST_F(ObsTest, MetricsCaptureHashPathShape) {
   ASSERT_FALSE(metrics.empty());
   EXPECT_GT(metrics.counter(MetricCounter::kHashAggInputRows), 0);
   EXPECT_GT(metrics.counter(MetricCounter::kHashAggGroups), 0);
-  // Under the default batched engine some operator reported batch fill.
-  EXPECT_GT(
-      metrics.histogram(MetricHistogram::kBatchFillPercent).count, 0);
+  // Under the default columnar engine every non-empty batch pull reports
+  // both its physical fill and its selection density.
+  const HistogramData& fill =
+      metrics.histogram(MetricHistogram::kBatchFillPercent);
+  EXPECT_GT(fill.count, 0);
+  EXPECT_EQ(fill.count,
+            metrics.histogram(MetricHistogram::kSelVectorSelectivity).count);
+  EXPECT_EQ(fill.count, metrics.counter(MetricCounter::kColumnBatches));
 
   const std::string json = MetricsToJson(metrics);
   std::string error;

@@ -1,5 +1,5 @@
 // Morsel-driven parallel execution tests: TaskPool mechanics, parallel vs
-// serial result equality on TPC-H (batch and row mode, several thread
+// serial result equality on TPC-H (columnar and row mode, several thread
 // counts), Exchange placement in EXPLAIN, the stats invariant under
 // parallel execution, the scalar-aggregate empty-input edge across
 // workers, and uncorrelated inner-spool caching.
@@ -119,7 +119,7 @@ TEST(ParallelTpch, ResultsMatchSerialAtEveryThreadCount) {
   }
 }
 
-TEST(ParallelTpch, RowModeMatchesBatchMode) {
+TEST(ParallelTpch, RowModeMatchesColumnarMode) {
   Catalog* catalog = SharedTpch();
   QueryEngine serial(catalog, EngineOptions::Full());
   const std::vector<TpchQuery>& queries = TpchQuerySet();

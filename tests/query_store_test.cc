@@ -19,7 +19,7 @@ QueryRecord MakeRecord(const std::string& id) {
   record.query_id = id;
   record.session_id = 1;
   record.sql = "SELECT 1";
-  record.exec_mode = "batch";
+  record.exec_mode = "columnar";
   return record;
 }
 

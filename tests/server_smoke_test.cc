@@ -6,6 +6,7 @@
 // AdmissionController without sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -170,7 +171,7 @@ TEST(ServerSmokeTest, SetChangesTakeEffectAndValidate) {
   Client client = std::move(connected.value());
 
   EXPECT_TRUE(client.Set("threads", "2").ok());
-  EXPECT_TRUE(client.Set("batch", "off").ok());
+  EXPECT_TRUE(client.Set("exec", "row").ok());
   EXPECT_TRUE(client.Set("batch_size", "64").ok());
   Result<WireResult> result =
       client.Query("SELECT COUNT(*) FROM customer");
@@ -180,32 +181,72 @@ TEST(ServerSmokeTest, SetChangesTakeEffectAndValidate) {
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   bad = client.Set("no_such_option", "1");
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  // SET batch on|off is gone: exec is the one mode knob.
+  bad = client.Set("batch", "off");
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   server.Stop();
 }
 
-TEST(ServerSmokeTest, ColumnarThreadsConflictAndEncodingKnobOverTheWire) {
+TEST(ServerSmokeTest, ExecModesThreadsAndEncodingKnobOverTheWire) {
   QueryServer server(SharedCatalog(), ServerOptions());
   ASSERT_TRUE(server.Start().ok());
   Result<Client> connected = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.ok());
   Client client = std::move(connected.value());
+  const std::string sql =
+      "SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem "
+      "GROUP BY l_returnflag";
 
-  // exec columnar is single-threaded; combining it with threads must fail
-  // loudly in either SET order — never silently fall back.
+  // The retired row-batch mode is refused by name, and the session keeps
+  // serving in its default columnar mode.
+  Status retired = client.Set("exec", "batch");
+  ASSERT_EQ(retired.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired.ToString().find("retired"), std::string::npos);
+  Result<WireResult> columnar = client.Query(sql);
+  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+
+  // Row mode answers the same rows.
+  ASSERT_TRUE(client.Set("exec", "row").ok());
+  Result<WireResult> row = client.Query(sql);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  std::vector<std::string> expect = row->rows;
+  std::sort(expect.begin(), expect.end());
+
+  // Columnar composes with threads in either SET order: the exchange
+  // moves column batches.
   ASSERT_TRUE(client.Set("threads", "2").ok());
-  Status conflict = client.Set("exec", "columnar");
-  ASSERT_EQ(conflict.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(conflict.ToString().find("single-threaded"), std::string::npos);
-  ASSERT_TRUE(client.Set("threads", "0").ok());
   ASSERT_TRUE(client.Set("exec", "columnar").ok());
-  conflict = client.Set("threads", "2");
-  ASSERT_EQ(conflict.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(conflict.ToString().find("single-threaded"), std::string::npos);
+  Result<WireResult> parallel = client.Query(sql);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  std::vector<std::string> got = parallel->rows;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expect);
 
-  // The rejected SET left the session columnar and single-threaded, so
-  // queries still run — now over encoded storage once the knob is set.
-  // Forced dict (not auto) because the difftest tables are small enough
-  // that the auto heuristic keeps them plain.
+  // \history names each query's exec mode.
+  Result<std::string> history = client.Admin("history 10");
+  ASSERT_TRUE(history.ok());
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(*history, &doc, &error)) << error;
+  const JsonValue* queries = doc.Find("queries");
+  ASSERT_NE(queries, nullptr);
+  int named = 0;
+  for (const JsonValue& entry : queries->array) {
+    const std::string id = entry.StringOr("query_id", "");
+    const std::string mode = entry.StringOr("exec_mode", "");
+    if (id == columnar->query_id || id == parallel->query_id) {
+      EXPECT_EQ(mode, "columnar") << id;
+      ++named;
+    } else if (id == row->query_id) {
+      EXPECT_EQ(mode, "row") << id;
+      ++named;
+    }
+  }
+  EXPECT_EQ(named, 3) << *history;
+
+  // Encoded storage under the parallel columnar engine. Forced dict (not
+  // auto) because the difftest tables are small enough that the auto
+  // heuristic keeps them plain.
   ASSERT_TRUE(client.Set("table_encoding", "dict").ok());
   Result<WireResult> result =
       client.Query("SELECT COUNT(*), MIN(n_name) FROM nation");

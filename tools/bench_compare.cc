@@ -7,10 +7,11 @@
 //                      [--min-ratio X] [--min-pairs N]
 //
 // The --speedup mode gates mode-vs-mode ratios within ONE report: every
-// benchmark whose name contains the slow tag (default "/batch/") is paired
+// benchmark whose name contains the slow tag (default "/row/") is paired
 // with its fast-tag twin (default "/columnar/"), and at least --min-pairs
 // pairs (default 2) must reach --min-ratio (default 1.5x). This is how
-// ci.sh holds the columnar engine to its speedup over row-batch execution.
+// ci.sh holds the columnar engine to its speedup over row-at-a-time
+// execution.
 //
 // The ORQ_BENCH_TOLERANCE environment variable overrides the default
 // tolerance (the flag wins over the environment). A tolerance <= 0 skips

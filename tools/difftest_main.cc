@@ -3,8 +3,8 @@
 // bag-comparison divergence with a minimized reproducer and both plans.
 //
 // Usage: difftest [--seed N] [--queries N] [--max-failures N] [--verbose]
-//                 [--reference-exec row|batch|columnar|parallel]
-//                 [--test-exec row|batch|columnar|parallel] [--threads N]
+//                 [--reference-exec row|columnar|parallel]
+//                 [--test-exec row|columnar|parallel] [--threads N]
 //                 [--table-encoding plain|dict|rle|auto]
 //                 [--timeout-ms N] [--plan-cache]
 //
@@ -16,11 +16,11 @@
 // hunting for pathological plans without letting the naive reference run
 // unbounded). One-sided timeouts are tolerated, never divergences.
 //
-// The exec flags pick the engine per side: "batch" (default) drains
-// through NextBatch, "row" forces the classic one-row Volcano adapter,
-// "columnar" runs the columnar (SoA) engine, and "parallel" runs the
-// morsel-driven parallel engine with --threads workers (default 4). Mixing modes cross-checks engines on the same
-// query stream — e.g. `--reference-exec row --test-exec parallel` is the
+// The exec flags pick the engine per side: "columnar" (default) runs the
+// columnar (SoA) engine, "row" the classic row-at-a-time Volcano engine,
+// and "parallel" the columnar engine morsel-parallel on --threads workers
+// (default 4). Mixing modes cross-checks engines on the same query
+// stream — e.g. `--reference-exec row --test-exec parallel` is the
 // parallel-vs-serial oracle.
 //
 // --table-encoding sets the test side's columnar storage encoding
@@ -32,8 +32,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "difftest/harness.h"
+#include "exec/exec.h"
 
 int main(int argc, char** argv) {
   orq::HarnessOptions options;
@@ -76,62 +78,42 @@ int main(int argc, char** argv) {
         return 2;
       }
       const char* enc = argv[++i];
-      if (std::strcmp(enc, "plain") == 0) {
-        options.test_table_encoding = orq::TableEncoding::kPlain;
-      } else if (std::strcmp(enc, "dict") == 0) {
-        options.test_table_encoding = orq::TableEncoding::kDict;
-      } else if (std::strcmp(enc, "rle") == 0) {
-        options.test_table_encoding = orq::TableEncoding::kRle;
-      } else if (std::strcmp(enc, "auto") == 0) {
-        options.test_table_encoding = orq::TableEncoding::kAuto;
-      } else {
+      std::optional<orq::TableEncoding> parsed = orq::ParseTableEncoding(enc);
+      if (!parsed.has_value()) {
         std::fprintf(stderr,
                      "--table-encoding expects plain|dict|rle|auto, got %s\n",
                      enc);
         return 2;
       }
+      options.test_table_encoding = *parsed;
     } else if (std::strcmp(argv[i], "--reference-exec") == 0 ||
                std::strcmp(argv[i], "--test-exec") == 0) {
       const char* flag = argv[i];
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires row|batch|columnar|parallel\n", flag);
+        std::fprintf(stderr, "%s requires row|columnar|parallel\n", flag);
         return 2;
       }
       const char* mode = argv[++i];
-      bool batched;
-      bool columnar = false;
-      bool parallel = false;
-      if (std::strcmp(mode, "row") == 0) {
-        batched = false;
-      } else if (std::strcmp(mode, "batch") == 0) {
-        batched = true;
-      } else if (std::strcmp(mode, "columnar") == 0) {
-        batched = true;
-        columnar = true;
-      } else if (std::strcmp(mode, "parallel") == 0) {
-        batched = true;
-        parallel = true;
-      } else {
-        std::fprintf(stderr,
-                     "%s expects row|batch|columnar|parallel, got %s\n",
+      const bool parallel = std::strcmp(mode, "parallel") == 0;
+      const bool batched = parallel || std::strcmp(mode, "columnar") == 0;
+      if (!batched && std::strcmp(mode, "row") != 0) {
+        std::fprintf(stderr, "%s expects row|columnar|parallel, got %s\n",
                      flag, mode);
         return 2;
       }
       if (std::strcmp(flag, "--reference-exec") == 0) {
         options.reference_batched = batched;
-        options.reference_columnar = columnar;
         reference_parallel = parallel;
       } else {
         options.test_batched = batched;
-        options.test_columnar = columnar;
         test_parallel = parallel;
       }
     } else {
       std::fprintf(stderr,
                    "unknown argument %s\nusage: difftest [--seed N] "
                    "[--queries N] [--max-failures N] [--verbose] "
-                   "[--reference-exec row|batch|columnar|parallel] "
-                   "[--test-exec row|batch|columnar|parallel] "
+                   "[--reference-exec row|columnar|parallel] "
+                   "[--test-exec row|columnar|parallel] "
                    "[--threads N] "
                    "[--table-encoding plain|dict|rle|auto] "
                    "[--timeout-ms N] [--plan-cache]\n",
