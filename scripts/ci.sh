@@ -183,6 +183,11 @@ build/tools/bench_compare bench/baselines/BENCH_cache.json \
 build/tools/orq_loadgen --sessions 4 --queries 50 --seed 20260806 \
   --prepared --min-hit-rate 99 >/dev/null
 
+echo "=== End-to-end benchmark answer check (held-out seed) ==="
+# Builds orq_bench from this checkout and checks every workload's answers
+# against its reference at the held-out seed, without a timed window.
+python3 bench/e2e/run.py --workload all --check-only --seed 7
+
 echo "=== ASan+UBSan build + tests ==="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "${JOBS}"

@@ -7,20 +7,24 @@ namespace orq {
 TableIndex::TableIndex(const Table& table, std::vector<int> ordinals)
     : ordinals_(std::move(ordinals)) {
   const std::vector<Row>& rows = table.rows();
-  map_.reserve(rows.size());
+  buckets_.map.reserve(rows.size());
+  std::vector<BucketRange*> row_bucket(rows.size(), nullptr);
   Row key(ordinals_.size());
   for (size_t pos = 0; pos < rows.size(); ++pos) {
+    bool null_key = false;
     for (size_t i = 0; i < ordinals_.size(); ++i) {
       key[i] = rows[pos][ordinals_[i]];
+      null_key |= key[i].is_null();
     }
-    map_[key].push_back(pos);
+    if (!null_key) row_bucket[pos] = buckets_.Add(&key);
   }
+  buckets_.Scatter(row_bucket);
 }
 
-const std::vector<size_t>* TableIndex::Lookup(const Row& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return nullptr;
-  return &it->second;
+std::span<const uint32_t> TableIndex::Lookup(const Row& key) const {
+  const BucketRange* bucket = buckets_.Find(key);
+  if (bucket == nullptr) return {};
+  return {buckets_.slots.data() + bucket->begin, bucket->size};
 }
 
 }  // namespace orq

@@ -1,34 +1,41 @@
 #ifndef ORQ_CATALOG_INDEX_H_
 #define ORQ_CATALOG_INDEX_H_
 
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/packed_key.h"
 #include "common/value.h"
 
 namespace orq {
 
 class Table;
 
-/// An equality hash index over one or more columns of a base table. Maps a
-/// key tuple to the list of matching row positions. NULL keys are indexed
-/// but equality probes with NULL never match (SQL semantics), which probe
-/// callers enforce by checking for NULLs before probing.
+/// An equality hash index over one or more columns of a base table, in the
+/// hash-join build layout (KeyBuckets): each key tuple maps to a range of
+/// a slots permutation holding the matching row positions in increasing
+/// order. Rows with a NULL key column are left out — an equality probe
+/// with NULL never matches (SQL semantics), and probe callers skip NULL
+/// keys before probing.
 class TableIndex {
  public:
   TableIndex(const Table& table, std::vector<int> ordinals);
 
   const std::vector<int>& ordinals() const { return ordinals_; }
 
-  /// Row positions whose key equals `key` (positional, same order as
-  /// ordinals()).
-  const std::vector<size_t>* Lookup(const Row& key) const;
+  /// The key -> slot-range lookup, probed directly by index joins.
+  const KeyBuckets& buckets() const { return buckets_; }
 
-  size_t num_entries() const { return map_.size(); }
+  /// Row positions whose key equals `key` (positional, same order as
+  /// ordinals()); empty when none.
+  std::span<const uint32_t> Lookup(const Row& key) const;
+
+  size_t num_entries() const { return buckets_.map.size(); }
 
  private:
   std::vector<int> ordinals_;
-  std::unordered_map<Row, std::vector<size_t>, RowHash, RowGroupEq> map_;
+  KeyBuckets buckets_;
 };
 
 }  // namespace orq

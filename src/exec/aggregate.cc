@@ -5,9 +5,9 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/packed_key.h"
 #include "exec/evaluator.h"
 #include "exec/ops.h"
-#include "exec/packed_key.h"
 #include "exec/parallel.h"
 #include "exec/vector_kernels.h"
 #include "obs/metrics.h"

@@ -157,7 +157,7 @@ void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
   switch (src.rep()) {
     case ColumnRep::kInts:
       for (uint32_t k = 0; k < n; ++k) {
-        if (src.IsNull(rows[k])) {
+        if (rows[k] == kNullRow || src.IsNull(rows[k])) {
           AppendNull();
         } else {
           AppendInt(src.IntAt(rows[k]));
@@ -166,7 +166,7 @@ void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
       break;
     case ColumnRep::kDoubles:
       for (uint32_t k = 0; k < n; ++k) {
-        if (src.IsNull(rows[k])) {
+        if (rows[k] == kNullRow || src.IsNull(rows[k])) {
           AppendNull();
         } else {
           AppendDouble(src.DoubleAt(rows[k]));
@@ -175,7 +175,7 @@ void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
       break;
     case ColumnRep::kStrings:
       for (uint32_t k = 0; k < n; ++k) {
-        if (src.IsNull(rows[k])) {
+        if (rows[k] == kNullRow || src.IsNull(rows[k])) {
           AppendNull();
         } else {
           AppendStr(src.StrAt(rows[k]));
@@ -183,7 +183,13 @@ void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
       }
       break;
     case ColumnRep::kValues:
-      for (uint32_t k = 0; k < n; ++k) AppendValue(src.ValAt(rows[k]));
+      for (uint32_t k = 0; k < n; ++k) {
+        if (rows[k] == kNullRow) {
+          AppendNull();
+        } else {
+          AppendValue(src.ValAt(rows[k]));
+        }
+      }
       break;
   }
   Seal();

@@ -275,8 +275,10 @@ class ColumnVec {
   void Seal();
   /// Owned, dense copy of `src` at physical rows rows[0, n), staying in
   /// src's representation (no boxing unless src itself is boxed; encoded
-  /// sources decode). `src` must not be this column.
+  /// sources decode). A kNullRow entry gathers a NULL of src's type (join
+  /// padding). `src` must not be this column.
   void GatherFrom(const ColumnVec& src, const uint32_t* rows, uint32_t n);
+  static constexpr uint32_t kNullRow = UINT32_MAX;
 
   // ---- owned, scattered build (typed kernels) ----
 

@@ -1,13 +1,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "algebra/expr_util.h"
+#include "common/packed_key.h"
 #include "exec/evaluator.h"
 #include "exec/ops.h"
-#include "exec/packed_key.h"
 #include "exec/parallel.h"
 #include "exec/vector_kernels.h"
 #include "obs/metrics.h"
@@ -16,13 +15,12 @@ namespace orq {
 
 namespace {
 
-std::vector<ColumnId> CombinedLayout(const PhysicalOp& left,
-                                     const PhysicalOp& right,
+std::vector<ColumnId> CombinedLayout(const std::vector<ColumnId>& left,
+                                     const std::vector<ColumnId>& right,
                                      PhysJoinKind kind) {
-  std::vector<ColumnId> layout = left.layout();
+  std::vector<ColumnId> layout = left;
   if (kind == PhysJoinKind::kInner || kind == PhysJoinKind::kLeftOuter) {
-    layout.insert(layout.end(), right.layout().begin(),
-                  right.layout().end());
+    layout.insert(layout.end(), right.begin(), right.end());
   }
   return layout;
 }
@@ -50,7 +48,7 @@ class NLJoinOp : public PhysicalOp {
         cache_inner_(cache_inner && !rebind_inner),
         pad_types_(
             ResolvePadTypes(std::move(right_types), right->layout().size())) {
-    layout_ = CombinedLayout(*left, *right, kind);
+    layout_ = CombinedLayout(left->layout(), right->layout(), kind);
     std::vector<ColumnId> pred_layout = left->layout();
     pred_layout.insert(pred_layout.end(), right->layout().begin(),
                        right->layout().end());
@@ -226,49 +224,18 @@ class NLJoinOp : public PhysicalOp {
   uint32_t outer_pos_ = 0;
 };
 
-/// A bucket's slice of the slots permutation. `filled` is the build-time
-/// scatter cursor; unused after the build completes.
-struct BucketRange {
-  uint32_t begin = 0;
-  uint32_t size = 0;
-  uint32_t filled = 0;
-};
-
-/// A complete hash-join build product: rows in arrival order, the slots
-/// permutation grouping them by key, and the key -> bucket-range index.
-/// Serial builds own one; parallel builds probe the one merged inside
-/// SharedJoinState.
+/// A complete hash-join build product: rows in arrival order and the
+/// key -> bucket-range lookup over their arena indices. Serial builds own
+/// one; parallel builds probe the one merged inside SharedJoinState.
 struct BuildTable {
-  std::vector<Row> arena;        // build rows, arrival order
-  std::vector<uint32_t> slots;   // arena indices grouped by bucket
-  std::unordered_map<PackedKey, BucketRange, PackedKeyHash, PackedKeyEq>
-      table;
+  std::vector<Row> arena;  // build rows, arrival order
+  KeyBuckets buckets;      // slots are arena indices
 
   void Clear() {
     arena.clear();
-    slots.clear();
-    table.clear();
+    buckets.Clear();
   }
 };
-
-/// Assigns each bucket a contiguous slot range, then scatters arena
-/// indices into their bucket's range in arrival order. `row_bucket[i]` is
-/// the bucket of arena row i. Shared by the serial build and the parallel
-/// merge.
-void FinishScatter(BuildTable* t,
-                   const std::vector<BucketRange*>& row_bucket) {
-  uint32_t offset = 0;
-  for (auto& entry : t->table) {
-    entry.second.begin = offset;
-    offset += entry.second.size;
-  }
-  t->slots.resize(t->arena.size());
-  for (size_t i = 0; i < t->arena.size(); ++i) {
-    BucketRange* bucket = row_bucket[i];
-    t->slots[bucket->begin + bucket->filled++] =
-        static_cast<uint32_t>(i);
-  }
-}
 
 /// Build-side rendezvous of a parallel hash join. Every worker drains its
 /// morsel share of the build input into a private (key, row) partial, then
@@ -329,18 +296,13 @@ class SharedJoinState final : public SharedRegionState {
     row_bucket.reserve(total);
     for (auto& partial : partials_) {
       for (auto& [key, row] : partial) {
-        auto it = table_.table.find(key);
-        if (it == table_.table.end()) {
-          it = table_.table.emplace(std::move(key), BucketRange{}).first;
-        }
-        ++it->second.size;
-        row_bucket.push_back(&it->second);
+        row_bucket.push_back(table_.buckets.Add(std::move(key)));
         table_.arena.push_back(std::move(row));
       }
       partial.clear();
       partial.shrink_to_fit();
     }
-    FinishScatter(&table_, row_bucket);
+    table_.buckets.Scatter(row_bucket);
   }
 
   const int workers_;
@@ -353,52 +315,506 @@ class SharedJoinState final : public SharedRegionState {
   BuildTable table_;
 };
 
-class HashJoinOp : public PhysicalOp {
+std::string JoinKindName(PhysJoinKind kind) {
+  switch (kind) {
+    case PhysJoinKind::kInner: return "inner";
+    case PhysJoinKind::kLeftOuter: return "leftouter";
+    case PhysJoinKind::kLeftSemi: return "semi";
+    case PhysJoinKind::kLeftAnti: return "anti";
+  }
+  return "inner";
+}
+
+/// The probe shared by HashJoinOp and IndexJoinOp. Each left row's key is
+/// looked up in a KeyBuckets — a hash build, or a table's prebuilt index —
+/// and joined with its bucket's rows under an optional residual over the
+/// combined (left ++ right) layout. Subclasses supply the build side:
+/// OpenBuild points buckets_ at the lookup; RightValue reads a build-row
+/// value by slot (row path, per-row residual); GatherRight fills a typed
+/// right column by slots.
+///
+/// The columnar probe enumerates (probe row, slot) candidates into a
+/// window of up to one batch capacity of candidates, each probe row closed
+/// by a row-end entry, and then consumes the window in order under the
+/// join kind's semantics. A vectorizable residual is evaluated for the
+/// whole window at once, column-wise over gathered candidate columns;
+/// vectorizable expressions cannot fail, so evaluating candidates a semi
+/// or anti join then skips is harmless. Any other residual runs through
+/// the row Evaluator per candidate as the window is consumed, so errors
+/// surface on exactly the candidates the row engine evaluates. A bucket
+/// may straddle windows and output batches.
+class ProbeJoinOp : public PhysicalOp {
+ public:
+  Status OpenImpl(ExecContext* ctx) final {
+    ORQ_RETURN_IF_ERROR(OpenBuild(ctx));
+    ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
+    have_left_ = false;
+    cjpos_ = 0;
+    win_row_.clear();
+    win_slot_.clear();
+    win_pos_ = 0;
+    row_matched_ = false;
+    row_done_ = false;
+    if (cin_ != nullptr) cin_->Clear();
+    return Status::OK();
+  }
+
+  Result<bool> NextImpl(ExecContext* ctx, Row* row) final {
+    while (true) {
+      if (!have_left_) {
+        ORQ_ASSIGN_OR_RETURN(bool more, children_[0]->Next(ctx, &left_row_));
+        if (!more) return false;
+        have_left_ = true;
+        row_matched_ = false;
+        ORQ_RETURN_IF_ERROR(LookupBucket(left_row_, ctx));
+      }
+      while (bucket_pos_ < bucket_size_) {
+        const uint32_t slot = buckets_->slots[bucket_begin_ + bucket_pos_++];
+        Row combined = left_row_;
+        for (size_t k = 0; k < pad_types_.size(); ++k) {
+          combined.push_back(RightValue(slot, k));
+        }
+        if (has_residual_) {
+          ORQ_ASSIGN_OR_RETURN(bool keep,
+                               residual_.EvalPredicate(combined, ctx));
+          if (!keep) continue;
+        }
+        row_matched_ = true;
+        switch (kind_) {
+          case PhysJoinKind::kInner:
+          case PhysJoinKind::kLeftOuter:
+            *row = std::move(combined);
+            return true;
+          case PhysJoinKind::kLeftSemi:
+            *row = left_row_;
+            have_left_ = false;
+            return true;
+          case PhysJoinKind::kLeftAnti:
+            have_left_ = false;
+            break;
+        }
+        if (!have_left_) break;
+      }
+      if (!have_left_) continue;  // semi emitted via return; anti restarts
+      // Bucket exhausted.
+      have_left_ = false;
+      if (!row_matched_ && PassesUnmatched()) {
+        *row = left_row_;
+        if (kind_ == PhysJoinKind::kLeftOuter) {
+          for (DataType type : pad_types_) {
+            row->push_back(Value::Null(type));
+          }
+        }
+        return true;
+      }
+    }
+  }
+
+  /// Columnar probe: key hashes are computed column-wise for the whole
+  /// probe batch and lookups go through ColumnKeyRef (no probe-row
+  /// decode); output pairs (probe row, slot) are gathered into typed
+  /// output columns in one pass.
+  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) final {
+    const uint32_t cap = static_cast<uint32_t>(out->capacity());
+    if (cin_ == nullptr) {
+      cin_ = std::make_unique<ColumnBatch>(ctx->batch_size);
+    }
+    pair_left_.clear();
+    pair_right_.clear();
+    while (pair_left_.size() < cap) {
+      if (win_pos_ == win_slot_.size()) {
+        if (!have_left_ && cjpos_ >= cin_->selected()) {
+          // Refilling invalidates the probe views the gathered pairs
+          // reference; flush what we have first.
+          if (!pair_left_.empty()) break;
+          ORQ_RETURN_IF_ERROR(PullProbeBatch(ctx));
+          if (cin_->selected() == 0) break;  // probe input exhausted
+        }
+        ORQ_RETURN_IF_ERROR(FillWindow(cap, ctx));
+      }
+      ORQ_RETURN_IF_ERROR(ConsumeWindow(cap, ctx));
+    }
+    const uint32_t n = static_cast<uint32_t>(pair_left_.size());
+    if (n == 0) return Status::OK();  // EOS
+    out->ResizeCols(layout_.size());
+    for (size_t c = 0; c < left_width_; ++c) {
+      out->col(c).GatherFrom(cin_->col(c), pair_left_.data(), n);
+    }
+    if (kind_ == PhysJoinKind::kInner || kind_ == PhysJoinKind::kLeftOuter) {
+      for (size_t k = 0; k < pad_types_.size(); ++k) {
+        GatherRight(k, pair_right_.data(), n, &out->col(left_width_ + k));
+      }
+    }
+    out->set_num_rows(n);
+    return Status::OK();
+  }
+
+  void CloseImpl() final {
+    children_[0]->Close();
+    CloseBuild();
+    buckets_ = nullptr;
+  }
+
+ protected:
+  /// Slot of a pad / probe-only output pair: gathers as NULL.
+  static constexpr uint32_t kNoRight = ColumnVec::kNullRow;
+
+  ProbeJoinOp(PhysJoinKind kind, PhysicalOpPtr left,
+              const std::vector<ColumnId>& right_layout,
+              std::vector<ScalarExprPtr> probe_keys, ScalarExprPtr residual,
+              std::vector<DataType> right_types)
+      : kind_(kind),
+        pad_types_(ResolvePadTypes(std::move(right_types),
+                                   right_layout.size())),
+        left_width_(left->layout().size()) {
+    layout_ = CombinedLayout(left->layout(), right_layout, kind);
+    for (ScalarExprPtr& key : probe_keys) {
+      probe_keys_.push_back(std::make_unique<ColumnarEvaluator>());
+      probe_keys_.back()->Compile(key, left->layout());
+      left_keys_.emplace_back(std::move(key), left->layout());
+    }
+    probe_cols_.resize(probe_keys_.size());
+    if (residual != nullptr) {
+      std::vector<ColumnId> combined = left->layout();
+      combined.insert(combined.end(), right_layout.begin(),
+                      right_layout.end());
+      // The columnar probe materializes only the combined-row slots the
+      // residual reads; neither evaluator touches any other slot.
+      ColumnSet refs;
+      CollectColumnRefs(residual, &refs);
+      for (size_t s = 0; s < combined.size(); ++s) {
+        if (!refs.Contains(combined[s])) continue;
+        if (s < left_width_) {
+          residual_left_.push_back(static_cast<int>(s));
+        } else {
+          residual_right_.push_back(static_cast<int>(s - left_width_));
+        }
+      }
+      ccombined_.resize(combined.size());
+      residual_vec_.Compile(residual, combined);
+      residual_ = Evaluator(std::move(residual), combined);
+      has_residual_ = true;
+    }
+    children_.push_back(std::move(left));
+  }
+
+  /// Points buckets_ at the lookup this Open probes.
+  virtual Status OpenBuild(ExecContext* ctx) = 0;
+  virtual void CloseBuild() = 0;
+  /// Right-layout value `k` of build row `slot`.
+  virtual const Value& RightValue(uint32_t slot, size_t k) const = 0;
+  /// Fills `dst` with right-layout column `k` of build rows slots[0, n);
+  /// kNoRight entries are NULLs typed pad_types_[k].
+  virtual void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
+                           ColumnVec* dst) = 0;
+
+  const PhysJoinKind kind_;
+  const std::vector<DataType> pad_types_;  // right-layout declared types
+  const KeyBuckets* buckets_ = nullptr;    // set by OpenBuild
+
+ private:
+  /// Slot value of a window's row-end entry (never a build row).
+  static constexpr uint32_t kRowEnd = ColumnVec::kNullRow - 1;
+
+  /// Outer and anti joins emit the left rows no candidate matched.
+  bool PassesUnmatched() const {
+    return kind_ == PhysJoinKind::kLeftOuter ||
+           kind_ == PhysJoinKind::kLeftAnti;
+  }
+
+  /// Row path: evaluates the probe keys for `left` and positions the
+  /// bucket cursor; a NULL key or an absent key yields an empty bucket.
+  Status LookupBucket(const Row& left, ExecContext* ctx) {
+    bucket_begin_ = 0;
+    bucket_size_ = 0;
+    bucket_pos_ = 0;
+    probe_key_.resize(left_keys_.size());
+    for (size_t i = 0; i < left_keys_.size(); ++i) {
+      Result<Value> v = left_keys_[i].Eval(left, ctx);
+      if (!v.ok()) return v.status();
+      if (v->is_null()) return Status::OK();
+      probe_key_[i] = std::move(*v);
+    }
+    // Heterogeneous lookup: no key copy.
+    if (const BucketRange* bucket = buckets_->Find(probe_key_)) {
+      bucket_begin_ = bucket->begin;
+      bucket_size_ = bucket->size;
+    }
+    if (MetricsRegistry* m = metrics()) {
+      m->Add(MetricCounter::kHashJoinProbes, 1);
+      m->Observe(MetricHistogram::kHashJoinChainLength, bucket_size_);
+    }
+    return Status::OK();
+  }
+
+  /// Pulls the next probe batch into cin_ and hashes its key columns.
+  Status PullProbeBatch(ExecContext* ctx) {
+    ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, cin_.get()));
+    cjpos_ = 0;
+    resid_row_ = kNoRight;
+    if (cin_->selected() == 0) return Status::OK();
+    for (size_t k = 0; k < probe_keys_.size(); ++k) {
+      ORQ_ASSIGN_OR_RETURN(
+          probe_cols_[k],
+          probe_keys_[k]->EvalOrFallback(*cin_, left_keys_[k], ctx));
+    }
+    InitKeyHashes(*cin_, &chashes_);
+    for (const ColumnVec* col : probe_cols_) {
+      HashCombineColumn(*cin_, *col, &chashes_);
+    }
+    if (MetricsRegistry* m = metrics()) {
+      m->Add(MetricCounter::kHashJoinProbes,
+             static_cast<int64_t>(cin_->selected()));
+    }
+    return Status::OK();
+  }
+
+  /// Columnar analogue of LookupBucket: positions the bucket cursor for
+  /// the probe row at selection position `j` of cin_. Key NULL detection
+  /// and the hash come from the key columns; the heterogeneous find
+  /// compares hash-first and only runs the per-key comparison on a hash
+  /// hit.
+  void LookupBucketColumnar(uint32_t j) {
+    bucket_begin_ = 0;
+    bucket_size_ = 0;
+    bucket_pos_ = 0;
+    const uint32_t r = cin_->RowAt(j);
+    bool null_key = false;
+    for (const ColumnVec* col : probe_cols_) {
+      if (col->IsNull(r)) {
+        null_key = true;  // NULL keys never join
+        break;
+      }
+    }
+    if (!null_key) {
+      ColumnKeyRef ref{probe_cols_.data(), probe_cols_.size(), r,
+                       chashes_[j]};
+      if (const BucketRange* bucket = buckets_->Find(ref)) {
+        bucket_begin_ = bucket->begin;
+        bucket_size_ = bucket->size;
+      }
+    }
+    if (MetricsRegistry* m = metrics()) {
+      m->Observe(MetricHistogram::kHashJoinChainLength, bucket_size_);
+    }
+  }
+
+  /// Refills the window from the enumeration cursor: up to `cap`
+  /// candidates in probe order, each probe row's bucket followed by its
+  /// row-end entry. A full window may stop mid-bucket; the next fill
+  /// resumes there. Evaluates a vectorizable residual for the window.
+  Status FillWindow(uint32_t cap, ExecContext* ctx) {
+    win_row_.clear();
+    win_slot_.clear();
+    win_pos_ = 0;
+    uint32_t candidates = 0;
+    while (true) {
+      if (!have_left_) {
+        if (cjpos_ >= cin_->selected()) break;
+        cleft_ = cin_->RowAt(cjpos_);
+        LookupBucketColumnar(cjpos_);
+        ++cjpos_;
+        have_left_ = true;
+      }
+      for (; bucket_pos_ < bucket_size_ && candidates < cap; ++candidates) {
+        win_row_.push_back(cleft_);
+        win_slot_.push_back(buckets_->slots[bucket_begin_ + bucket_pos_++]);
+      }
+      if (bucket_pos_ < bucket_size_) break;  // bucket straddles windows
+      win_row_.push_back(cleft_);
+      win_slot_.push_back(kRowEnd);
+      have_left_ = false;
+      if (candidates >= cap) break;
+    }
+    if (candidates == 0 || !has_residual_ || !residual_vec_.vectorizable()) {
+      return Status::OK();
+    }
+    return EvalWindowResidual(candidates, ctx);
+  }
+
+  /// Vectorized residual over the window's candidates: the residual's
+  /// probe-side columns gathered from cin_, its build-side columns
+  /// gathered by slot, one column-wise evaluation, one keep bit per
+  /// candidate.
+  Status EvalWindowResidual(uint32_t candidates, ExecContext* ctx) {
+    cand_left_.clear();
+    cand_slot_.clear();
+    for (size_t i = 0; i < win_slot_.size(); ++i) {
+      if (win_slot_[i] == kRowEnd) continue;
+      cand_left_.push_back(win_row_[i]);
+      cand_slot_.push_back(win_slot_[i]);
+    }
+    if (cand_ == nullptr) cand_ = std::make_unique<ColumnBatch>();
+    cand_->Clear();
+    cand_->ResizeCols(ccombined_.size());
+    for (int s : residual_left_) {
+      cand_->col(s).GatherFrom(cin_->col(s), cand_left_.data(), candidates);
+    }
+    for (int k : residual_right_) {
+      GatherRight(k, cand_slot_.data(), candidates,
+                  &cand_->col(left_width_ + k));
+    }
+    cand_->set_num_rows(candidates);
+    ORQ_ASSIGN_OR_RETURN(const ColumnVec* keep,
+                         residual_vec_.Eval(*cand_, ctx));
+    win_keep_.resize(win_slot_.size());
+    uint32_t c = 0;
+    for (size_t i = 0; i < win_slot_.size(); ++i) {
+      if (win_slot_[i] == kRowEnd) continue;
+      win_keep_[i] = PredTruthElem(*keep, c++) == 1;
+    }
+    return Status::OK();
+  }
+
+  /// Consumes window entries in order under the join kind's semantics,
+  /// adding output pairs until the window is done or the output holds
+  /// `cap` pairs. An entry is consumed only once its output fits, so a
+  /// full output resumes at the same entry on the next pull.
+  Status ConsumeWindow(uint32_t cap, ExecContext* ctx) {
+    const bool vectorized = has_residual_ && residual_vec_.vectorizable();
+    for (; win_pos_ < win_slot_.size(); ++win_pos_) {
+      const uint32_t row = win_row_[win_pos_];
+      const uint32_t slot = win_slot_[win_pos_];
+      if (slot == kRowEnd) {
+        if (!row_matched_ && PassesUnmatched()) {
+          if (pair_left_.size() >= cap) return Status::OK();
+          AddPair(row, kNoRight);
+        }
+        row_matched_ = false;
+        row_done_ = false;
+        continue;
+      }
+      if (row_done_) continue;  // semi/anti already decided this row
+      if (kind_ != PhysJoinKind::kLeftAnti && pair_left_.size() >= cap) {
+        return Status::OK();
+      }
+      bool keep = true;
+      if (vectorized) {
+        keep = win_keep_[win_pos_] != 0;
+      } else if (has_residual_) {
+        ORQ_ASSIGN_OR_RETURN(keep, EvalResidualRow(row, slot, ctx));
+      }
+      if (!keep) continue;
+      row_matched_ = true;
+      switch (kind_) {
+        case PhysJoinKind::kInner:
+        case PhysJoinKind::kLeftOuter:
+          AddPair(row, slot);
+          break;
+        case PhysJoinKind::kLeftSemi:
+          AddPair(row, kNoRight);
+          row_done_ = true;
+          break;
+        case PhysJoinKind::kLeftAnti:
+          row_done_ = true;
+          break;
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Per-candidate residual through the row Evaluator, over a reused
+  /// combined-row scratch in which only the slots the residual reads are
+  /// filled: the probe side's once per probe row, the build side's per
+  /// candidate.
+  Result<bool> EvalResidualRow(uint32_t row, uint32_t slot,
+                               ExecContext* ctx) {
+    if (row != resid_row_) {
+      for (int s : residual_left_) {
+        ccombined_[s] = cin_->col(s).GetValue(row);
+      }
+      resid_row_ = row;
+    }
+    for (int k : residual_right_) {
+      ccombined_[left_width_ + k] = RightValue(slot, k);
+    }
+    return residual_.EvalPredicate(ccombined_, ctx);
+  }
+
+  void AddPair(uint32_t left, uint32_t right) {
+    pair_left_.push_back(left);
+    pair_right_.push_back(right);
+  }
+
+  const size_t left_width_;
+  std::vector<Evaluator> left_keys_;
+  Evaluator residual_;
+  ColumnarEvaluator residual_vec_;  // vectorizable() picks the window path
+  bool has_residual_ = false;
+  /// Combined-row slots the residual reads: probe-side slots, and
+  /// build-side slots relative to the right layout.
+  std::vector<int> residual_left_, residual_right_;
+
+  /// Probe cursor. Row path: the current left row and its bucket. Columnar
+  /// path: the enumeration cursor FillWindow advances. The two never
+  /// interleave within one Open.
+  Row left_row_;
+  Row probe_key_;  // scratch for heterogeneous lookups
+  bool have_left_ = false;
+  uint32_t bucket_begin_ = 0;
+  uint32_t bucket_size_ = 0;
+  uint32_t bucket_pos_ = 0;
+  /// Whether a candidate of the row being consumed passed, and (semi/anti)
+  /// whether that row's outcome is already decided.
+  bool row_matched_ = false;
+  bool row_done_ = false;
+
+  /// Columnar probe input.
+  std::vector<std::unique_ptr<ColumnarEvaluator>> probe_keys_;
+  std::vector<const ColumnVec*> probe_cols_;  // key columns of cin_
+  std::unique_ptr<ColumnBatch> cin_;          // current probe input batch
+  std::vector<size_t> chashes_;  // per-selection-position key hashes
+  uint32_t cjpos_ = 0;           // next selection position to look up
+  uint32_t cleft_ = 0;           // physical probe row being enumerated
+  /// The window: probe row (physical, in cin_) and slot or kRowEnd per
+  /// entry, the vectorized residual's verdict per candidate entry, and the
+  /// consumption cursor.
+  std::vector<uint32_t> win_row_, win_slot_;
+  std::vector<uint8_t> win_keep_;
+  size_t win_pos_ = 0;
+  /// Vectorized-residual scratch: the window's candidates and their
+  /// gathered columns (combined-layout wide; only residual slots filled).
+  std::vector<uint32_t> cand_left_, cand_slot_;
+  std::unique_ptr<ColumnBatch> cand_;
+  /// Per-row residual scratch and the probe row whose slots it holds.
+  Row ccombined_;
+  uint32_t resid_row_ = kNoRight;
+  /// Output pairs gathered this call: physical probe row in cin_, and
+  /// build slot or kNoRight.
+  std::vector<uint32_t> pair_left_, pair_right_;
+};
+
+std::vector<ScalarExprPtr> ProbeSides(
+    const std::vector<std::pair<ScalarExprPtr, ScalarExprPtr>>& keys) {
+  std::vector<ScalarExprPtr> left;
+  for (const auto& key : keys) left.push_back(key.first);
+  return left;
+}
+
+/// Equi-join on a hash table built from the right input's rows.
+class HashJoinOp final : public ProbeJoinOp {
  public:
   HashJoinOp(PhysJoinKind kind, PhysicalOpPtr left, PhysicalOpPtr right,
              std::vector<std::pair<ScalarExprPtr, ScalarExprPtr>> keys,
              ScalarExprPtr residual, std::vector<DataType> right_types,
              bool cache_build, SharedRegionStatePtr shared, int worker)
-      : kind_(kind),
+      : ProbeJoinOp(kind, std::move(left), right->layout(), ProbeSides(keys),
+                    std::move(residual), std::move(right_types)),
         cache_build_(cache_build && shared == nullptr),
         worker_(worker),
-        shared_(std::static_pointer_cast<SharedJoinState>(shared)),
-        pad_types_(
-            ResolvePadTypes(std::move(right_types), right->layout().size())) {
-    layout_ = CombinedLayout(*left, *right, kind);
-    for (auto& [l, r] : keys) {
-      probe_keys_.push_back(std::make_unique<ColumnarEvaluator>());
-      probe_keys_.back()->Compile(l, left->layout());
-      left_keys_.emplace_back(std::move(l), left->layout());
-      right_keys_.emplace_back(std::move(r), right->layout());
+        shared_(std::static_pointer_cast<SharedJoinState>(shared)) {
+    for (auto& key : keys) {
+      right_keys_.emplace_back(std::move(key.second), right->layout());
     }
-    probe_cols_.resize(probe_keys_.size());
-    if (residual != nullptr) {
-      std::vector<ColumnId> combined = left->layout();
-      combined.insert(combined.end(), right->layout().begin(),
-                      right->layout().end());
-      // The columnar probe materializes only the combined-row slots the
-      // residual reads; the evaluator touches no other slot.
-      ColumnSet refs;
-      CollectColumnRefs(residual, &refs);
-      const size_t left_width = left->layout().size();
-      for (size_t s = 0; s < combined.size(); ++s) {
-        if (!refs.Contains(combined[s])) continue;
-        if (s < left_width) {
-          residual_left_.push_back(static_cast<int>(s));
-        } else {
-          residual_right_.push_back(static_cast<int>(s - left_width));
-        }
-      }
-      ccombined_.resize(combined.size());
-      residual_ = Evaluator(std::move(residual), combined);
-      has_residual_ = true;
-    }
-    children_.push_back(std::move(left));
     children_.push_back(std::move(right));
   }
 
-  Status OpenImpl(ExecContext* ctx) override {
+  std::string name() const override {
+    return "HashJoin(" + JoinKindName(kind_) + ")";
+  }
+
+ private:
+  Status OpenBuild(ExecContext* ctx) override {
     if (shared_ != nullptr) {
       // Parallel build: drain this worker's share of the build input into
       // (key, row) pairs and meet the gang at the merge barrier. The drain
@@ -423,188 +839,35 @@ class HashJoinOp : public PhysicalOp {
       active_ = &local_;
       RecordBuildStats();
     }
-    ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
-    have_left_ = false;
-    cjpos_ = 0;
-    if (cin_ != nullptr) cin_->Clear();
+    buckets_ = &active_->buckets;
     return Status::OK();
   }
 
-  Result<bool> NextImpl(ExecContext* ctx, Row* row) override {
-    while (true) {
-      if (!have_left_) {
-        ORQ_ASSIGN_OR_RETURN(bool more, children_[0]->Next(ctx, &left_row_));
-        if (!more) return false;
-        have_left_ = true;
-        matched_ = false;
-        ORQ_RETURN_IF_ERROR(LookupBucket(left_row_, ctx));
-      }
-      while (bucket_pos_ < bucket_size_) {
-        const Row& inner =
-            active_->arena[active_->slots[bucket_begin_ + bucket_pos_++]];
-        Row combined = left_row_;
-        combined.insert(combined.end(), inner.begin(), inner.end());
-        if (has_residual_) {
-          ORQ_ASSIGN_OR_RETURN(bool keep,
-                               residual_.EvalPredicate(combined, ctx));
-          if (!keep) continue;
-        }
-        matched_ = true;
-        switch (kind_) {
-          case PhysJoinKind::kInner:
-          case PhysJoinKind::kLeftOuter:
-            *row = std::move(combined);
-            return true;
-          case PhysJoinKind::kLeftSemi:
-            *row = left_row_;
-            have_left_ = false;
-            return true;
-          case PhysJoinKind::kLeftAnti:
-            have_left_ = false;
-            break;
-        }
-        if (!have_left_) break;
-      }
-      if (!have_left_) continue;  // semi emitted via return; anti restarts
-      // Bucket exhausted.
-      bool emit_unmatched = !matched_ && (kind_ == PhysJoinKind::kLeftOuter ||
-                                          kind_ == PhysJoinKind::kLeftAnti);
-      have_left_ = false;
-      if (emit_unmatched) {
-        *row = left_row_;
-        if (kind_ == PhysJoinKind::kLeftOuter) {
-          for (DataType type : pad_types_) {
-            row->push_back(Value::Null(type));
-          }
-        }
-        return true;
-      }
-    }
-  }
-
-  /// Columnar probe: key hashes are computed column-wise for the whole
-  /// probe batch, lookups go through ColumnKeyRef (no probe-row decode),
-  /// and matches accumulate as (probe row, arena slot) pairs that are
-  /// gathered into output columns in one pass. The build side is unchanged
-  /// — its arena stays row-major and right output columns are appended
-  /// from arena rows.
-  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) override {
-    const size_t left_width = children_[0]->layout().size();
-    const bool emit_right = kind_ == PhysJoinKind::kInner ||
-                            kind_ == PhysJoinKind::kLeftOuter;
-    const uint32_t cap = static_cast<uint32_t>(out->capacity());
-    if (cin_ == nullptr) {
-      cin_ = std::make_unique<ColumnBatch>(ctx->batch_size);
-    }
-    pair_left_.clear();
-    pair_right_.clear();
-    while (true) {
-      if (!have_left_) {
-        if (cjpos_ >= cin_->selected()) {
-          // Refilling invalidates the probe views the gathered pairs
-          // reference; flush what we have first.
-          if (!pair_left_.empty()) break;
-          ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, cin_.get()));
-          if (cin_->selected() == 0) break;  // probe input exhausted
-          cjpos_ = 0;
-          ORQ_RETURN_IF_ERROR(EvalProbeKeys(ctx));
-          InitKeyHashes(*cin_, &chashes_);
-          for (const ColumnVec* col : probe_cols_) {
-            HashCombineColumn(*cin_, *col, &chashes_);
-          }
-          if (MetricsRegistry* m = metrics()) {
-            m->Add(MetricCounter::kHashJoinProbes,
-                   static_cast<int64_t>(cin_->selected()));
-          }
-        }
-        cleft_ = cin_->RowAt(cjpos_);
-        have_left_ = true;
-        matched_ = false;
-        cleft_decoded_ = false;
-        LookupBucketColumnar(cjpos_);
-        ++cjpos_;
-      }
-      while (have_left_ && bucket_pos_ < bucket_size_ &&
-             pair_left_.size() < cap) {
-        const uint32_t slot = active_->slots[bucket_begin_ + bucket_pos_++];
-        if (has_residual_) {
-          bool keep = false;
-          {
-            ORQ_ASSIGN_OR_RETURN(keep, EvalResidualColumnar(slot, ctx));
-          }
-          if (!keep) continue;
-        }
-        matched_ = true;
-        switch (kind_) {
-          case PhysJoinKind::kInner:
-          case PhysJoinKind::kLeftOuter:
-            AddPair(cleft_, slot);
-            break;
-          case PhysJoinKind::kLeftSemi:
-            AddPair(cleft_, kNoRight);
-            have_left_ = false;
-            break;
-          case PhysJoinKind::kLeftAnti:
-            have_left_ = false;
-            break;
-        }
-      }
-      if (have_left_ && bucket_pos_ >= bucket_size_) {
-        if (!matched_ && (kind_ == PhysJoinKind::kLeftOuter ||
-                          kind_ == PhysJoinKind::kLeftAnti)) {
-          // No room for the pad/pass-through row: leave this probe row
-          // current (bucket exhausted, unmatched) and resume here next call.
-          if (pair_left_.size() >= cap) break;
-          AddPair(cleft_, kNoRight);
-        }
-        have_left_ = false;
-      }
-      if (pair_left_.size() >= cap) break;
-    }
-    const uint32_t n = static_cast<uint32_t>(pair_left_.size());
-    if (n == 0) return Status::OK();  // EOS
-    out->ResizeCols(layout_.size());
-    for (size_t c = 0; c < left_width; ++c) {
-      out->col(c).GatherFrom(cin_->col(c), pair_left_.data(), n);
-    }
-    if (emit_right) {
-      for (size_t k = 0; k < pad_types_.size(); ++k) {
-        ColumnVec& dst = out->col(left_width + k);
-        dst.StartBuild(pad_types_[k], n);
-        for (uint32_t right : pair_right_) {
-          if (right == kNoRight) {
-            dst.AppendNull();
-          } else {
-            dst.AppendValue(active_->arena[right][k]);
-          }
-        }
-        dst.Seal();
-      }
-    }
-    out->set_num_rows(n);
-    return Status::OK();
-  }
-
-  void CloseImpl() override {
-    children_[0]->Close();
+  void CloseBuild() override {
     // The shared table is released by the exchange's Close (other workers
     // may still be probing it here); a caching build survives for replay.
     if (shared_ == nullptr && !cache_build_) local_.Clear();
     active_ = nullptr;
   }
 
-  std::string name() const override {
-    std::string kind;
-    switch (kind_) {
-      case PhysJoinKind::kInner: kind = "inner"; break;
-      case PhysJoinKind::kLeftOuter: kind = "leftouter"; break;
-      case PhysJoinKind::kLeftSemi: kind = "semi"; break;
-      case PhysJoinKind::kLeftAnti: kind = "anti"; break;
-    }
-    return "HashJoin(" + kind + ")";
+  const Value& RightValue(uint32_t slot, size_t k) const override {
+    return active_->arena[slot][k];
   }
 
- private:
+  /// The arena is row-major: the column is appended value by value.
+  void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
+                   ColumnVec* dst) override {
+    dst->StartBuild(pad_types_[k], n);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (slots[i] == kNoRight) {
+        dst->AppendNull();
+      } else {
+        dst->AppendValue(active_->arena[slots[i]][k]);
+      }
+    }
+    dst->Seal();
+  }
+
   /// Evaluates the build keys of `row` into `key`; false when a key is
   /// NULL (NULL keys never join).
   Result<bool> BuildKey(const Row& row, ExecContext* ctx, Row* key) const {
@@ -629,21 +892,13 @@ class HashJoinOp : public PhysicalOp {
         DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
           ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
           if (!joinable) return Status::OK();
-          auto it = local_.table.find(key);
-          if (it == local_.table.end()) {
-            it = local_.table
-                     .emplace(PackedKey(std::move(key)), BucketRange{})
-                     .first;
-            key = Row(right_keys_.size());
-          }
-          ++it->second.size;
-          row_bucket.push_back(&it->second);
+          row_bucket.push_back(local_.buckets.Add(&key));
           local_.arena.push_back(std::move(row));
           return Status::OK();
         });
     children_[1]->Close();
     ORQ_RETURN_IF_ERROR(drain);
-    FinishScatter(&local_, row_bucket);
+    local_.buckets.Scatter(row_bucket);
     return Status::OK();
   }
 
@@ -675,7 +930,8 @@ class HashJoinOp : public PhysicalOp {
   /// builder, or by the single worker that performed the parallel merge
   /// (into its shard; the exchange merges shards afterwards).
   void RecordBuildStats() {
-    RecordPeak(static_cast<int64_t>(active_->table.size()));
+    const auto& map = active_->buckets.map;
+    RecordPeak(static_cast<int64_t>(map.size()));
     MetricsRegistry* m = metrics();
     if (m == nullptr) return;
     if (shared_ == nullptr) {
@@ -684,18 +940,17 @@ class HashJoinOp : public PhysicalOp {
       m->Add(MetricCounter::kHashJoinBuildRows,
              static_cast<int64_t>(active_->arena.size()));
     }
-    m->Add(MetricCounter::kHashJoinBuckets,
-           static_cast<int64_t>(active_->table.size()));
+    m->Add(MetricCounter::kHashJoinBuckets, static_cast<int64_t>(map.size()));
     // Approximate resident footprint of the build side: row headers and
     // value storage in the arena, the slots permutation, and the packed
     // keys + bucket ranges in the table. String payloads are not walked.
-    int64_t bytes =
-        static_cast<int64_t>(active_->slots.size() * sizeof(uint32_t));
+    int64_t bytes = static_cast<int64_t>(active_->buckets.slots.size() *
+                                         sizeof(uint32_t));
     for (const Row& row : active_->arena) {
       bytes += static_cast<int64_t>(sizeof(Row) +
                                     row.capacity() * sizeof(Value));
     }
-    for (const auto& entry : active_->table) {
+    for (const auto& entry : map) {
       bytes += static_cast<int64_t>(
           sizeof(PackedKey) + sizeof(BucketRange) +
           entry.first.values.capacity() * sizeof(Value));
@@ -704,133 +959,67 @@ class HashJoinOp : public PhysicalOp {
     m->Add(MetricCounter::kHashJoinArenaBytes, bytes);
   }
 
-  /// Points probe_cols_ at the current probe batch's key columns (a plain
-  /// column ref is cin_'s own column, read in place).
-  Status EvalProbeKeys(ExecContext* ctx) {
-    for (size_t k = 0; k < probe_keys_.size(); ++k) {
-      ORQ_ASSIGN_OR_RETURN(
-          probe_cols_[k],
-          probe_keys_[k]->EvalOrFallback(*cin_, left_keys_[k], ctx));
-    }
-    return Status::OK();
-  }
-
-  /// Columnar analogue of LookupBucket: positions the bucket cursor for
-  /// the probe row at selection position `j` of cin_. Key NULL detection
-  /// and the hash come from the key columns; the heterogeneous find
-  /// compares hash-first and only runs the per-key comparison on a hash
-  /// hit.
-  void LookupBucketColumnar(uint32_t j) {
-    bucket_begin_ = 0;
-    bucket_size_ = 0;
-    bucket_pos_ = 0;
-    const uint32_t r = cin_->RowAt(j);
-    bool null_key = false;
-    for (const ColumnVec* col : probe_cols_) {
-      if (col->IsNull(r)) {
-        null_key = true;  // NULL keys never join
-        break;
-      }
-    }
-    if (!null_key) {
-      ColumnKeyRef ref{probe_cols_.data(), probe_cols_.size(), r,
-                       chashes_[j]};
-      auto it = active_->table.find(ref);
-      if (it != active_->table.end()) {
-        bucket_begin_ = it->second.begin;
-        bucket_size_ = it->second.size;
-      }
-    }
-    if (MetricsRegistry* m = metrics()) {
-      m->Observe(MetricHistogram::kHashJoinChainLength, bucket_size_);
-    }
-  }
-
-  /// Residual predicate for a (current probe row, arena slot) candidate,
-  /// through the same row Evaluator the row path uses, over a reused
-  /// combined-row scratch in which only the slots the residual reads are
-  /// filled: the probe side's once per probe row, the build side's per
-  /// candidate.
-  Result<bool> EvalResidualColumnar(uint32_t arena_slot, ExecContext* ctx) {
-    if (!cleft_decoded_) {
-      for (int s : residual_left_) {
-        ccombined_[s] = cin_->col(s).GetValue(cleft_);
-      }
-      cleft_decoded_ = true;
-    }
-    const Row& inner = active_->arena[arena_slot];
-    const size_t left_width = children_[0]->layout().size();
-    for (int k : residual_right_) ccombined_[left_width + k] = inner[k];
-    return residual_.EvalPredicate(ccombined_, ctx);
-  }
-
-  void AddPair(uint32_t left, uint32_t right) {
-    pair_left_.push_back(left);
-    pair_right_.push_back(right);
-  }
-
-  /// Evaluates the probe keys for `left` and positions the bucket cursor;
-  /// a NULL key or an absent key yields an empty bucket.
-  Status LookupBucket(const Row& left, ExecContext* ctx) {
-    bucket_begin_ = 0;
-    bucket_size_ = 0;
-    bucket_pos_ = 0;
-    probe_key_.resize(left_keys_.size());
-    for (size_t i = 0; i < left_keys_.size(); ++i) {
-      Result<Value> v = left_keys_[i].Eval(left, ctx);
-      if (!v.ok()) return v.status();
-      if (v->is_null()) return Status::OK();
-      probe_key_[i] = std::move(*v);
-    }
-    auto it = active_->table.find(probe_key_);  // heterogeneous: no key copy
-    if (it != active_->table.end()) {
-      bucket_begin_ = it->second.begin;
-      bucket_size_ = it->second.size;
-    }
-    if (MetricsRegistry* m = metrics()) {
-      m->Add(MetricCounter::kHashJoinProbes, 1);
-      m->Observe(MetricHistogram::kHashJoinChainLength, bucket_size_);
-    }
-    return Status::OK();
-  }
-
-  PhysJoinKind kind_;
-  bool cache_build_;
-  int worker_;
+  const bool cache_build_;
+  const int worker_;
   std::shared_ptr<SharedJoinState> shared_;
-  std::vector<DataType> pad_types_;
-  std::vector<Evaluator> left_keys_, right_keys_;
-  Evaluator residual_;
-  bool has_residual_ = false;
-  BuildTable local_;                      // serial/cached build product
-  const BuildTable* active_ = nullptr;    // table being probed (local or shared)
-  bool built_ = false;                    // local_ valid across Open cycles
-  Row left_row_;               // row path: current probe row
-  Row probe_key_;              // scratch for heterogeneous lookups
-  bool have_left_ = false;
-  bool matched_ = false;
-  uint32_t bucket_begin_ = 0;
-  uint32_t bucket_size_ = 0;
-  uint32_t bucket_pos_ = 0;
+  std::vector<Evaluator> right_keys_;
+  BuildTable local_;                    // serial/cached build product
+  const BuildTable* active_ = nullptr;  // table being probed (local or shared)
+  bool built_ = false;                  // local_ valid across Open cycles
+};
 
-  /// Columnar-probe state (NextColumnsImpl); shares matched_ and the
-  /// bucket cursor with the row path, which never interleaves with it.
-  static constexpr uint32_t kNoRight = UINT32_MAX;  // pad / probe-only pair
-  /// Columnar probe keys, index-aligned with left_keys_.
-  std::vector<std::unique_ptr<ColumnarEvaluator>> probe_keys_;
-  std::vector<const ColumnVec*> probe_cols_;  // key columns of cin_
-  std::unique_ptr<ColumnBatch> cin_;    // current probe input batch
-  std::vector<size_t> chashes_;         // per-selection-position key hashes
-  uint32_t cjpos_ = 0;                  // selection cursor into cin_
-  uint32_t cleft_ = 0;                  // current probe row (physical)
-  bool cleft_decoded_ = false;  // ccombined_ holds cleft_'s residual slots
-  /// Output pairs gathered this call: physical probe row in cin_, and
-  /// build arena slot or kNoRight.
-  std::vector<uint32_t> pair_left_, pair_right_;
-  /// Combined-row slots the residual reads: probe-side slots, and
-  /// build-side slots relative to the right layout.
-  std::vector<int> residual_left_, residual_right_;
-  Row ccombined_;  // residual-eval scratch, combined-layout wide
+/// Index-lookup join: the probe runs against a base table's prebuilt index
+/// (slots are table row positions), so Open builds nothing. Right columns
+/// are gathered by slot from whole-column views of the table's plain
+/// column chunks; the row path reads the table's rows by ordinal.
+class IndexJoinOp final : public ProbeJoinOp {
+ public:
+  IndexJoinOp(PhysJoinKind kind, PhysicalOpPtr left, const Table* table,
+              const TableIndex* index, std::vector<ScalarExprPtr> probe_keys,
+              std::vector<int> ordinals, std::vector<ColumnId> layout,
+              ScalarExprPtr residual, std::vector<DataType> right_types)
+      : ProbeJoinOp(kind, std::move(left), layout, std::move(probe_keys),
+                    std::move(residual), std::move(right_types)),
+        table_(table),
+        index_(index),
+        ordinals_(std::move(ordinals)) {}
+
+  std::string name() const override {
+    return "IndexJoin(" + JoinKindName(kind_) + ")(" + table_->name() + ")";
+  }
+
+ private:
+  Status OpenBuild(ExecContext*) override {
+    buckets_ = &index_->buckets();
+    views_.clear();  // re-viewed on the first columnar gather
+    return Status::OK();
+  }
+
+  void CloseBuild() override {}
+
+  const Value& RightValue(uint32_t slot, size_t k) const override {
+    return table_->rows()[slot][ordinals_[k]];
+  }
+
+  void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
+                   ColumnVec* dst) override {
+    if (views_.empty()) {
+      const std::vector<Table::ColumnChunk>& chunks =
+          table_->ColumnarChunks(TableEncoding::kPlain);
+      const uint32_t rows = static_cast<uint32_t>(table_->num_rows());
+      views_.resize(ordinals_.size());
+      for (size_t i = 0; i < ordinals_.size(); ++i) {
+        ViewChunkRows(chunks[ordinals_[i]], 0, rows, &views_[i]);
+      }
+    }
+    dst->GatherFrom(views_[k], slots, n);
+  }
+
+  const Table* table_;
+  const TableIndex* index_;
+  std::vector<int> ordinals_;  // table ordinal of each right-layout column
+  /// Whole-table views of the right columns' plain chunks.
+  std::vector<ColumnVec> views_;
 };
 
 }  // namespace
@@ -854,6 +1043,19 @@ PhysicalOpPtr MakeHashJoinOp(
                                       std::move(keys), std::move(residual),
                                       std::move(right_types), cache_build,
                                       std::move(shared), worker);
+}
+
+PhysicalOpPtr MakeIndexJoinOp(PhysJoinKind kind, PhysicalOpPtr left,
+                              const Table* table, const TableIndex* index,
+                              std::vector<ScalarExprPtr> probe_keys,
+                              std::vector<int> ordinals,
+                              std::vector<ColumnId> layout,
+                              ScalarExprPtr residual,
+                              std::vector<DataType> right_types) {
+  return std::make_unique<IndexJoinOp>(
+      kind, std::move(left), table, index, std::move(probe_keys),
+      std::move(ordinals), std::move(layout), std::move(residual),
+      std::move(right_types));
 }
 
 SharedRegionStatePtr MakeSharedJoinState(int workers) {

@@ -14,6 +14,13 @@ namespace orq {
 /// Physical join variants (cross joins are inner joins with TRUE).
 enum class PhysJoinKind { kInner, kLeftOuter, kLeftSemi, kLeftAnti };
 
+/// Points `col` at rows [pos, pos + n) of a table column chunk, zero copy,
+/// keeping the chunk's physical form (dict codes, RLE runs, or the boxed
+/// fallback of a mixed column). Shared by the table scans and the index
+/// join's right-side gather.
+void ViewChunkRows(const Table::ColumnChunk& chunk, size_t pos, uint32_t n,
+                   ColumnVec* col);
+
 /// Full scan emitting `ordinals` of each row as columns `layout`.
 PhysicalOpPtr MakeTableScan(const Table* table, std::vector<int> ordinals,
                             std::vector<ColumnId> layout);
@@ -63,6 +70,23 @@ PhysicalOpPtr MakeHashJoinOp(
     ScalarExprPtr residual, std::vector<DataType> right_types = {},
     bool cache_build = false, SharedRegionStatePtr shared = nullptr,
     int worker = 0);
+
+/// Index-lookup join: the Apply-over-IndexSeek plan (paper section 4's
+/// correlated execution with index lookup) run as a hash-join probe whose
+/// build side is `index`, prebuilt over `table`. Each left row's
+/// `probe_keys` (expressions over the left layout, in index-ordinal
+/// order) find its bucket of table rows; `residual` (optional, over the
+/// left layout followed by `layout`) filters the candidates. kInner and
+/// kLeftOuter emit the left row followed by the table row's `ordinals` as
+/// columns `layout`, NULL-padded by `right_types` for unmatched outer
+/// rows; kLeftSemi/kLeftAnti emit left rows only.
+PhysicalOpPtr MakeIndexJoinOp(PhysJoinKind kind, PhysicalOpPtr left,
+                              const Table* table, const TableIndex* index,
+                              std::vector<ScalarExprPtr> probe_keys,
+                              std::vector<int> ordinals,
+                              std::vector<ColumnId> layout,
+                              ScalarExprPtr residual,
+                              std::vector<DataType> right_types = {});
 
 /// Hash aggregation; with `scalar` set, emits exactly one row (agg over the
 /// empty input yields count=0 / others NULL, per section 1.1). Implements

@@ -1,4 +1,4 @@
-#include "exec/packed_key.h"
+#include "common/packed_key.h"
 
 #include "exec/column_batch.h"
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <span>
 
 #include "exec/evaluator.h"
 #include "exec/ops.h"
@@ -7,6 +8,44 @@
 #include "obs/metrics.h"
 
 namespace orq {
+
+void ViewChunkRows(const Table::ColumnChunk& chunk, size_t pos, uint32_t n,
+                   ColumnVec* col) {
+  if (chunk.mixed) {
+    col->SetValuesView(chunk.type, chunk.vals.data() + pos, n);
+    return;
+  }
+  if (chunk.encoding == ChunkEncoding::kDict) {
+    col->SetDictView(chunk.type, chunk.codes.data() + pos, chunk.ints.data(),
+                     chunk.chars.data(), chunk.offsets.data(),
+                     chunk.dict_hashes.data(),
+                     static_cast<uint32_t>(chunk.dict_size()),
+                     chunk.any_null ? chunk.nulls.data() + pos : nullptr, n);
+    return;
+  }
+  if (chunk.encoding == ChunkEncoding::kRle) {
+    col->SetRleView(chunk.type, chunk.ints.data(), chunk.doubles.data(),
+                    chunk.chars.data(), chunk.offsets.data(),
+                    chunk.run_ends.data(),
+                    chunk.any_null ? chunk.nulls.data() : nullptr,
+                    static_cast<uint32_t>(chunk.num_runs()),
+                    static_cast<uint32_t>(pos), n);
+    return;
+  }
+  const uint8_t* nulls = chunk.any_null ? chunk.nulls.data() + pos : nullptr;
+  switch (chunk.type) {
+    case DataType::kDouble:
+      col->SetDoubleView(chunk.doubles.data() + pos, nulls, n);
+      break;
+    case DataType::kString:
+      col->SetStringView(chunk.chars.data(), chunk.offsets.data() + pos, nulls,
+                         n);
+      break;
+    default:
+      col->SetIntView(chunk.type, chunk.ints.data() + pos, nulls, n);
+      break;
+  }
+}
 
 namespace {
 
@@ -46,47 +85,9 @@ class TableScanBase : public PhysicalOp {
     const std::vector<Table::ColumnChunk>& chunks =
         table_->ColumnarChunks(ctx->table_encoding);
     if (!recorded_enc_) RecordEncodingShape(chunks);
-    const size_t pos = pos_;
     batch->ResizeCols(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
-      const Table::ColumnChunk& chunk = chunks[ordinals_[i]];
-      ColumnVec& col = batch->col(i);
-      if (chunk.mixed) {
-        col.SetValuesView(chunk.type, chunk.vals.data() + pos, n);
-        continue;
-      }
-      if (chunk.encoding == ChunkEncoding::kDict) {
-        col.SetDictView(chunk.type, chunk.codes.data() + pos,
-                        chunk.ints.data(), chunk.chars.data(),
-                        chunk.offsets.data(), chunk.dict_hashes.data(),
-                        static_cast<uint32_t>(chunk.dict_size()),
-                        chunk.any_null ? chunk.nulls.data() + pos : nullptr,
-                        n);
-        continue;
-      }
-      if (chunk.encoding == ChunkEncoding::kRle) {
-        col.SetRleView(chunk.type, chunk.ints.data(), chunk.doubles.data(),
-                       chunk.chars.data(), chunk.offsets.data(),
-                       chunk.run_ends.data(),
-                       chunk.any_null ? chunk.nulls.data() : nullptr,
-                       static_cast<uint32_t>(chunk.num_runs()),
-                       static_cast<uint32_t>(pos), n);
-        continue;
-      }
-      const uint8_t* nulls =
-          chunk.any_null ? chunk.nulls.data() + pos : nullptr;
-      switch (chunk.type) {
-        case DataType::kDouble:
-          col.SetDoubleView(chunk.doubles.data() + pos, nulls, n);
-          break;
-        case DataType::kString:
-          col.SetStringView(chunk.chars.data(), chunk.offsets.data() + pos,
-                            nulls, n);
-          break;
-        default:
-          col.SetIntView(chunk.type, chunk.ints.data() + pos, nulls, n);
-          break;
-      }
+      ViewChunkRows(chunks[ordinals_[i]], pos_, n, &batch->col(i));
     }
     batch->set_num_rows(n);
     pos_ += n;
@@ -258,7 +259,7 @@ class IndexSeekOp : public PhysicalOp {
   }
 
   Status OpenImpl(ExecContext* ctx) override {
-    matches_ = nullptr;
+    matches_ = {};
     pos_ = 0;
     Row key(key_evals_.size());
     for (size_t i = 0; i < key_evals_.size(); ++i) {
@@ -272,8 +273,8 @@ class IndexSeekOp : public PhysicalOp {
   }
 
   Result<bool> NextImpl(ExecContext* ctx, Row* row) override {
-    while (matches_ != nullptr && pos_ < matches_->size()) {
-      const Row& src = table_->rows()[(*matches_)[pos_++]];
+    while (pos_ < matches_.size()) {
+      const Row& src = table_->rows()[matches_[pos_++]];
       row->resize(ordinals_.size());
       for (size_t i = 0; i < ordinals_.size(); ++i) {
         (*row)[i] = src[ordinals_[i]];
@@ -299,7 +300,7 @@ class IndexSeekOp : public PhysicalOp {
   std::vector<Evaluator> key_evals_;
   Evaluator residual_;
   bool has_residual_ = false;
-  const std::vector<size_t>* matches_ = nullptr;
+  std::span<const uint32_t> matches_;  // row positions of the key's bucket
   size_t pos_ = 0;
 };
 

@@ -266,7 +266,43 @@ class Pushdown {
   }
 
   RelExprPtr StepJoin(const RelExprPtr& node) {
-    if (node->join_kind != JoinKind::kInner) return node;
+    if (node->join_kind == JoinKind::kInner) return StepInnerJoin(node);
+    if (node->join_kind == JoinKind::kCross) return node;
+    return StepNonInnerJoin(node);
+  }
+
+  /// Single-side conjuncts of an outer, semi or anti join's ON clause.
+  /// A right-only conjunct only decides which right rows can match, so it
+  /// filters the right input for all three kinds. A left-only conjunct
+  /// filters the left input of a semi join (a left row that fails it has
+  /// no match and is dropped either way), but must stay put for outer and
+  /// anti joins, which emit exactly those unmatched left rows.
+  RelExprPtr StepNonInnerJoin(const RelExprPtr& node) {
+    const bool semi = node->join_kind == JoinKind::kLeftSemi;
+    ColumnSet left_cols = node->children[0]->OutputSet();
+    ColumnSet right_cols = node->children[1]->OutputSet();
+    std::vector<ScalarExprPtr> keep, to_left, to_right;
+    for (const ScalarExprPtr& c : SplitConjuncts(node->predicate)) {
+      ColumnSet refs;
+      CollectColumnRefsDeep(c, &refs);
+      if (semi && refs.IsSubsetOf(left_cols)) {
+        to_left.push_back(c);
+      } else if (refs.IsSubsetOf(right_cols)) {
+        to_right.push_back(c);
+      } else {
+        keep.push_back(c);
+      }
+    }
+    if (to_left.empty() && to_right.empty()) return node;
+    RelExprPtr left = node->children[0];
+    RelExprPtr right = node->children[1];
+    if (!to_left.empty()) left = MakeSelect(left, MakeAnd(to_left));
+    if (!to_right.empty()) right = MakeSelect(right, MakeAnd(to_right));
+    return MakeJoin(node->join_kind, std::move(left), std::move(right),
+                    MakeAnd(std::move(keep)));
+  }
+
+  RelExprPtr StepInnerJoin(const RelExprPtr& node) {
     std::vector<ScalarExprPtr> conjuncts = SplitConjuncts(node->predicate);
     size_t before = conjuncts.size();
     AddEqualityClosure(&conjuncts, columns_);

@@ -11,6 +11,9 @@ namespace orq {
 ///  * pushes Selects through Projects (substituting computed columns),
 ///  * pushes single-side conjuncts below inner joins and the left side of
 ///    outer joins,
+///  * moves single-side conjuncts out of outer/semi/anti join ON clauses:
+///    right-only ones into the right input for all three kinds, left-only
+///    ones into the left input for semi joins only,
 ///  * moves filters below GroupBy when all referenced columns are grouping
 ///    columns (paper section 3.1's filter/GroupBy reorder),
 ///  * distributes filters into UnionAll branches,

@@ -1,5 +1,6 @@
 #include "opt/physical.h"
 
+#include <optional>
 #include <unordered_map>
 
 #include "algebra/expr_util.h"
@@ -266,6 +267,71 @@ class PlanBuilder {
     return MakeComputeOp(std::move(built), std::move(items), {});
   }
 
+  /// An index serving a Select-over-Get: the Select's equality conjuncts
+  /// that bind the index's key columns to expressions over no column of
+  /// the Get, and the remaining conjuncts.
+  struct IndexMatch {
+    const TableIndex* index = nullptr;
+    std::vector<ScalarExprPtr> keys;  // in index->ordinals() order
+    ScalarExprPtr residual;           // nullptr when none
+  };
+
+  /// The one index-matching rule, shared by BuildSelect (IndexSeek) and
+  /// BuildApply (IndexJoin): nullopt unless `select` is a Select over a
+  /// Get whose key-equality columns exactly cover one of the table's
+  /// indexes. Disabled inside parallel regions: a seek scans no morsels,
+  /// so N instances would each emit the full match set.
+  std::optional<IndexMatch> MatchIndex(const RelExprPtr& select) const {
+    if (!options_.use_index_seek || region_worker_ >= 0 ||
+        select->kind != RelKind::kSelect) {
+      return std::nullopt;
+    }
+    const RelExprPtr& get = select->children[0];
+    if (get->kind != RelKind::kGet) return std::nullopt;
+    ColumnSet get_cols = get->OutputSet();
+    std::vector<ScalarExprPtr> residual;
+    std::vector<int> key_ordinals;
+    std::vector<ScalarExprPtr> key_exprs;
+    for (const ScalarExprPtr& c : SplitConjuncts(select->predicate)) {
+      bool used = false;
+      if (c->kind == ScalarKind::kCompare && c->cmp == CompareOp::kEq) {
+        for (int side = 0; side < 2 && !used; ++side) {
+          const ScalarExprPtr& l = c->children[side];
+          const ScalarExprPtr& r = c->children[1 - side];
+          if (l->kind != ScalarKind::kColumnRef) continue;
+          if (!get_cols.Contains(l->column)) continue;
+          ColumnSet rrefs;
+          CollectColumnRefs(r, &rrefs);
+          if (rrefs.Intersects(get_cols)) continue;
+          // Map the column id back to its table ordinal.
+          for (size_t i = 0; i < get->get_cols.size(); ++i) {
+            if (get->get_cols[i] == l->column) {
+              key_ordinals.push_back(get->get_ordinals[i]);
+              key_exprs.push_back(r);
+              used = true;
+              break;
+            }
+          }
+        }
+      }
+      if (!used) residual.push_back(c);
+    }
+    if (key_ordinals.empty()) return std::nullopt;
+    IndexMatch match;
+    match.index = get->table->FindIndex(key_ordinals);
+    if (match.index == nullptr) return std::nullopt;
+    // Key expressions must line up with the index's ordinal order.
+    const std::vector<int>& ordinals = match.index->ordinals();
+    match.keys.resize(ordinals.size());
+    for (size_t i = 0; i < ordinals.size(); ++i) {
+      for (size_t k = 0; k < key_ordinals.size(); ++k) {
+        if (key_ordinals[k] == ordinals[i]) match.keys[i] = key_exprs[k];
+      }
+    }
+    if (!residual.empty()) match.residual = MakeAnd(std::move(residual));
+    return match;
+  }
+
   Result<PhysicalOpPtr> BuildSelect(const RelExprPtr& node) {
     const RelExprPtr& child = node->children[0];
     // A constant FALSE/NULL predicate is the canonical empty relation
@@ -276,59 +342,11 @@ class PlanBuilder {
       return MakeEmptyOp(child->OutputColumns());
     }
     // Select-over-Get with a key-covering equality -> index seek. The
-    // equality's other side may be a literal or a correlated parameter;
-    // under a rebinding Apply this becomes index-lookup-join. Disabled
-    // inside parallel regions: a seek scans no morsels, so N instances
-    // would each emit the full match set.
-    if (options_.use_index_seek && region_worker_ < 0 &&
-        child->kind == RelKind::kGet) {
-      ColumnSet child_cols = child->OutputSet();
-      std::vector<ScalarExprPtr> residual;
-      std::vector<int> key_ordinals;
-      std::vector<ScalarExprPtr> key_exprs;
-      for (const ScalarExprPtr& c : SplitConjuncts(node->predicate)) {
-        bool used = false;
-        if (c->kind == ScalarKind::kCompare && c->cmp == CompareOp::kEq) {
-          for (int side = 0; side < 2 && !used; ++side) {
-            const ScalarExprPtr& l = c->children[side];
-            const ScalarExprPtr& r = c->children[1 - side];
-            if (l->kind != ScalarKind::kColumnRef) continue;
-            if (!child_cols.Contains(l->column)) continue;
-            ColumnSet rrefs;
-            CollectColumnRefs(r, &rrefs);
-            if (rrefs.Intersects(child_cols)) continue;
-            // Map the column id back to its table ordinal.
-            for (size_t i = 0; i < child->get_cols.size(); ++i) {
-              if (child->get_cols[i] == l->column) {
-                key_ordinals.push_back(child->get_ordinals[i]);
-                key_exprs.push_back(r);
-                used = true;
-                break;
-              }
-            }
-          }
-        }
-        if (!used) residual.push_back(c);
-      }
-      if (!key_ordinals.empty()) {
-        const TableIndex* index = child->table->FindIndex(key_ordinals);
-        if (index != nullptr) {
-          // Key expressions must line up with the index's ordinal order.
-          std::vector<ScalarExprPtr> ordered(key_ordinals.size());
-          for (size_t i = 0; i < index->ordinals().size(); ++i) {
-            for (size_t k = 0; k < key_ordinals.size(); ++k) {
-              if (key_ordinals[k] == index->ordinals()[i]) {
-                ordered[i] = key_exprs[k];
-              }
-            }
-          }
-          ScalarExprPtr res =
-              residual.empty() ? nullptr : MakeAnd(std::move(residual));
-          return MakeIndexSeek(child->table, index, std::move(ordered),
-                               child->get_ordinals, child->get_cols,
-                               std::move(res));
-        }
-      }
+    // equality's other side may be a literal or a correlated parameter.
+    if (std::optional<IndexMatch> match = MatchIndex(node)) {
+      return MakeIndexSeek(child->table, match->index, std::move(match->keys),
+                           child->get_ordinals, child->get_cols,
+                           std::move(match->residual));
     }
     ORQ_ASSIGN_OR_RETURN(PhysicalOpPtr built, Build(child));
     return MakeFilterOp(std::move(built), node->predicate);
@@ -351,10 +369,10 @@ class PlanBuilder {
 
   /// Declared types of a build/inner side's layout, used to type the NULL
   /// padding of unmatched left-outer rows.
-  std::vector<DataType> LayoutTypes(const PhysicalOp& op) const {
+  std::vector<DataType> LayoutTypes(const std::vector<ColumnId>& layout) const {
     std::vector<DataType> types;
-    types.reserve(op.layout().size());
-    for (ColumnId id : op.layout()) types.push_back(columns_.type(id));
+    types.reserve(layout.size());
+    for (ColumnId id : layout) types.push_back(columns_.type(id));
     return types;
   }
 
@@ -412,7 +430,7 @@ class PlanBuilder {
           ScalarExprPtr res = split.residual.empty()
                                   ? nullptr
                                   : MakeAnd(std::move(split.residual));
-          std::vector<DataType> right_types = LayoutTypes(*right);
+          std::vector<DataType> right_types = LayoutTypes(right->layout());
           SharedRegionStatePtr shared;
           if (region_worker_ >= 0) {
             shared = SharedForNode(node.get(), [this] {
@@ -429,15 +447,59 @@ class PlanBuilder {
         }
       }
     }
-    std::vector<DataType> right_types = LayoutTypes(*right);
+    std::vector<DataType> right_types = LayoutTypes(right->layout());
     const bool cache_inner = SideIsStable(*node->children[1]);
     return MakeNLJoinOp(kind, std::move(left), std::move(right),
                         node->predicate, /*rebind_inner=*/false,
                         std::move(right_types), cache_inner);
   }
 
+  /// An Apply whose inner is an index-served Select over Get, with keys
+  /// over the Apply's outer columns only and a residual over the outer and
+  /// the table's columns only, runs as an index-lookup join: a probe of
+  /// the table's prebuilt index, with no per-row parameter binding or
+  /// inner re-open. Every other inner (nested correlation, ScalarGroupBy,
+  /// ...) keeps Apply over a re-opened inner.
+  std::optional<IndexMatch> MatchIndexJoin(const RelExprPtr& node) const {
+    std::optional<IndexMatch> match = MatchIndex(node->children[1]);
+    if (!match) return std::nullopt;
+    const ColumnSet outer = node->children[0]->OutputSet();
+    for (const ScalarExprPtr& key : match->keys) {
+      ColumnSet refs;
+      CollectColumnRefsDeep(key, &refs);
+      if (!refs.IsSubsetOf(outer)) return std::nullopt;
+    }
+    if (match->residual != nullptr) {
+      ColumnSet refs;
+      CollectColumnRefsDeep(match->residual, &refs);
+      if (!refs.IsSubsetOf(
+              outer.Union(node->children[1]->children[0]->OutputSet()))) {
+        return std::nullopt;
+      }
+    }
+    return match;
+  }
+
+  static PhysJoinKind ToPhysJoinKind(ApplyKind kind) {
+    switch (kind) {
+      case ApplyKind::kCross: return PhysJoinKind::kInner;
+      case ApplyKind::kOuter: return PhysJoinKind::kLeftOuter;
+      case ApplyKind::kSemi: return PhysJoinKind::kLeftSemi;
+      case ApplyKind::kAnti: return PhysJoinKind::kLeftAnti;
+    }
+    return PhysJoinKind::kInner;
+  }
+
   Result<PhysicalOpPtr> BuildApply(const RelExprPtr& node) {
     ORQ_ASSIGN_OR_RETURN(PhysicalOpPtr left, Build(node->children[0]));
+    const PhysJoinKind kind = ToPhysJoinKind(node->apply_kind);
+    if (std::optional<IndexMatch> match = MatchIndexJoin(node)) {
+      const RelExprPtr& get = node->children[1]->children[0];
+      return MakeIndexJoinOp(kind, std::move(left), get->table, match->index,
+                             std::move(match->keys), get->get_ordinals,
+                             get->get_cols, std::move(match->residual),
+                             LayoutTypes(get->get_cols));
+    }
     bool correlated = FreeVariables(*node->children[1])
                           .Intersects(node->children[0]->OutputSet());
     const bool saved_allow = allow_exchange_;
@@ -446,14 +508,7 @@ class PlanBuilder {
     allow_exchange_ = saved_allow;
     ORQ_RETURN_IF_ERROR(right_built.status());
     PhysicalOpPtr right = std::move(*right_built);
-    PhysJoinKind kind = PhysJoinKind::kInner;
-    switch (node->apply_kind) {
-      case ApplyKind::kCross: kind = PhysJoinKind::kInner; break;
-      case ApplyKind::kOuter: kind = PhysJoinKind::kLeftOuter; break;
-      case ApplyKind::kSemi: kind = PhysJoinKind::kLeftSemi; break;
-      case ApplyKind::kAnti: kind = PhysJoinKind::kLeftAnti; break;
-    }
-    std::vector<DataType> right_types = LayoutTypes(*right);
+    std::vector<DataType> right_types = LayoutTypes(right->layout());
     const bool cache_inner =
         !correlated && SideIsStable(*node->children[1]);
     return MakeNLJoinOp(kind, std::move(left), std::move(right),

@@ -14,8 +14,9 @@ struct PhysicalBuildOptions {
   /// Use hash joins for equi-joins (otherwise nested loops).
   bool use_hash_join = true;
   /// Turn Select-over-Get with key-equality into index seeks when a
-  /// matching index exists — under a correlated Apply this is the
-  /// index-lookup-join of paper section 4.
+  /// matching index exists, and an Apply over such an inner (keyed on the
+  /// Apply's outer columns) into an index join — the index-lookup-join of
+  /// paper section 4.
   bool use_index_seek = true;
   /// When > 0, wrap the topmost parallel-eligible subtree in an Exchange
   /// over this many replicated plan instances (morsel-driven execution).
@@ -26,7 +27,8 @@ struct PhysicalBuildOptions {
 };
 
 /// Translates a logical tree into an executable plan. Joins pick hash vs
-/// nested-loops locally; Apply executes as rebinding nested loops.
+/// nested-loops locally; Apply executes as an index join when its inner
+/// is an index-served Select over Get, else as rebinding nested loops.
 /// (The cost-based optimizer produces the logical tree; see optimizer.h.)
 ///
 /// When `cost` is supplied, each physical operator implementing a logical

@@ -6,6 +6,8 @@
 // segments), the empty-terminal contract, and re-open after Close — each
 // checked against the row-mode (Next) reference of the same plan. Also
 // typed NULL padding, and rows/stats agreement across the two protocols.
+// Index joins are further checked against the Apply-over-IndexSeek plan
+// they replace: same rows, and errors on the same candidates.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -106,6 +108,33 @@ class BatchExecTest : public ::testing::Test {
             s_->Append({Value::Int64(i), Value::Int64(i * 10 + j)}).ok());
       }
     }
+    s_->BuildIndex({0});
+    // w: one 2100-row bucket (key 0), so a single probe row's matches
+    // straddle windows and output batches at every size; a one-row bucket
+    // (key 2); and NULL keys, which the index leaves out.
+    w_ = *catalog_.CreateTable("w", {{"fk", DataType::kInt64, true},
+                                     {"v", DataType::kInt64, false}});
+    for (int i = 0; i < 2100; ++i) {
+      ASSERT_TRUE(w_->Append({Value::Int64(0), Value::Int64(i)}).ok());
+    }
+    ASSERT_TRUE(w_->Append({Value::Int64(2), Value::Int64(7)}).ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          w_->Append({Value::Null(DataType::kInt64), Value::Int64(i)}).ok());
+    }
+    w_->BuildIndex({0});
+    // p: probe keys with NULLs (every 7th row) and the same keys as
+    // doubles.
+    p_ = *catalog_.CreateTable("p", {{"k", DataType::kInt64, true},
+                                     {"d", DataType::kDouble, true}});
+    for (int i = 0; i < 40; ++i) {
+      const bool null = i % 7 == 3;
+      ASSERT_TRUE(p_->Append({null ? Value::Null(DataType::kInt64)
+                                   : Value::Int64(i % 10),
+                              null ? Value::Null(DataType::kDouble)
+                                   : Value::Double(i % 10)})
+                      .ok());
+    }
     // u: every third key of t, and key 0 twice (bag semantics).
     u_ = *catalog_.CreateTable("u", {{"k", DataType::kInt64, false}});
     ASSERT_TRUE(u_->Append({Value::Int64(0)}).ok());
@@ -130,10 +159,72 @@ class BatchExecTest : public ::testing::Test {
                         false, {DataType::kInt64, DataType::kInt64});
   }
 
+  /// IndexJoin(kind) of `left` with `table` through its index on column
+  /// 0, probing with `key`; right columns {30, 31} as int64.
+  PhysicalOpPtr MakeIndexJoin(PhysJoinKind kind, PhysicalOpPtr left,
+                              Table* table, ScalarExprPtr key,
+                              ScalarExprPtr residual) {
+    return MakeIndexJoinOp(kind, std::move(left), table,
+                           table->FindIndex({0}), {std::move(key)}, {0, 1},
+                           {30, 31}, std::move(residual),
+                           {DataType::kInt64, DataType::kInt64});
+  }
+
+  /// The plan an index join replaces: Apply(kind) re-opening an IndexSeek
+  /// whose key and residual read the outer row through parameters.
+  PhysicalOpPtr MakeApplyIndexSeek(PhysJoinKind kind, PhysicalOpPtr left,
+                                   Table* table, ScalarExprPtr key,
+                                   ScalarExprPtr residual) {
+    PhysicalOpPtr seek =
+        MakeIndexSeek(table, table->FindIndex({0}), {std::move(key)}, {0, 1},
+                      {30, 31}, std::move(residual));
+    return MakeNLJoinOp(kind, std::move(left), std::move(seek), TrueLiteral(),
+                        /*rebind_inner=*/true,
+                        {DataType::kInt64, DataType::kInt64});
+  }
+
+  /// Checks make_join(kind) on every batch-size boundary and re-open
+  /// (ExpectColumnarMatchesRows), and against the Apply-over-IndexSeek
+  /// reference built by make_apply(kind), for all four kinds: the same
+  /// rows, or an error in all three executions.
+  void ExpectIndexJoinMatchesApply(
+      const std::function<PhysicalOpPtr(PhysJoinKind)>& make_join,
+      const std::function<PhysicalOpPtr(PhysJoinKind)>& make_apply,
+      const std::string& what) {
+    for (PhysJoinKind kind :
+         {PhysJoinKind::kInner, PhysJoinKind::kLeftOuter,
+          PhysJoinKind::kLeftSemi, PhysJoinKind::kLeftAnti}) {
+      const std::string label =
+          what + " kind=" + std::to_string(static_cast<int>(kind));
+      PhysicalOpPtr apply = make_apply(kind);
+      ExecContext apply_ctx = MakeContext(false, kDefaultBatchRows, nullptr);
+      Result<std::vector<Row>> expected =
+          ExecuteToVector(apply.get(), &apply_ctx);
+      if (!expected.ok()) {
+        for (bool batched : {false, true}) {
+          PhysicalOpPtr join = make_join(kind);
+          ExecContext ctx = MakeContext(batched, 4, nullptr);
+          Result<std::vector<Row>> got = ExecuteToVector(join.get(), &ctx);
+          ASSERT_FALSE(got.ok()) << label << " batched=" << batched;
+          EXPECT_EQ(got.status().code(), expected.status().code()) << label;
+        }
+        continue;
+      }
+      PhysicalOpPtr join = make_join(kind);
+      ExecContext ctx = MakeContext(false, kDefaultBatchRows, nullptr);
+      Result<std::vector<Row>> got = ExecuteToVector(join.get(), &ctx);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      EXPECT_EQ(CanonicalRows(*got), CanonicalRows(*expected)) << label;
+      ExpectColumnarMatchesRows([&] { return make_join(kind); }, label);
+    }
+  }
+
   Catalog catalog_;
   Table* t_ = nullptr;
   Table* s_ = nullptr;
   Table* u_ = nullptr;
+  Table* w_ = nullptr;
+  Table* p_ = nullptr;
 };
 
 TEST_F(BatchExecTest, ScanAndSortBoundaries) {
@@ -220,6 +311,192 @@ TEST_F(BatchExecTest, HashJoinResidualEveryKind) {
   }
 }
 
+// A residual the row engine cannot vectorize (division) keeps the
+// per-candidate row Evaluator; the probe must agree with the vectorized
+// one above.
+TEST_F(BatchExecTest, HashJoinPerRowResidualEveryKind) {
+  for (PhysJoinKind kind :
+       {PhysJoinKind::kInner, PhysJoinKind::kLeftOuter,
+        PhysJoinKind::kLeftSemi, PhysJoinKind::kLeftAnti}) {
+    ExpectColumnarMatchesRows(
+        [&] {
+          return MakeHashJoinOp(
+              kind, ScanT(), ScanS(),
+              {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}},
+              MakeCompare(CompareOp::kGt,
+                          MakeArith(ArithOp::kDiv, CRef(4, DataType::kInt64),
+                                    LitInt(1)),
+                          CRef(1, DataType::kInt64)),
+              {DataType::kInt64, DataType::kInt64});
+        },
+        "HashJoin per-row residual kind=" +
+            std::to_string(static_cast<int>(kind)));
+  }
+}
+
+// Every kind over t (kRows probe rows, fan-out three for four keys): the
+// index join equals the Apply-over-IndexSeek plan it replaces and holds
+// the batch protocol at every boundary.
+TEST_F(BatchExecTest, IndexJoinBoundariesEveryKind) {
+  ExpectIndexJoinMatchesApply(
+      [&](PhysJoinKind kind) {
+        return MakeIndexJoin(kind, ScanT(), s_, CRef(1, DataType::kInt64),
+                             nullptr);
+      },
+      [&](PhysJoinKind kind) {
+        return MakeApplyIndexSeek(kind, ScanT(), s_,
+                                  CRef(1, DataType::kInt64), nullptr);
+      },
+      "IndexJoin(s)");
+}
+
+// Each key-0 probe row's 2100 matches straddle candidate windows and
+// output batches at every batch size, with and without a residual.
+TEST_F(BatchExecTest, IndexJoinBucketStraddlesBatches) {
+  for (bool residual : {false, true}) {
+    auto res = [&]() -> ScalarExprPtr {
+      if (!residual) return nullptr;
+      // Keeps v > 1500 of key 0's bucket: its first match sits past the
+      // first candidate window at every batch size.
+      return MakeCompare(CompareOp::kGt, CRef(31, DataType::kInt64),
+                         LitInt(1500));
+    };
+    ExpectIndexJoinMatchesApply(
+        [&](PhysJoinKind kind) {
+          return MakeIndexJoin(kind, MakeTableScan(p_, {0, 1}, {40, 41}), w_,
+                               CRef(40, DataType::kInt64), res());
+        },
+        [&](PhysJoinKind kind) {
+          return MakeApplyIndexSeek(kind, MakeTableScan(p_, {0, 1}, {40, 41}),
+                                    w_, CRef(40, DataType::kInt64), res());
+        },
+        residual ? "IndexJoin(w) straddle+residual" : "IndexJoin(w) straddle");
+  }
+}
+
+TEST_F(BatchExecTest, IndexJoinEmptyOuter) {
+  ExpectIndexJoinMatchesApply(
+      [&](PhysJoinKind kind) {
+        return MakeIndexJoin(kind, MakeFilterOp(ScanT(), LitBool(false)), s_,
+                             CRef(1, DataType::kInt64), nullptr);
+      },
+      [&](PhysJoinKind kind) {
+        return MakeApplyIndexSeek(kind, MakeFilterOp(ScanT(), LitBool(false)),
+                                  s_, CRef(1, DataType::kInt64), nullptr);
+      },
+      "IndexJoin(empty outer)");
+}
+
+// NULL probe keys match nothing (outer pads them, anti passes them), and
+// the index's NULL-key rows are never found.
+TEST_F(BatchExecTest, IndexJoinNullKeysNeverMatch) {
+  ExpectIndexJoinMatchesApply(
+      [&](PhysJoinKind kind) {
+        return MakeIndexJoin(kind, MakeTableScan(p_, {0, 1}, {40, 41}), w_,
+                             CRef(40, DataType::kInt64), nullptr);
+      },
+      [&](PhysJoinKind kind) {
+        return MakeApplyIndexSeek(kind, MakeTableScan(p_, {0, 1}, {40, 41}),
+                                  w_, CRef(40, DataType::kInt64), nullptr);
+      },
+      "IndexJoin(NULL keys)");
+  PhysicalOpPtr inner =
+      MakeIndexJoin(PhysJoinKind::kInner, MakeTableScan(p_, {0, 1}, {40, 41}),
+                    w_, CRef(40, DataType::kInt64), nullptr);
+  ExecContext ctx = MakeContext(true, 16, nullptr);
+  Result<std::vector<Row>> rows = ExecuteToVector(inner.get(), &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  for (const Row& row : *rows) EXPECT_FALSE(row[2].is_null());
+}
+
+// A double probe key finds the int64 index key it equals.
+TEST_F(BatchExecTest, IndexJoinDoubleProbeFindsInt64Key) {
+  auto count_rows = [&](ColumnId key, DataType type, bool batched) {
+    PhysicalOpPtr join =
+        MakeIndexJoin(PhysJoinKind::kInner, MakeTableScan(p_, {0, 1}, {40, 41}),
+                      s_, CRef(key, type), nullptr);
+    ExecContext ctx = MakeContext(batched, 16, nullptr);
+    Result<std::vector<Row>> rows = ExecuteToVector(join.get(), &ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? rows->size() : 0;
+  };
+  const size_t by_int = count_rows(40, DataType::kInt64, true);
+  EXPECT_GT(by_int, 0u);
+  for (bool batched : {false, true}) {
+    EXPECT_EQ(count_rows(41, DataType::kDouble, batched), by_int);
+  }
+  ExpectIndexJoinMatchesApply(
+      [&](PhysJoinKind kind) {
+        return MakeIndexJoin(kind, MakeTableScan(p_, {0, 1}, {40, 41}), s_,
+                             CRef(41, DataType::kDouble), nullptr);
+      },
+      [&](PhysJoinKind kind) {
+        return MakeApplyIndexSeek(kind, MakeTableScan(p_, {0, 1}, {40, 41}),
+                                  s_, CRef(41, DataType::kDouble), nullptr);
+      },
+      "IndexJoin(double probe)");
+}
+
+// A vectorizable residual (evaluated a window at a time) and per-row ones
+// (division). 100 / (k * 10 + 1 - v) divides by zero only on the second
+// candidate of each matched key (v = k * 10 + 1), after the first
+// candidate (v = k * 10) already passed: semi and anti joins stop at that
+// first match and succeed, as the Apply does; inner and outer joins reach
+// the zero and fail, as the Apply does.
+TEST_F(BatchExecTest, IndexJoinResidualVectorizedAndPerRow) {
+  auto vectorized = [] {
+    return MakeCompare(CompareOp::kGt, CRef(31, DataType::kInt64),
+                       CRef(1, DataType::kInt64));
+  };
+  auto per_row = [] {
+    return MakeCompare(CompareOp::kGt,
+                       MakeArith(ArithOp::kDiv, CRef(31, DataType::kInt64),
+                                 LitInt(1)),
+                       CRef(1, DataType::kInt64));
+  };
+  auto erroring = [] {
+    ScalarExprPtr divisor = MakeArith(
+        ArithOp::kSub,
+        MakeArith(ArithOp::kAdd,
+                  MakeArith(ArithOp::kMul, CRef(1, DataType::kInt64),
+                            LitInt(10)),
+                  LitInt(1)),
+        CRef(31, DataType::kInt64));
+    return MakeCompare(CompareOp::kGt,
+                       MakeArith(ArithOp::kDiv, LitInt(100), divisor),
+                       LitInt(0));
+  };
+  for (const auto& [residual, what] :
+       std::vector<std::pair<std::function<ScalarExprPtr()>, std::string>>{
+           {vectorized, "vectorized"},
+           {per_row, "per-row"},
+           {erroring, "per-row erroring"}}) {
+    ExpectIndexJoinMatchesApply(
+        [&](PhysJoinKind kind) {
+          return MakeIndexJoin(kind, ScanT(), s_, CRef(1, DataType::kInt64),
+                               residual());
+        },
+        [&](PhysJoinKind kind) {
+          return MakeApplyIndexSeek(kind, ScanT(), s_,
+                                    CRef(1, DataType::kInt64), residual());
+        },
+        "IndexJoin residual " + what);
+  }
+  for (PhysJoinKind kind :
+       {PhysJoinKind::kInner, PhysJoinKind::kLeftOuter,
+        PhysJoinKind::kLeftSemi, PhysJoinKind::kLeftAnti}) {
+    const bool stops_at_first_match = kind == PhysJoinKind::kLeftSemi ||
+                                      kind == PhysJoinKind::kLeftAnti;
+    for (bool batched : {false, true}) {
+      PhysicalOpPtr join = MakeIndexJoin(kind, ScanT(), s_,
+                                         CRef(1, DataType::kInt64), erroring());
+      ExecContext ctx = MakeContext(batched, 4, nullptr);
+      EXPECT_EQ(ExecuteToVector(join.get(), &ctx).ok(), stops_at_first_match)
+          << "kind=" << static_cast<int>(kind) << " batched=" << batched;
+    }
+  }
+}
+
 TEST_F(BatchExecTest, ExceptAllBoundaries) {
   ExpectColumnarMatchesRows(
       [&] {
@@ -287,8 +564,13 @@ TEST_F(BatchExecTest, LeftOuterPadsDeclaredTypes) {
       PhysJoinKind::kLeftOuter, scan_t(), scan_v(),
       {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}}, nullptr,
       right_types);
-  for (PhysicalOp* plan : {nl.get(), hash.get()}) {
-    ExecContext ctx = MakeContext(true, 4, nullptr);
+  v->BuildIndex({0});
+  PhysicalOpPtr index = MakeIndexJoinOp(
+      PhysJoinKind::kLeftOuter, scan_t(), v, v->FindIndex({0}),
+      {CRef(1, DataType::kInt64)}, {0, 1, 2}, {3, 4, 5}, nullptr, right_types);
+  for (PhysicalOp* plan : {nl.get(), hash.get(), index.get()}) {
+    for (bool batched : {true, false}) {
+    ExecContext ctx = MakeContext(batched, 4, nullptr);
     Result<std::vector<Row>> rows = ExecuteToVector(plan, &ctx);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
@@ -301,6 +583,7 @@ TEST_F(BatchExecTest, LeftOuterPadsDeclaredTypes) {
       EXPECT_EQ(row[3].type(), DataType::kDouble);
     }
     EXPECT_EQ(padded, kRows - 1);
+    }
   }
 }
 

@@ -1,6 +1,11 @@
 // Unit tests for catalog, tables, indexes and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "catalog/catalog.h"
 
 namespace orq {
@@ -61,10 +66,49 @@ TEST_F(CatalogTest, IndexLookupFindsBuckets) {
   table_->BuildIndex({1});
   const TableIndex* index = table_->FindIndex({1});
   ASSERT_NE(index, nullptr);
-  const std::vector<size_t>* bucket = index->Lookup({Value::Int64(0)});
-  ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->size(), 4u);  // ids 0, 3, 6, 9
-  EXPECT_EQ(index->Lookup({Value::Int64(42)}), nullptr);
+  std::span<const uint32_t> bucket = index->Lookup({Value::Int64(0)});
+  // Row positions of ids 0, 3, 6, 9, in table order.
+  EXPECT_EQ(std::vector<uint32_t>(bucket.begin(), bucket.end()),
+            (std::vector<uint32_t>{0, 3, 6, 9}));
+  EXPECT_TRUE(index->Lookup({Value::Int64(42)}).empty());
+  // An int64 key column matches an equal double probe (GroupEquals).
+  EXPECT_EQ(index->Lookup({Value::Double(1.0)}).size(), 3u);
+  EXPECT_EQ(index->num_entries(), 3u);
+}
+
+// The index is the hash-join build layout: one bucket range per distinct
+// key over a slots permutation of row positions, grouped by key and in
+// table order within each bucket.
+TEST_F(CatalogTest, IndexBucketsPartitionRowPositions) {
+  table_->BuildIndex({1});
+  const KeyBuckets& buckets = table_->FindIndex({1})->buckets();
+  ASSERT_EQ(buckets.slots.size(), 10u);
+  std::vector<uint32_t> seen;
+  for (const auto& [key, range] : buckets.map) {
+    for (uint32_t i = range.begin; i < range.begin + range.size; ++i) {
+      const uint32_t pos = buckets.slots[i];
+      EXPECT_EQ(table_->rows()[pos][1].int64_value(),
+                key.values[0].int64_value());
+      if (i > range.begin) {
+        EXPECT_LT(buckets.slots[i - 1], pos);
+      }
+      seen.push_back(pos);
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  for (uint32_t pos = 0; pos < 10; ++pos) EXPECT_EQ(seen[pos], pos);
+}
+
+// NULL never equals anything, so rows with a NULL key column are left out
+// of the index altogether.
+TEST_F(CatalogTest, IndexLeavesOutNullKeys) {
+  table_->BuildIndex({2});  // val is NULL for id 0 only
+  const TableIndex* index = table_->FindIndex({2});
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(index->buckets().slots.size(), 9u);
+  EXPECT_EQ(index->num_entries(), 9u);
+  EXPECT_TRUE(index->Lookup({Value::Null(DataType::kDouble)}).empty());
+  EXPECT_EQ(index->Lookup({Value::Double(1.5)}).size(), 1u);
 }
 
 TEST_F(CatalogTest, FindIndexIsOrderInsensitive) {

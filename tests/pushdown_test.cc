@@ -119,6 +119,78 @@ TEST_F(PushdownTest, OuterColumnsFilterBeforeApply) {
   EXPECT_EQ(new_apply->children[0]->kind, RelKind::kSelect);
 }
 
+// ON-clause conjuncts of outer, semi and anti joins. Each case runs the
+// join before and after pushdown (CheckedPushdown) and pins where every
+// single-side conjunct ended up.
+class JoinOnPushdownTest : public PushdownTest {
+ protected:
+  void SetUp() override {
+    PushdownTest::SetUp();
+    left_ = Get(&l_);
+    right_ = Get(&r_);
+  }
+  /// left JOIN(kind) right ON l.a = r.a AND extra...
+  RelExprPtr Join(JoinKind kind, std::vector<ScalarExprPtr> extra) {
+    extra.insert(extra.begin(), Eq(CRef(*columns_, l_.at("a")),
+                                   CRef(*columns_, r_.at("a"))));
+    return MakeJoin(kind, left_, right_, MakeAnd(std::move(extra)));
+  }
+  ScalarExprPtr LeftOnly() {
+    return MakeCompare(CompareOp::kLe, CRef(*columns_, l_.at("a")),
+                       LitInt(5));
+  }
+  ScalarExprPtr RightOnly() {
+    return MakeCompare(CompareOp::kGt, CRef(*columns_, r_.at("b")),
+                       LitInt(4));
+  }
+  /// The join's own ON clause is exactly the key equality.
+  static void ExpectOnlyKeyLeft(const RelExprPtr& join) {
+    std::vector<ScalarExprPtr> on = SplitConjuncts(join->predicate);
+    ASSERT_EQ(on.size(), 1u);
+    EXPECT_EQ(on[0]->cmp, CompareOp::kEq);
+  }
+
+  std::map<std::string, ColumnId> l_, r_;
+  RelExprPtr left_, right_;
+};
+
+TEST_F(JoinOnPushdownTest, RightOnlyConjunctFiltersRightInput) {
+  for (JoinKind kind :
+       {JoinKind::kLeftOuter, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+    RelExprPtr pushed = CheckedPushdown(Join(kind, {RightOnly()}));
+    ASSERT_EQ(pushed->kind, RelKind::kJoin);
+    EXPECT_EQ(pushed->join_kind, kind);
+    EXPECT_EQ(pushed->children[0]->kind, RelKind::kGet);
+    EXPECT_EQ(pushed->children[1]->kind, RelKind::kSelect);
+    ExpectOnlyKeyLeft(pushed);
+  }
+}
+
+TEST_F(JoinOnPushdownTest, SemiJoinLeftOnlyConjunctFiltersLeftInput) {
+  RelExprPtr pushed =
+      CheckedPushdown(Join(JoinKind::kLeftSemi, {LeftOnly(), RightOnly()}));
+  ASSERT_EQ(pushed->kind, RelKind::kJoin);
+  EXPECT_EQ(pushed->children[0]->kind, RelKind::kSelect);
+  EXPECT_EQ(pushed->children[1]->kind, RelKind::kSelect);
+  ExpectOnlyKeyLeft(pushed);
+}
+
+// An outer or anti join emits the left rows the ON clause rejects, so a
+// left-only conjunct must stay in the ON clause; moving it would drop
+// those rows.
+TEST_F(JoinOnPushdownTest, OuterAndAntiJoinsKeepLeftOnlyConjunct) {
+  for (JoinKind kind : {JoinKind::kLeftOuter, JoinKind::kLeftAnti}) {
+    RelExprPtr tree = Join(kind, {LeftOnly()});
+    RelExprPtr pushed = CheckedPushdown(tree);
+    EXPECT_EQ(pushed, tree) << "kind " << static_cast<int>(kind);
+    RelExprPtr both = CheckedPushdown(Join(kind, {LeftOnly(), RightOnly()}));
+    ASSERT_EQ(both->kind, RelKind::kJoin);
+    EXPECT_EQ(both->children[0]->kind, RelKind::kGet);
+    EXPECT_EQ(both->children[1]->kind, RelKind::kSelect);
+    EXPECT_EQ(SplitConjuncts(both->predicate).size(), 2u);
+  }
+}
+
 TEST_F(PushdownTest, SortWithLimitBlocksFilterPushdown) {
   std::map<std::string, ColumnId> t;
   RelExprPtr get = Get(&t);

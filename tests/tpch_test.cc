@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "algebra/expr_util.h"
 #include "engine/engine.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
@@ -90,6 +91,106 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TpchQuery>& info) {
       return info.param.id;
     });
+
+/// Every join of `kind` under `node`, pre-order.
+void CollectJoins(const RelExprPtr& node, JoinKind kind,
+                  std::vector<const RelExpr*>* out) {
+  if (node->kind == RelKind::kJoin && node->join_kind == kind) {
+    out->push_back(node.get());
+  }
+  for (const RelExprPtr& child : node->children) {
+    CollectJoins(child, kind, out);
+  }
+}
+
+RelExprPtr NormalizedTpch(const std::string& query_id) {
+  for (const TpchQuery& q : TpchQuerySet()) {
+    if (q.id != query_id) continue;
+    QueryEngine engine(SharedTpch(), EngineOptions::Full());
+    Result<QueryEngine::Compiled> compiled = engine.Compile(q.sql);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    return compiled.ok() ? compiled->normalized : nullptr;
+  }
+  ADD_FAILURE() << "no TPC-H query " << query_id;
+  return nullptr;
+}
+
+/// Every outer/semi/anti join in `tree` carries only ON conjuncts that
+/// read both inputs.
+void ExpectNoSingleSideOnConjuncts(const RelExprPtr& tree) {
+  std::vector<const RelExpr*> joins;
+  for (JoinKind kind :
+       {JoinKind::kLeftOuter, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+    CollectJoins(tree, kind, &joins);
+  }
+  for (const RelExpr* join : joins) {
+    const ColumnSet left = join->children[0]->OutputSet();
+    const ColumnSet right = join->children[1]->OutputSet();
+    for (const ScalarExprPtr& c : SplitConjuncts(join->predicate)) {
+      ColumnSet refs;
+      CollectColumnRefsDeep(c, &refs);
+      EXPECT_TRUE(refs.Intersects(left) && refs.Intersects(right))
+          << "single-side conjunct left in an ON clause";
+    }
+  }
+}
+
+/// The single join of `kind` in `tree`, whose right input must be the
+/// Select its right-only conjuncts moved into.
+const RelExpr* OnlyJoinFilteringRight(const RelExprPtr& tree,
+                                      JoinKind kind) {
+  std::vector<const RelExpr*> joins;
+  CollectJoins(tree, kind, &joins);
+  EXPECT_EQ(joins.size(), 1u);
+  if (joins.size() != 1) return nullptr;
+  EXPECT_EQ(joins[0]->children[1]->kind, RelKind::kSelect);
+  return joins[0];
+}
+
+// Q18's IN-with-HAVING semi join filters its aggregate (sum > 250) before
+// the join rather than probing every order against it.
+TEST(TpchShapes, Q18SemiJoinFiltersAggregateFirst) {
+  RelExprPtr q18 = NormalizedTpch("Q18");
+  ASSERT_NE(q18, nullptr);
+  ExpectNoSingleSideOnConjuncts(q18);
+  const RelExpr* semi = OnlyJoinFilteringRight(q18, JoinKind::kLeftSemi);
+  ASSERT_NE(semi, nullptr);
+  EXPECT_EQ(semi->children[1]->children[0]->kind, RelKind::kGroupBy);
+}
+
+// Q20's outer join from partsupp to lineitem takes the ship-date range
+// into its lineitem input. The semi join's availability test then moves
+// above the aggregate, rejects NULL sums, and turns the outer join inner.
+TEST(TpchShapes, Q20OuterJoinFiltersLineitemAndSimplifies) {
+  RelExprPtr q20 = NormalizedTpch("Q20");
+  ASSERT_NE(q20, nullptr);
+  ExpectNoSingleSideOnConjuncts(q20);
+  std::vector<const RelExpr*> outer;
+  CollectJoins(q20, JoinKind::kLeftOuter, &outer);
+  EXPECT_TRUE(outer.empty());
+  std::vector<const RelExpr*> inner;
+  CollectJoins(q20, JoinKind::kInner, &inner);
+  int filtered_lineitem = 0;
+  for (const RelExpr* join : inner) {
+    const RelExprPtr& right = join->children[1];
+    if (right->kind == RelKind::kSelect &&
+        right->children[0]->kind == RelKind::kGet &&
+        right->children[0]->table->name() == "lineitem") {
+      ++filtered_lineitem;
+    }
+  }
+  EXPECT_EQ(filtered_lineitem, 1);
+}
+
+// Q16's NOT IN anti join filters supplier by its comment before the join.
+TEST(TpchShapes, Q16AntiJoinFiltersSupplierFirst) {
+  RelExprPtr q16 = NormalizedTpch("Q16");
+  ASSERT_NE(q16, nullptr);
+  ExpectNoSingleSideOnConjuncts(q16);
+  const RelExpr* anti = OnlyJoinFilteringRight(q16, JoinKind::kLeftAnti);
+  ASSERT_NE(anti, nullptr);
+  EXPECT_EQ(anti->children[1]->children[0]->kind, RelKind::kGet);
+}
 
 TEST(TpchData, GeneratorIsDeterministic) {
   Catalog a, b;
