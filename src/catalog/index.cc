@@ -6,14 +6,14 @@ namespace orq {
 
 TableIndex::TableIndex(const Table& table, std::vector<int> ordinals)
     : ordinals_(std::move(ordinals)) {
-  const std::vector<Row>& rows = table.rows();
-  buckets_.map.reserve(rows.size());
-  std::vector<BucketRange*> row_bucket(rows.size(), nullptr);
+  const size_t rows = table.num_rows();
+  buckets_.map.reserve(rows);
+  std::vector<BucketRange*> row_bucket(rows, nullptr);
   Row key(ordinals_.size());
-  for (size_t pos = 0; pos < rows.size(); ++pos) {
+  for (size_t pos = 0; pos < rows; ++pos) {
     bool null_key = false;
     for (size_t i = 0; i < ordinals_.size(); ++i) {
-      key[i] = rows[pos][ordinals_[i]];
+      key[i] = table.CellAt(pos, ordinals_[i]);
       null_key |= key[i].is_null();
     }
     if (!null_key) row_bucket[pos] = buckets_.Add(&key);

@@ -15,8 +15,8 @@ TableStats ComputeStats(const Table& table) {
     std::unordered_set<size_t> hashes;
     size_t nulls = 0;
     bool have_minmax = false;
-    for (const Row& row : table.rows()) {
-      const Value& v = row[c];
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      const Value v = table.CellAt(r, c);
       if (v.is_null()) {
         ++nulls;
         continue;

@@ -43,18 +43,6 @@ size_t CountRuns(const Table::ColumnChunk& c, size_t n) {
   return runs;
 }
 
-/// Total byte footprint of a chunk's arrays (boxed vals counted at the
-/// inline Value size; their string heap is not tracked).
-size_t ChunkBytes(const Table::ColumnChunk& c) {
-  return c.ints.size() * sizeof(int64_t) +
-         c.doubles.size() * sizeof(double) + c.chars.size() +
-         c.offsets.size() * sizeof(uint32_t) + c.nulls.size() +
-         c.codes.size() * sizeof(uint32_t) +
-         c.dict_hashes.size() * sizeof(size_t) +
-         c.run_ends.size() * sizeof(uint32_t) +
-         c.vals.size() * sizeof(Value);
-}
-
 /// Rewrites a plain string/int64 chunk into dictionary form: one uint32
 /// code per row indexing a first-appearance-ordered entry table, plus a
 /// pre-computed Value::Hash per entry. NULL rows intern the zero value so
@@ -184,7 +172,58 @@ void MaybeEncodeChunk(Table::ColumnChunk* c, size_t n, TableEncoding mode) {
   }
 }
 
+/// Boxes the `n` rows a typed chunk holds (decoded, so NULLs become
+/// Value::Null(type)) and drops the typed arrays; the chunk continues boxed.
+void BoxChunk(Table::ColumnChunk* c, size_t n) {
+  Table::ColumnChunk boxed;
+  boxed.type = c->type;
+  boxed.mixed = true;
+  for (size_t i = 0; i < n; ++i) boxed.vals.push_back(c->GetValue(i));
+  *c = std::move(boxed);
+}
+
+/// Writes value `v` as row `row` of a plain chunk. A value whose tag
+/// disagrees with the declared type, or a string that would push the arena
+/// past uint32 offsets, boxes the chunk first.
+void AppendCell(Table::ColumnChunk* c, size_t row, Value v) {
+  if (!c->mixed && !v.is_null() &&
+      (v.type() != c->type ||
+       (c->type == DataType::kString &&
+        c->chars.size() + v.string_value().size() >
+            static_cast<size_t>(UINT32_MAX)))) {
+    BoxChunk(c, row);
+  }
+  if (c->mixed) {
+    c->vals.push_back(v.is_null() ? Value::Null(c->type) : std::move(v));
+    return;
+  }
+  c->nulls.push_back(v.is_null() ? 1 : 0);
+  c->any_null |= v.is_null();
+  switch (c->type) {
+    case DataType::kString:
+      if (!v.is_null()) c->chars.append(v.string_value());
+      c->offsets.push_back(static_cast<uint32_t>(c->chars.size()));
+      break;
+    case DataType::kDouble:
+      c->doubles.push_back(v.is_null() ? 0.0 : v.double_value());
+      break;
+    default:
+      // bool / int64 / date all carry their payload in the int64 slot.
+      c->ints.push_back(v.is_null() ? 0 : v.int64_value());
+      break;
+  }
+}
+
 }  // namespace
+
+Table::Table(std::string name, std::vector<ColumnSpec> columns)
+    : name_(std::move(name)), columns_(std::move(columns)) {
+  chunks_.resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    chunks_[c].type = columns_[c].type;
+    if (chunks_[c].type == DataType::kString) chunks_[c].offsets.push_back(0);
+  }
+}
 
 int Table::ColumnOrdinal(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
@@ -198,111 +237,58 @@ Status Table::Append(Row row) {
     return Status::InvalidArgument("row arity " + std::to_string(row.size()) +
                                    " does not match table " + name_);
   }
-  rows_.push_back(std::move(row));
+  if (encoded_) {
+    return Status::FailedPrecondition("table " + name_ +
+                                      " is encoded and read-only");
+  }
+  for (size_t c = 0; c < row.size(); ++c) {
+    AppendCell(&chunks_[c], num_rows_, std::move(row[c]));
+  }
+  ++num_rows_;
   return Status::OK();
 }
 
-const std::vector<Table::ColumnChunk>& Table::ColumnarChunks(
-    TableEncoding mode) const {
-  std::lock_guard<std::mutex> lock(chunks_mutex_);
-  const size_t m = static_cast<size_t>(mode);
-  const size_t n = rows_.size();
-  if (chunks_built_rows_[m] == n) return chunks_[m];
-  constexpr size_t kPlainIdx = static_cast<size_t>(TableEncoding::kPlain);
-  // Every mode derives from the plain transpose, so build (or refresh)
-  // that first.
-  if (chunks_built_rows_[kPlainIdx] != n) {
-    const size_t ncols = columns_.size();
-    std::vector<ColumnChunk>& chunks = chunks_[kPlainIdx];
-    chunks.assign(ncols, ColumnChunk{});
-    for (size_t c = 0; c < ncols; ++c) {
-      ColumnChunk& chunk = chunks[c];
-      chunk.type = columns_[c].type;
-      chunk.nulls.assign(n, 0);
-      if (chunk.type == DataType::kString) {
-        chunk.offsets.reserve(n + 1);
-        chunk.offsets.push_back(0);
-      } else if (chunk.type == DataType::kDouble) {
-        chunk.doubles.assign(n, 0.0);
-      } else {
-        // bool / int64 / date all carry their payload in the int64 slot.
-        chunk.ints.assign(n, 0);
-      }
-    }
-    // Row-major fill: one sequential pass over the row store, touching
-    // each Row's heap block exactly once. The transposed
-    // (column-at-a-time) order would re-walk every row header per column
-    // — a cache miss per cell that dominated the first columnar query's
-    // latency on large tables.
-    for (size_t i = 0; i < n; ++i) {
-      const Row& row = rows_[i];
-      for (size_t c = 0; c < ncols; ++c) {
-        ColumnChunk& chunk = chunks[c];
-        if (chunk.mixed) continue;
-        const Value& v = row[c];
-        if (v.is_null()) {
-          chunk.nulls[i] = 1;
-          chunk.any_null = true;
-          if (chunk.type == DataType::kString) {
-            chunk.offsets.push_back(
-                static_cast<uint32_t>(chunk.chars.size()));
-          }
-          continue;
-        }
-        if (v.type() != chunk.type) {
-          chunk.mixed = true;
-          continue;
-        }
-        switch (chunk.type) {
-          case DataType::kString:
-            if (chunk.chars.size() + v.string_value().size() >
-                static_cast<size_t>(UINT32_MAX)) {
-              chunk.mixed = true;
-              continue;
-            }
-            chunk.chars.append(v.string_value());
-            chunk.offsets.push_back(
-                static_cast<uint32_t>(chunk.chars.size()));
-            break;
-          case DataType::kDouble:
-            chunk.doubles[i] = v.double_value();
-            break;
-          default:
-            chunk.ints[i] = v.int64_value();
-            break;
-        }
-      }
-    }
-    // Columns whose runtime tags disagreed with the declared type (or
-    // whose string arena outgrew uint32 offsets) degrade to the boxed
-    // form in a second, per-column pass — rare enough that its
-    // column-major order does not matter.
-    for (size_t c = 0; c < ncols; ++c) {
-      ColumnChunk& chunk = chunks[c];
-      if (!chunk.mixed) continue;
-      chunk.ints.clear();
-      chunk.doubles.clear();
-      chunk.chars.clear();
-      chunk.offsets.clear();
-      chunk.vals.resize(n);
-      for (size_t i = 0; i < n; ++i) chunk.vals[i] = rows_[i][c];
-    }
-    for (ColumnChunk& chunk : chunks) {
-      chunk.plain_bytes = ChunkBytes(chunk);
-      chunk.encoded_bytes = chunk.plain_bytes;
-    }
-    chunks_built_rows_[kPlainIdx] = n;
-    if (m == kPlainIdx) return chunks_[kPlainIdx];
+Status Table::Encode(TableEncoding mode) {
+  if (encoded_) {
+    return Status::FailedPrecondition("table " + name_ +
+                                      " is already encoded");
   }
-  // Encoded modes start from a copy of the plain chunks and rewrite
-  // whatever the mode (or the auto heuristic) selects.
-  chunks_[m] = chunks_[kPlainIdx];
-  for (ColumnChunk& chunk : chunks_[m]) {
-    MaybeEncodeChunk(&chunk, n, mode);
-    chunk.encoded_bytes = ChunkBytes(chunk);
+  encoded_ = true;
+  for (ColumnChunk& chunk : chunks_) MaybeEncodeChunk(&chunk, num_rows_, mode);
+  return Status::OK();
+}
+
+size_t Table::ColumnChunk::bytes() const {
+  return ints.size() * sizeof(int64_t) + doubles.size() * sizeof(double) +
+         chars.size() + offsets.size() * sizeof(uint32_t) + nulls.size() +
+         codes.size() * sizeof(uint32_t) +
+         dict_hashes.size() * sizeof(size_t) +
+         run_ends.size() * sizeof(uint32_t) + vals.size() * sizeof(Value);
+}
+
+Value Table::ColumnChunk::GetValue(size_t row) const {
+  if (mixed) return vals[row];
+  // Physical index of the row's payload: its dictionary entry, its run,
+  // or the row itself.
+  size_t p = row;
+  if (encoding == ChunkEncoding::kRle) {
+    p = static_cast<size_t>(
+        std::upper_bound(run_ends.begin(), run_ends.end(), row) -
+        run_ends.begin());
+    if (nulls[p] != 0) return Value::Null(type);
+  } else {
+    if (nulls[row] != 0) return Value::Null(type);
+    if (encoding == ChunkEncoding::kDict) p = codes[row];
   }
-  chunks_built_rows_[m] = n;
-  return chunks_[m];
+  switch (type) {
+    case DataType::kBool: return Value::Bool(ints[p] != 0);
+    case DataType::kDate: return Value::Date(static_cast<int32_t>(ints[p]));
+    case DataType::kDouble: return Value::Double(doubles[p]);
+    case DataType::kString:
+      return Value::String(
+          std::string(chars.data() + offsets[p], offsets[p + 1] - offsets[p]));
+    default: return Value::Int64(ints[p]);
+  }
 }
 
 void Table::BuildIndex(std::vector<int> ordinals) {

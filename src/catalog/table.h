@@ -1,10 +1,8 @@
 #ifndef ORQ_CATALOG_TABLE_H_
 #define ORQ_CATALOG_TABLE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,37 +20,38 @@ struct ColumnSpec {
   bool nullable = true;
 };
 
-/// Storage encoding requested for columnar scans (`SET table_encoding`).
-/// kAuto picks per column chunk by a cardinality/run-count heuristic;
-/// the forced modes apply wherever the column type allows and fall back
-/// to plain elsewhere. Values index the per-mode chunk caches.
+/// Storage encoding a table is loaded in (Table::Encode). kAuto picks
+/// per column chunk by a cardinality/run-count heuristic; the forced modes
+/// apply wherever the column type allows and fall back to plain elsewhere.
 enum class TableEncoding : uint8_t { kPlain, kDict, kRle, kAuto };
-inline constexpr int kNumTableEncodings = 4;
 
 /// Physical encoding one column chunk ended up with.
 enum class ChunkEncoding : uint8_t { kPlain, kDict, kRle };
 
-/// An in-memory, row-major base table with declared keys and optional hash
-/// indexes. Tables are append-only; statistics and indexes are built after
-/// loading.
+/// An in-memory, column-major base table with declared keys and optional
+/// hash indexes. Tables are append-only: Append writes each row straight
+/// into the typed column chunks, which are the only copy of the data.
+/// Encode optionally compresses the chunks once, after loading; statistics
+/// and indexes are built after loading too.
 class Table {
  public:
-  Table(std::string name, std::vector<ColumnSpec> columns)
-      : name_(std::move(name)), columns_(std::move(columns)) {
-    chunks_built_rows_.fill(static_cast<size_t>(-1));
-  }
+  Table(std::string name, std::vector<ColumnSpec> columns);
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnSpec>& columns() const { return columns_; }
   size_t num_columns() const { return columns_.size(); }
-  size_t num_rows() const { return rows_.size(); }
-  const std::vector<Row>& rows() const { return rows_; }
+  size_t num_rows() const { return num_rows_; }
 
   /// Ordinal of a column by (case-insensitive) name, or -1.
   int ColumnOrdinal(const std::string& name) const;
 
-  /// Appends a row; the row must match the schema arity.
+  /// Appends a row; the row must match the schema arity, and the table
+  /// must not be encoded yet (FailedPrecondition otherwise).
   Status Append(Row row);
+
+  /// Encodes every column chunk in place under `mode`, once: the table is
+  /// read-only afterwards. Call after loading and before serving queries.
+  Status Encode(TableEncoding mode);
 
   /// Declares the primary key (column ordinals). Keys feed the optimizer's
   /// key-derivation (identities 7-9 require keys; Max1row elimination uses
@@ -70,8 +69,9 @@ class Table {
     return unique_keys_;
   }
 
-  /// One table column transposed into a contiguous typed array, the
-  /// storage behind zero-copy columnar scans. Dates/bools/int64s share the
+  /// One table column as a contiguous typed array, the storage behind
+  /// every reader: zero-copy columnar scans view it, row readers decode
+  /// cells from it with GetValue. Dates/bools/int64s share the
   /// int64 array; strings are an arena plus absolute offsets. A column
   /// whose values ever disagree with the declared type — or whose string
   /// arena would outgrow uint32 offsets — falls back to boxed `vals`
@@ -99,23 +99,25 @@ class Table {
     std::vector<uint32_t> codes;       // kDict: one per row
     std::vector<size_t> dict_hashes;   // kDict: one per entry
     std::vector<uint32_t> run_ends;    // kRle: cumulative, one per run
-    /// Footprint of this chunk's arrays and what the plain layout costs;
-    /// the pair is the compression ratio the metrics/EXPLAIN report.
-    size_t encoded_bytes = 0;
-    size_t plain_bytes = 0;
 
     size_t dict_size() const { return dict_hashes.size(); }
     size_t num_runs() const { return run_ends.size(); }
+    /// Footprint of the arrays (boxed values counted at the inline Value
+    /// size; their string heap is not tracked).
+    size_t bytes() const;
+    /// Decodes the cell at `row` under any encoding. A NULL reads back as
+    /// Value::Null(type); any other boxed value reads back as appended.
+    Value GetValue(size_t row) const;
   };
 
-  /// The table transposed column-wise under the requested encoding, built
-  /// lazily on first use and rebuilt when rows were appended since (keyed
-  /// on the row count; tables are append-only). Each encoding mode caches
-  /// its own chunk set. Thread-safe: concurrent first calls serialize on
-  /// an internal mutex, and the returned reference stays valid until the
-  /// next Append-then-ColumnarChunks sequence.
-  const std::vector<ColumnChunk>& ColumnarChunks(
-      TableEncoding mode = TableEncoding::kPlain) const;
+  /// The column chunks, one per column. References stay valid until the
+  /// next Append.
+  const std::vector<ColumnChunk>& ColumnarChunks() const { return chunks_; }
+
+  /// Decodes one cell (ColumnChunk::GetValue).
+  Value CellAt(size_t row, size_t col) const {
+    return chunks_[col].GetValue(row);
+  }
 
   /// Builds (or rebuilds) a hash index over the given ordinals. Indexes
   /// enable the IndexApply physical strategy (correlated execution with
@@ -131,16 +133,12 @@ class Table {
  private:
   std::string name_;
   std::vector<ColumnSpec> columns_;
-  std::vector<Row> rows_;
+  std::vector<ColumnChunk> chunks_;
+  size_t num_rows_ = 0;
+  bool encoded_ = false;
   std::vector<int> primary_key_;
   std::vector<std::vector<int>> unique_keys_;
   std::vector<std::unique_ptr<TableIndex>> indexes_;
-
-  mutable std::mutex chunks_mutex_;
-  /// Chunk caches indexed by TableEncoding; only requested modes build.
-  mutable std::array<std::vector<ColumnChunk>, kNumTableEncodings> chunks_;
-  /// Row count each mode's chunks were built from; SIZE_MAX = never built.
-  mutable std::array<size_t, kNumTableEncodings> chunks_built_rows_;
 };
 
 }  // namespace orq

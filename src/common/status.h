@@ -31,6 +31,9 @@ enum class StatusCode {
   kDeadlineExceeded,
   /// The server declined the request up front (admission queue full).
   kUnavailable,
+  /// The object is not in a state that allows the operation (e.g. an
+  /// Append to a table that was already encoded).
+  kFailedPrecondition,
 };
 
 /// Lightweight status object carrying an error code and message.
@@ -68,6 +71,9 @@ class Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -90,6 +96,7 @@ class Status {
       case StatusCode::kCancelled: return "Cancelled";
       case StatusCode::kDeadlineExceeded: return "DeadlineExceeded";
       case StatusCode::kUnavailable: return "Unavailable";
+      case StatusCode::kFailedPrecondition: return "FailedPrecondition";
     }
     return "Unknown";
   }

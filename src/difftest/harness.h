@@ -26,9 +26,9 @@ struct HarnessOptions {
   /// is the columnar oracle.
   bool reference_batched = true;
   bool test_batched = true;
-  /// Storage encoding for the test side's columnar scans (the reference
-  /// side always reads plain). Row mode ignores it; reference row vs test
-  /// columnar+auto is the encoded oracle difftest_smoke_encoded runs.
+  /// Storage encoding the test side's catalog is loaded in (the reference
+  /// side loads its own, plain copy from the same seed). Reference row vs
+  /// test columnar+auto is the encoded oracle difftest_smoke_encoded runs.
   TableEncoding test_table_encoding = TableEncoding::kPlain;
   /// Worker threads per side; 0 runs the classic serial engine. A positive
   /// count turns that side into the morsel-driven parallel engine, so e.g.
@@ -91,8 +91,9 @@ struct HarnessReport {
   std::string Summary() const;
 };
 
-/// Builds the difftest catalog, then generates and dual-executes
-/// `options.num_queries` random queries, minimizing every divergence.
+/// Builds the difftest catalog once per side, then generates and
+/// dual-executes `options.num_queries` random queries, minimizing every
+/// divergence.
 Result<HarnessReport> RunDifftest(const HarnessOptions& options);
 
 }  // namespace orq

@@ -54,20 +54,27 @@ struct DualOutcome {
   std::string detail;
 };
 
-/// Runs every query on two QueryEngine instances over the same catalog —
-/// the naive reference and the full rewrite pipeline — and compares
-/// results as bags.
+/// Runs every query on two QueryEngine instances — the naive reference and
+/// the full rewrite pipeline — and compares results as bags.
 class DualOracle {
  public:
   explicit DualOracle(Catalog* catalog)
       : DualOracle(catalog, NaiveReferenceOptions(), EngineOptions::Full()) {}
 
-  /// Explicit per-side configurations — used to cross-check execution
-  /// modes (e.g. row-at-a-time reference vs columnar test engine).
+  /// Explicit per-side configurations over one catalog — used to
+  /// cross-check execution modes (e.g. row-at-a-time reference vs
+  /// columnar test engine).
   DualOracle(Catalog* catalog, EngineOptions naive_options,
              EngineOptions full_options)
-      : naive_(catalog, std::move(naive_options)),
-        full_(catalog, std::move(full_options)) {}
+      : DualOracle(catalog, std::move(naive_options), catalog,
+                   std::move(full_options)) {}
+
+  /// One catalog per side: both hold the same data, so the test side may
+  /// read storage encoded differently from the reference's plain load.
+  DualOracle(Catalog* naive_catalog, EngineOptions naive_options,
+             Catalog* full_catalog, EngineOptions full_options)
+      : naive_(naive_catalog, std::move(naive_options)),
+        full_(full_catalog, std::move(full_options)) {}
 
   DualOutcome Run(const std::string& sql);
 

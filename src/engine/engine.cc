@@ -455,7 +455,6 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
   ORQ_RETURN_IF_ERROR(ValidateBatchSize(options.exec.batch_size));
   ExecContext ctx;
   ctx.batched = options.exec.batched;
-  ctx.table_encoding = options.exec.table_encoding;
   ctx.batch_size = options.exec.batch_size;
   ctx.pool = pool.get();
   ctx.morsel_rows = options.exec.morsel_rows;
@@ -566,7 +565,6 @@ Result<AnalyzedQuery> QueryEngine::ExecuteAnalyzed(
   ExecContext ctx;
   ctx.instruments = &instruments;
   ctx.batched = options.exec.batched;
-  ctx.table_encoding = options.exec.table_encoding;
   ctx.batch_size = options.exec.batch_size;
   ctx.pool = pool.get();
   ctx.morsel_rows = options.exec.morsel_rows;

@@ -167,7 +167,6 @@ class ExchangeOp : public PhysicalOp {
     worker_params_ = ctx->params;
     worker_batched_ = ctx->batched;
     worker_batch_size_ = ctx->batch_size;
-    worker_table_encoding_ = ctx->table_encoding;
     worker_morsel_rows_ = ctx->morsel_rows;
     worker_cancel_ = ctx->cancel;
     // Gang admission: concurrent queries may share this pool, and two
@@ -246,7 +245,6 @@ class ExchangeOp : public PhysicalOp {
     wctx.params = worker_params_;
     wctx.batched = worker_batched_;
     wctx.batch_size = worker_batch_size_;
-    wctx.table_encoding = worker_table_encoding_;
     wctx.morsel_rows = worker_morsel_rows_;
     // Every producer polls the same token, so a deadline or cancel stops
     // the whole gang; the first failing worker's status surfaces from Pop.
@@ -333,7 +331,6 @@ class ExchangeOp : public PhysicalOp {
   std::unordered_map<ColumnId, Value> worker_params_;
   bool worker_batched_ = true;
   int worker_batch_size_ = kDefaultBatchRows;
-  TableEncoding worker_table_encoding_ = TableEncoding::kPlain;
   int worker_morsel_rows_ = kDefaultMorselRows;
   const CancelToken* worker_cancel_ = nullptr;
   /// Per-worker output (rows_produced) and instrumentation shards; slot i

@@ -48,11 +48,6 @@ struct ExecOptions {
   /// difftest oracles compare the columnar engine against.
   bool batched = true;
   int batch_size = kDefaultBatchRows;
-  /// Storage encoding columnar table scans request from the catalog
-  /// (`SET table_encoding plain|dict|rle|auto`). Plain by default; kAuto
-  /// lets each column chunk pick dictionary/RLE by heuristic. Row mode
-  /// ignores it (it reads the row store directly).
-  TableEncoding table_encoding = TableEncoding::kPlain;
   /// Morsel-driven parallel execution. 0 keeps the classic single-threaded
   /// engine (no thread pool, plans unchanged); N >= 1 builds N instances of
   /// each eligible subtree under an exchange operator and runs them on an
@@ -62,25 +57,6 @@ struct ExecOptions {
   /// Rows per morsel claim for parallel table scans (see exec/parallel.h).
   int morsel_rows = 4096;
 };
-
-/// Names for TableEncoding, shared by SET, difftest flags, and EXPLAIN.
-inline const char* TableEncodingName(TableEncoding mode) {
-  switch (mode) {
-    case TableEncoding::kPlain: return "plain";
-    case TableEncoding::kDict: return "dict";
-    case TableEncoding::kRle: return "rle";
-    case TableEncoding::kAuto: return "auto";
-  }
-  return "plain";
-}
-inline std::optional<TableEncoding> ParseTableEncoding(
-    std::string_view name) {
-  if (name == "plain") return TableEncoding::kPlain;
-  if (name == "dict") return TableEncoding::kDict;
-  if (name == "rle") return TableEncoding::kRle;
-  if (name == "auto") return TableEncoding::kAuto;
-  return std::nullopt;
-}
 
 class MetricsRegistry;
 class SpanRecorder;
@@ -119,9 +95,6 @@ struct ExecContext {
   /// everywhere else follows from the root's.
   bool batched = true;
   int batch_size = kDefaultBatchRows;
-  /// Storage encoding columnar table scans request from the catalog
-  /// (ExecOptions::table_encoding).
-  TableEncoding table_encoding = TableEncoding::kPlain;
   /// Worker pool for exchange operators, or nullptr on single-threaded
   /// executions. Owned by the engine; a parallel plan executed without a
   /// pool fails at Open rather than silently serializing.

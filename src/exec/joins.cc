@@ -502,7 +502,7 @@ class ProbeJoinOp : public PhysicalOp {
   virtual Status OpenBuild(ExecContext* ctx) = 0;
   virtual void CloseBuild() = 0;
   /// Right-layout value `k` of build row `slot`.
-  virtual const Value& RightValue(uint32_t slot, size_t k) const = 0;
+  virtual Value RightValue(uint32_t slot, size_t k) const = 0;
   /// Fills `dst` with right-layout column `k` of build rows slots[0, n);
   /// kNoRight entries are NULLs typed pad_types_[k].
   virtual void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
@@ -850,7 +850,7 @@ class HashJoinOp final : public ProbeJoinOp {
     active_ = nullptr;
   }
 
-  const Value& RightValue(uint32_t slot, size_t k) const override {
+  Value RightValue(uint32_t slot, size_t k) const override {
     return active_->arena[slot][k];
   }
 
@@ -970,8 +970,8 @@ class HashJoinOp final : public ProbeJoinOp {
 
 /// Index-lookup join: the probe runs against a base table's prebuilt index
 /// (slots are table row positions), so Open builds nothing. Right columns
-/// are gathered by slot from whole-column views of the table's plain
-/// column chunks; the row path reads the table's rows by ordinal.
+/// are gathered by slot from whole-column views of the table's column
+/// chunks; the row path decodes the table's cells by slot.
 class IndexJoinOp final : public ProbeJoinOp {
  public:
   IndexJoinOp(PhysJoinKind kind, PhysicalOpPtr left, const Table* table,
@@ -997,15 +997,14 @@ class IndexJoinOp final : public ProbeJoinOp {
 
   void CloseBuild() override {}
 
-  const Value& RightValue(uint32_t slot, size_t k) const override {
-    return table_->rows()[slot][ordinals_[k]];
+  Value RightValue(uint32_t slot, size_t k) const override {
+    return table_->CellAt(slot, ordinals_[k]);
   }
 
   void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
                    ColumnVec* dst) override {
     if (views_.empty()) {
-      const std::vector<Table::ColumnChunk>& chunks =
-          table_->ColumnarChunks(TableEncoding::kPlain);
+      const std::vector<Table::ColumnChunk>& chunks = table_->ColumnarChunks();
       const uint32_t rows = static_cast<uint32_t>(table_->num_rows());
       views_.resize(ordinals_.size());
       for (size_t i = 0; i < ordinals_.size(); ++i) {
@@ -1018,7 +1017,7 @@ class IndexJoinOp final : public ProbeJoinOp {
   const Table* table_;
   const TableIndex* index_;
   std::vector<int> ordinals_;  // table ordinal of each right-layout column
-  /// Whole-table views of the right columns' plain chunks.
+  /// Whole-table views of the right columns' chunks.
   std::vector<ColumnVec> views_;
 };
 

@@ -66,24 +66,22 @@ class TableScanBase : public PhysicalOp {
     recorded_enc_ = false;
   }
 
-  /// Copies table row pos_ (its `ordinals_` columns) into `row`; advances.
+  /// Decodes table row pos_ (its `ordinals_` columns) into `row`; advances.
   void CopyRow(Row* row) {
-    const Row& src = table_->rows()[pos_++];
     row->resize(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
-      (*row)[i] = src[ordinals_[i]];
+      (*row)[i] = table_->CellAt(pos_, ordinals_[i]);
     }
+    ++pos_;
   }
 
-  /// Points `batch`'s columns at table rows [pos_, pos_ + n) of the column
-  /// chunks for the session's table_encoding, one view per ordinal, and
-  /// advances. No per-row work at all — the batch is pointers plus a row
-  /// count. Encoded chunks keep their physical form (dict codes / RLE
-  /// runs); downstream kernels decide per column whether to exploit or
-  /// transparently decode it.
-  void ViewRows(ExecContext* ctx, uint32_t n, ColumnBatch* batch) {
-    const std::vector<Table::ColumnChunk>& chunks =
-        table_->ColumnarChunks(ctx->table_encoding);
+  /// Points `batch`'s columns at table rows [pos_, pos_ + n) of the
+  /// table's column chunks, one view per ordinal, and advances. No per-row
+  /// work at all — the batch is pointers plus a row count. Encoded chunks
+  /// keep their physical form (dict codes / RLE runs); downstream kernels
+  /// decide per column whether to exploit or transparently decode it.
+  void ViewRows(uint32_t n, ColumnBatch* batch) {
+    const std::vector<Table::ColumnChunk>& chunks = table_->ColumnarChunks();
     if (!recorded_enc_) RecordEncodingShape(chunks);
     batch->ResizeCols(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
@@ -107,7 +105,7 @@ class TableScanBase : public PhysicalOp {
     int64_t bytes = 0, dict_entries = 0, rle_runs = 0;
     for (int ordinal : ordinals_) {
       const Table::ColumnChunk& chunk = chunks[ordinal];
-      bytes += static_cast<int64_t>(chunk.encoded_bytes);
+      bytes += static_cast<int64_t>(chunk.bytes());
       switch (chunk.encoding) {
         case ChunkEncoding::kDict:
           ++dict_cols;
@@ -183,10 +181,9 @@ class MorselScanOp : public TableScanBase {
 
   /// Views windowed inside the claimed morsel [pos_, end_): a batch never
   /// spans two morsels, so the last batch of a morsel may be short.
-  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+  Status NextColumnsImpl(ExecContext*, ColumnBatch* batch) override {
     if (pos_ >= end_ && !ClaimMorsel()) return Status::OK();
-    ViewRows(ctx,
-             static_cast<uint32_t>(std::min(
+    ViewRows(static_cast<uint32_t>(std::min(
                  end_ - pos_, static_cast<size_t>(batch->capacity()))),
              batch);
     return Status::OK();
@@ -228,11 +225,10 @@ class TableScanOp : public TableScanBase {
     return true;
   }
 
-  Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
+  Status NextColumnsImpl(ExecContext*, ColumnBatch* batch) override {
     const size_t end = table_->num_rows();
     if (pos_ >= end) return Status::OK();
-    ViewRows(ctx,
-             static_cast<uint32_t>(std::min(
+    ViewRows(static_cast<uint32_t>(std::min(
                  end - pos_, static_cast<size_t>(batch->capacity()))),
              batch);
     return Status::OK();
@@ -274,10 +270,10 @@ class IndexSeekOp : public PhysicalOp {
 
   Result<bool> NextImpl(ExecContext* ctx, Row* row) override {
     while (pos_ < matches_.size()) {
-      const Row& src = table_->rows()[matches_[pos_++]];
+      const uint32_t src = matches_[pos_++];
       row->resize(ordinals_.size());
       for (size_t i = 0; i < ordinals_.size(); ++i) {
-        (*row)[i] = src[ordinals_[i]];
+        (*row)[i] = table_->CellAt(src, ordinals_[i]);
       }
       if (has_residual_) {
         ORQ_ASSIGN_OR_RETURN(bool keep, residual_.EvalPredicate(*row, ctx));

@@ -1,7 +1,5 @@
 #include "opt/optimizer.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "algebra/expr_util.h"
@@ -55,11 +53,6 @@ class GreedyOptimizer {
             // pushed-down GroupBy may enable a further local split).
             RelExprPtr refined = OptimizeChildren(alt, depth + 1);
             double c = cost_.Estimate(refined).cost;
-            const char* dbg = std::getenv("ORQ_OPT_DEBUG");
-            if (dbg != nullptr && dbg[0] == '2') {
-              std::fprintf(stderr, "[opt] candidate %s: %.0f (current %.0f)\n",
-                           rule->name(), c, current_cost);
-            }
             if (c < best_cost * 0.9999) {  // strict improvement only
               best = refined;
               best_cost = c;
@@ -71,10 +64,6 @@ class GreedyOptimizer {
           }
         }
         if (best == current) break;
-        if (std::getenv("ORQ_OPT_DEBUG") != nullptr) {
-          std::fprintf(stderr, "[opt] %s: %.0f -> %.0f\n", best_rule,
-                       current_cost, best_cost);
-        }
         if (options_.trace != nullptr) {
           TraceEvent event{TraceEvent::Stage::kOptimize,
                            TraceEvent::Kind::kRule, best_rule,

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
-#include <optional>
 
 namespace orq {
 
@@ -82,13 +81,6 @@ Status Session::ApplySet(const std::string& command) {
       return Status::InvalidArgument(
           "SET exec expects row|columnar, got: " + value);
     }
-  } else if (name == "table_encoding") {
-    std::optional<TableEncoding> enc = ParseTableEncoding(value);
-    if (!enc.has_value()) {
-      return Status::InvalidArgument(
-          "SET table_encoding expects plain|dict|rle|auto, got: " + value);
-    }
-    options_.exec.table_encoding = *enc;
   } else if (name == "batch_size") {
     // Parse wide, then let ValidateBatchSize be the one place that knows
     // the legal range (engine execution rechecks the same predicate).
@@ -119,8 +111,8 @@ Status Session::ApplySet(const std::string& command) {
   } else {
     return Status::InvalidArgument(
         "unknown SET option \"" + name +
-        "\" (known: threads, exec, batch_size, table_encoding, "
-        "morsel_rows, timeout_ms, slow_query_ms, plan_cache)");
+        "\" (known: threads, exec, batch_size, morsel_rows, timeout_ms, "
+        "slow_query_ms, plan_cache)");
   }
   ++options_generation_;
   return Status::OK();

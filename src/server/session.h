@@ -59,7 +59,6 @@ class Session {
   ///   exec columnar|row -- execution mode: SoA column batches (the
   ///                    default) or the row-at-a-time reference engine
   ///   batch_size N   -- rows per column batch (1..65536)
-  ///   table_encoding plain|dict|rle|auto -- columnar scan chunk encoding
   ///   morsel_rows N  -- rows per parallel-scan morsel claim
   ///   timeout_ms N   -- per-query deadline (0 disables)
   ///   plan_cache on|off -- fingerprint-keyed plan cache + parameterization

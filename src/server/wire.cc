@@ -334,6 +334,7 @@ Status DecodeError(const std::string& payload, std::string* query_id) {
     case StatusCode::kCancelled:
     case StatusCode::kDeadlineExceeded:
     case StatusCode::kUnavailable:
+    case StatusCode::kFailedPrecondition:
       break;
     default:
       return Status::Internal("wire: unknown error code in payload: " +

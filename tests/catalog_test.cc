@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -87,7 +92,7 @@ TEST_F(CatalogTest, IndexBucketsPartitionRowPositions) {
   for (const auto& [key, range] : buckets.map) {
     for (uint32_t i = range.begin; i < range.begin + range.size; ++i) {
       const uint32_t pos = buckets.slots[i];
-      EXPECT_EQ(table_->rows()[pos][1].int64_value(),
+      EXPECT_EQ(table_->CellAt(pos, 1).int64_value(),
                 key.values[0].int64_value());
       if (i > range.begin) {
         EXPECT_LT(buckets.slots[i - 1], pos);
@@ -146,6 +151,200 @@ TEST_F(CatalogTest, EmptyTableStats) {
   const TableStats& stats = catalog_.GetStats(*empty);
   EXPECT_DOUBLE_EQ(stats.row_count, 0.0);
   EXPECT_DOUBLE_EQ(stats.columns[0].distinct_count, 1.0);  // clamped
+}
+
+// ---- Storage: Append writes the typed column chunks directly ----
+
+/// Asserts `got` is exactly the appended `want`: same tag and the same
+/// payload bits (so -0.0 and NaN payloads survive), or, for a NULL, a NULL
+/// of the column's declared type.
+void ExpectSameCell(const Value& want, const Value& got, DataType declared,
+                    size_t row) {
+  if (want.is_null()) {
+    EXPECT_TRUE(got.is_null()) << "row " << row;
+    EXPECT_EQ(got.type(), declared) << "row " << row;
+    return;
+  }
+  ASSERT_FALSE(got.is_null()) << "row " << row;
+  ASSERT_EQ(got.type(), want.type()) << "row " << row;
+  switch (want.type()) {
+    case DataType::kDouble: {
+      const double a = want.double_value(), b = got.double_value();
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "row " << row;
+      break;
+    }
+    case DataType::kString:
+      EXPECT_EQ(got.string_value(), want.string_value()) << "row " << row;
+      break;
+    default:
+      EXPECT_EQ(got.int64_value(), want.int64_value()) << "row " << row;
+      break;
+  }
+}
+
+void ExpectTableHolds(const Table& table, const std::vector<Row>& rows) {
+  ASSERT_EQ(table.num_rows(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      ExpectSameCell(rows[r][c], table.CellAt(r, c), table.columns()[c].type,
+                     r);
+    }
+  }
+}
+
+TEST(TableStorageTest, EveryTypeRoundTripsCellByCell) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("r", {{"i", DataType::kInt64, true},
+                                        {"d", DataType::kDouble, true},
+                                        {"dt", DataType::kDate, true},
+                                        {"b", DataType::kBool, true},
+                                        {"s", DataType::kString, true}});
+  const double nan_a = std::bit_cast<double>(uint64_t{0x7ff8000000000001});
+  const double nan_b = std::bit_cast<double>(uint64_t{0xfff0000000000abc});
+  const std::vector<Row> rows = {
+      {Value::Int64(0), Value::Double(-0.0), Value::Date(0),
+       Value::Bool(false), Value::String("")},
+      {Value::Int64(std::numeric_limits<int64_t>::min()), Value::Double(nan_a),
+       Value::Date(-719162), Value::Bool(true),
+       Value::String("a string well past the fifteen-byte inline buffer")},
+      {Value::Int64(std::numeric_limits<int64_t>::max()), Value::Double(nan_b),
+       Value::Date(2932896), Value::Bool(true), Value::String("short")},
+      // A NULL in every type, one of them without a type tag.
+      {Value::Null(DataType::kInt64), Value::Null(DataType::kDouble),
+       Value::Null(DataType::kDate), Value::Null(DataType::kBool),
+       Value::Null()},
+      {Value::Int64(-7), Value::Double(0.0), Value::Date(10957),
+       Value::Bool(false), Value::String("")},
+  };
+  for (const Row& row : rows) ASSERT_TRUE(t->Append(row).ok());
+  for (const Table::ColumnChunk& chunk : t->ColumnarChunks()) {
+    EXPECT_FALSE(chunk.mixed);
+    EXPECT_TRUE(chunk.any_null);
+  }
+  ExpectTableHolds(*t, rows);
+}
+
+TEST(TableStorageTest, ColumnTurningMixedKeepsEarlierRowsExact) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("m", {{"x", DataType::kInt64, true},
+                                        {"s", DataType::kString, true}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 17; ++i) {
+    rows.push_back({i == 5 ? Value::Null(DataType::kInt64) : Value::Int64(i),
+                    i == 9 ? Value::Null(DataType::kString)
+                           : Value::String("value number " +
+                                           std::to_string(i))});
+  }
+  // Row 17 disagrees with both declared types.
+  rows.push_back({Value::Double(2.5), Value::Int64(17)});
+  rows.push_back({Value::Int64(18), Value::Null()});
+  rows.push_back({Value::Null(DataType::kDouble), Value::String("s19")});
+  for (const Row& row : rows) ASSERT_TRUE(t->Append(row).ok());
+  for (const Table::ColumnChunk& chunk : t->ColumnarChunks()) {
+    EXPECT_TRUE(chunk.mixed);
+    EXPECT_EQ(chunk.vals.size(), rows.size());
+    EXPECT_TRUE(chunk.ints.empty());
+    EXPECT_TRUE(chunk.chars.empty());
+    EXPECT_TRUE(chunk.nulls.empty());
+  }
+  ExpectTableHolds(*t, rows);
+}
+
+TEST(TableStorageTest, RejectedAppendsLeaveTheTableUnchanged) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("a", {{"k", DataType::kInt64, false},
+                                        {"g", DataType::kString, true}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    rows.push_back({Value::Int64(i), Value::String("g" + std::to_string(i / 8))});
+    ASSERT_TRUE(t->Append(rows.back()).ok());
+  }
+  EXPECT_EQ(t->Append({Value::Int64(1)}).code(),
+            StatusCode::kInvalidArgument);
+  ExpectTableHolds(*t, rows);
+
+  ASSERT_TRUE(t->Encode(TableEncoding::kAuto).ok());
+  EXPECT_EQ(t->ColumnarChunks()[1].encoding, ChunkEncoding::kRle);
+  Status late = t->Append({Value::Int64(99), Value::String("late")});
+  EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t->Encode(TableEncoding::kPlain).code(),
+            StatusCode::kFailedPrecondition);
+  ExpectTableHolds(*t, rows);
+}
+
+/// Column statistics recomputed straight from the appended rows, by the
+/// definition ComputeStats implements.
+TableStats StatsOf(const std::vector<Row>& rows, size_t num_columns) {
+  TableStats stats;
+  stats.row_count = static_cast<double>(rows.size());
+  stats.columns.resize(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    ColumnStats& cs = stats.columns[c];
+    std::unordered_set<size_t> hashes;
+    size_t nulls = 0;
+    for (const Row& row : rows) {
+      const Value& v = row[c];
+      if (v.is_null()) {
+        ++nulls;
+        continue;
+      }
+      if (hashes.empty()) {
+        cs.min_value = v;
+        cs.max_value = v;
+      }
+      hashes.insert(v.Hash());
+      if (v.TotalCompare(cs.min_value) < 0) cs.min_value = v;
+      if (v.TotalCompare(cs.max_value) > 0) cs.max_value = v;
+    }
+    cs.distinct_count = hashes.empty() ? 1.0 : hashes.size();
+    cs.null_fraction = rows.empty() ? 0.0
+                                    : static_cast<double>(nulls) / rows.size();
+  }
+  return stats;
+}
+
+TEST(TableStorageTest, StatsMatchRecomputationFromAppendedRows) {
+  const std::vector<ColumnSpec> schema = {{"i", DataType::kInt64, true},
+                                          {"d", DataType::kDouble, true},
+                                          {"dt", DataType::kDate, true},
+                                          {"b", DataType::kBool, true},
+                                          {"s", DataType::kString, true},
+                                          {"m", DataType::kInt64, true}};
+  std::vector<Row> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back(
+        {i % 13 == 0 ? Value::Null(DataType::kInt64) : Value::Int64(i % 17),
+         i % 7 == 0 ? Value::Null(DataType::kDouble)
+                    : Value::Double(i % 2 == 0 ? -0.0 : i * 0.25),
+         Value::Date(10000 + i / 20),
+         i % 11 == 0 ? Value::Null(DataType::kBool) : Value::Bool(i % 3 == 0),
+         i % 5 == 0 ? Value::Null(DataType::kString)
+                    : Value::String("a long enough string " +
+                                    std::to_string(i % 9)),
+         // Mixed from row 150 on.
+         i < 150 ? Value::Int64(i) : Value::String(std::to_string(i))});
+  }
+  const TableStats want = StatsOf(rows, schema.size());
+  for (TableEncoding mode : {TableEncoding::kPlain, TableEncoding::kDict,
+                             TableEncoding::kRle, TableEncoding::kAuto}) {
+    Catalog catalog;
+    Table* t = *catalog.CreateTable("s", schema);
+    for (const Row& row : rows) ASSERT_TRUE(t->Append(row).ok());
+    ASSERT_TRUE(t->Encode(mode).ok());
+    const TableStats got = ComputeStats(*t);
+    EXPECT_EQ(got.row_count, want.row_count);
+    ASSERT_EQ(got.columns.size(), want.columns.size());
+    for (size_t c = 0; c < want.columns.size(); ++c) {
+      const ColumnStats& g = got.columns[c];
+      const ColumnStats& w = want.columns[c];
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                   " column " + std::to_string(c));
+      EXPECT_EQ(g.distinct_count, w.distinct_count);
+      EXPECT_EQ(g.null_fraction, w.null_fraction);
+      ExpectSameCell(w.min_value, g.min_value, w.min_value.type(), 0);
+      ExpectSameCell(w.max_value, g.max_value, w.max_value.type(), 0);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // end-to-end row-vs-columnar equivalence at awkward batch boundaries.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "engine/engine.h"
 #include "exec/column_batch.h"
 #include "exec/exec.h"
+#include "exec/ops.h"
 #include "exec/vector_kernels.h"
 #include "obs/report.h"
 #include "server/session.h"
@@ -224,12 +227,6 @@ TEST(ExecModeTest, ColumnarComposesWithThreads) {
   EXPECT_TRUE(session.ApplySet("exec row").ok());
   EXPECT_TRUE(session.ApplySet("exec columnar").ok());
 
-  Catalog catalog;
-  Table* t = *catalog.CreateTable("t", {{"k", DataType::kInt64, false},
-                                        {"g", DataType::kInt64, false}});
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(t->Append({Value::Int64(i), Value::Int64(i % 7)}).ok());
-  }
   const std::string sql =
       "select g, count(*), sum(k) from t where k > 100 group by g";
   EngineOptions serial = EngineOptions::Full();
@@ -237,9 +234,22 @@ TEST(ExecModeTest, ColumnarComposesWithThreads) {
   EngineOptions parallel = EngineOptions::Full();
   parallel.exec.num_threads = 2;
   parallel.exec.morsel_rows = 512;
+  // The row reference reads a plain catalog; the parallel side reads one
+  // loaded in each encoding.
+  auto load = [](Catalog* catalog, TableEncoding enc) {
+    Table* t = *catalog->CreateTable("t", {{"k", DataType::kInt64, false},
+                                           {"g", DataType::kInt64, false}});
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_TRUE(t->Append({Value::Int64(i), Value::Int64(i % 7)}).ok());
+    }
+    ASSERT_TRUE(catalog->EncodeTables(enc).ok());
+  };
+  Catalog plain;
+  load(&plain, TableEncoding::kPlain);
   for (TableEncoding enc : {TableEncoding::kPlain, TableEncoding::kAuto}) {
-    parallel.exec.table_encoding = enc;
-    Result<QueryResult> expect = QueryEngine(&catalog, serial).Execute(sql);
+    Catalog catalog;
+    load(&catalog, enc);
+    Result<QueryResult> expect = QueryEngine(&plain, serial).Execute(sql);
     Result<QueryResult> actual = QueryEngine(&catalog, parallel).Execute(sql);
     ASSERT_TRUE(expect.ok()) << expect.status().ToString();
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
@@ -247,59 +257,24 @@ TEST(ExecModeTest, ColumnarComposesWithThreads) {
   }
 }
 
-TEST(ExecModeTest, TableEncodingKnobParsesAndRejects) {
+// The storage encoding is chosen once, when a catalog is loaded: no
+// session knob selects it per query, and an encoded table is read-only.
+TEST(ExecModeTest, TableEncodingIsChosenAtLoad) {
   Session session(1, EngineOptions::Full(), 0);
-  EXPECT_EQ(session.engine_options().exec.table_encoding,
-            TableEncoding::kPlain);
-  EXPECT_TRUE(session.ApplySet("table_encoding auto").ok());
-  EXPECT_EQ(session.engine_options().exec.table_encoding,
-            TableEncoding::kAuto);
-  EXPECT_TRUE(session.ApplySet("table_encoding dict").ok());
-  EXPECT_TRUE(session.ApplySet("table_encoding rle").ok());
-  EXPECT_TRUE(session.ApplySet("table_encoding plain").ok());
-  Status status = session.ApplySet("table_encoding zip");
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("table_encoding"), std::string::npos);
-}
+  Status knob = session.ApplySet("table_encoding auto");
+  ASSERT_EQ(knob.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(knob.ToString().find("unknown SET option"), std::string::npos);
 
-/// Builds a ColumnVec view over `chunk` windowed at [pos, pos + n), the
-/// same dispatch TableScanOp::NextColumnsImpl performs.
-void SetViewFromChunk(const Table::ColumnChunk& chunk, size_t pos,
-                      uint32_t n, ColumnVec* col) {
-  if (chunk.mixed) {
-    col->SetValuesView(chunk.type, chunk.vals.data() + pos, n);
-    return;
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("t", {{"g", DataType::kInt64, false}});
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(t->Append({Value::Int64(i / 16)}).ok());
   }
-  if (chunk.encoding == ChunkEncoding::kDict) {
-    col->SetDictView(chunk.type, chunk.codes.data() + pos, chunk.ints.data(),
-                     chunk.chars.data(), chunk.offsets.data(),
-                     chunk.dict_hashes.data(),
-                     static_cast<uint32_t>(chunk.dict_size()),
-                     chunk.any_null ? chunk.nulls.data() + pos : nullptr, n);
-    return;
-  }
-  if (chunk.encoding == ChunkEncoding::kRle) {
-    col->SetRleView(chunk.type, chunk.ints.data(), chunk.doubles.data(),
-                    chunk.chars.data(), chunk.offsets.data(),
-                    chunk.run_ends.data(),
-                    chunk.any_null ? chunk.nulls.data() : nullptr,
-                    static_cast<uint32_t>(chunk.num_runs()),
-                    static_cast<uint32_t>(pos), n);
-    return;
-  }
-  const uint8_t* nulls = chunk.any_null ? chunk.nulls.data() + pos : nullptr;
-  switch (chunk.type) {
-    case DataType::kDouble:
-      col->SetDoubleView(chunk.doubles.data() + pos, nulls, n);
-      break;
-    case DataType::kString:
-      col->SetStringView(chunk.chars.data(), chunk.offsets.data() + pos,
-                         nulls, n);
-      break;
-    default:
-      col->SetIntView(chunk.type, chunk.ints.data() + pos, nulls, n);
-      break;
-  }
+  ASSERT_TRUE(catalog.EncodeTables(TableEncoding::kAuto).ok());
+  EXPECT_EQ(t->ColumnarChunks()[0].encoding, ChunkEncoding::kRle);
+  EXPECT_EQ(catalog.EncodeTables(TableEncoding::kPlain).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t->ColumnarChunks()[0].encoding, ChunkEncoding::kRle);
 }
 
 class EncodedChunkTest : public ::testing::Test {
@@ -308,31 +283,35 @@ class EncodedChunkTest : public ::testing::Test {
     // 40 rows: id unique (stays plain under auto), grp clustered in runs
     // of 8 (RLE under auto), tag low-cardinality strings with nulls (dict
     // under auto).
-    table_ = *catalog_.CreateTable(
-        "e", {{"id", DataType::kInt64, false},
-              {"grp", DataType::kInt64, false},
-              {"tag", DataType::kString, true}});
     for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(table_
-                      ->Append({Value::Int64(i * 7 % 41),
-                                Value::Int64(i / 8),
-                                i % 11 == 0
-                                    ? Value::Null(DataType::kString)
-                                    : Value::String("group_name_" +
-                                                    std::to_string(i % 3))})
-                      .ok());
+      rows_.push_back({Value::Int64(i * 7 % 41), Value::Int64(i / 8),
+                       i % 11 == 0 ? Value::Null(DataType::kString)
+                                   : Value::String("group_name_" +
+                                                   std::to_string(i % 3))});
     }
   }
 
-  /// Asserts the windowed view decodes to exactly the table rows
-  /// [pos, pos + n) for column `c` — the chunk-boundary resume a scan
-  /// performs when a batch ends mid-table.
+  /// A fresh table holding rows_, encoded under `mode` at load.
+  const Table* Load(TableEncoding mode) {
+    Table* table = *catalog_.CreateTable(
+        "e" + std::to_string(tables_++),
+        {{"id", DataType::kInt64, false},
+         {"grp", DataType::kInt64, false},
+         {"tag", DataType::kString, true}});
+    for (const Row& row : rows_) EXPECT_TRUE(table->Append(row).ok());
+    EXPECT_TRUE(table->Encode(mode).ok());
+    return table;
+  }
+
+  /// Asserts the windowed view decodes to exactly rows_ [pos, pos + n)
+  /// for column `c` — the chunk-boundary resume a scan performs when a
+  /// batch ends mid-table.
   void ExpectWindowRoundTrips(const Table::ColumnChunk& chunk, int c,
                               size_t pos, uint32_t n) {
     ColumnVec col;
-    SetViewFromChunk(chunk, pos, n, &col);
+    ViewChunkRows(chunk, pos, n, &col);
     for (uint32_t i = 0; i < n; ++i) {
-      const Value& want = table_->rows()[pos + i][c];
+      const Value& want = rows_[pos + i][c];
       Value got = col.GetValue(i);
       EXPECT_EQ(want.is_null(), got.is_null()) << "col " << c << " row " << i;
       if (!want.is_null()) {
@@ -342,34 +321,35 @@ class EncodedChunkTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  Table* table_ = nullptr;
+  std::vector<Row> rows_;
+  int tables_ = 0;
 };
 
 TEST_F(EncodedChunkTest, AutoHeuristicPicksPerColumn) {
   const std::vector<Table::ColumnChunk>& chunks =
-      table_->ColumnarChunks(TableEncoding::kAuto);
+      Load(TableEncoding::kAuto)->ColumnarChunks();
   ASSERT_EQ(chunks.size(), 3u);
   EXPECT_EQ(chunks[0].encoding, ChunkEncoding::kPlain);  // unique ints
   EXPECT_EQ(chunks[1].encoding, ChunkEncoding::kRle);    // 5 runs of 8
   EXPECT_EQ(chunks[1].num_runs(), 5u);
   EXPECT_EQ(chunks[2].encoding, ChunkEncoding::kDict);   // 3 distinct + null
   EXPECT_EQ(chunks[2].dict_size(), 4u);  // null rows intern ""
-  // The encoded forms actually compress: RLE collapses the runs, dict
-  // shares the long string payloads.
-  EXPECT_LT(chunks[1].encoded_bytes, chunks[1].plain_bytes);
-  EXPECT_LT(chunks[2].encoded_bytes, chunks[2].plain_bytes);
-  // The plain cache is a distinct, unencoded chunk set.
+  // A plain load of the same rows is a distinct, unencoded chunk set, and
+  // the encoded forms actually compress against it: RLE collapses the
+  // runs, dict shares the long string payloads.
   const std::vector<Table::ColumnChunk>& plain =
-      table_->ColumnarChunks(TableEncoding::kPlain);
+      Load(TableEncoding::kPlain)->ColumnarChunks();
   EXPECT_EQ(plain[1].encoding, ChunkEncoding::kPlain);
   EXPECT_EQ(plain[2].encoding, ChunkEncoding::kPlain);
+  EXPECT_LT(chunks[1].bytes(), plain[1].bytes());
+  EXPECT_LT(chunks[2].bytes(), plain[2].bytes());
 }
 
 TEST_F(EncodedChunkTest, EncodedViewsRoundTripWithWindows) {
   for (TableEncoding mode : {TableEncoding::kDict, TableEncoding::kRle,
                              TableEncoding::kAuto}) {
     const std::vector<Table::ColumnChunk>& chunks =
-        table_->ColumnarChunks(mode);
+        Load(mode)->ColumnarChunks();
     for (int c = 0; c < 3; ++c) {
       ExpectWindowRoundTrips(chunks[c], c, 0, 40);
       ExpectWindowRoundTrips(chunks[c], c, 7, 33);   // mid-run resume
@@ -377,18 +357,18 @@ TEST_F(EncodedChunkTest, EncodedViewsRoundTripWithWindows) {
     }
   }
   // Forced modes encode every eligible column.
-  EXPECT_EQ(table_->ColumnarChunks(TableEncoding::kDict)[0].encoding,
+  EXPECT_EQ(Load(TableEncoding::kDict)->ColumnarChunks()[0].encoding,
             ChunkEncoding::kDict);
-  EXPECT_EQ(table_->ColumnarChunks(TableEncoding::kRle)[2].encoding,
+  EXPECT_EQ(Load(TableEncoding::kRle)->ColumnarChunks()[2].encoding,
             ChunkEncoding::kRle);
 }
 
 TEST_F(EncodedChunkTest, RleCursorHandlesBackwardJumps) {
   const Table::ColumnChunk& chunk =
-      table_->ColumnarChunks(TableEncoding::kRle)[1];
+      Load(TableEncoding::kRle)->ColumnarChunks()[1];
   ASSERT_EQ(chunk.encoding, ChunkEncoding::kRle);
   ColumnVec col;
-  SetViewFromChunk(chunk, 0, 40, &col);
+  ViewChunkRows(chunk, 0, 40, &col);
   // Monotone forward, then a backward jump: the cached run cursor must
   // reseek, not walk off the run array.
   EXPECT_EQ(col.IntAt(30), 3);
@@ -398,23 +378,25 @@ TEST_F(EncodedChunkTest, RleCursorHandlesBackwardJumps) {
 }
 
 TEST_F(EncodedChunkTest, MixedTagColumnStaysBoxedUnderEveryEncoding) {
-  Table* m = *catalog_.CreateTable("m", {{"x", DataType::kInt64, true}});
-  for (int i = 0; i < 40; ++i) {
-    // Value tags disagree with the declared type on some rows, so the
-    // chunk must degrade to boxed values — and encoding must leave it
-    // alone under every requested mode.
-    ASSERT_TRUE(
-        m->Append({i % 2 == 0 ? Value::Int64(7) : Value::String("seven")})
-            .ok());
-  }
   for (TableEncoding mode : {TableEncoding::kPlain, TableEncoding::kDict,
                              TableEncoding::kRle, TableEncoding::kAuto}) {
-    const Table::ColumnChunk& chunk = m->ColumnarChunks(mode)[0];
+    Table* m = *catalog_.CreateTable("m" + std::to_string(tables_++),
+                                     {{"x", DataType::kInt64, true}});
+    for (int i = 0; i < 40; ++i) {
+      // Value tags disagree with the declared type on some rows, so the
+      // chunk must degrade to boxed values — and encoding must leave it
+      // alone under every mode.
+      ASSERT_TRUE(
+          m->Append({i % 2 == 0 ? Value::Int64(7) : Value::String("seven")})
+              .ok());
+    }
+    ASSERT_TRUE(m->Encode(mode).ok());
+    const Table::ColumnChunk& chunk = m->ColumnarChunks()[0];
     EXPECT_TRUE(chunk.mixed);
     EXPECT_EQ(chunk.encoding, ChunkEncoding::kPlain);
     ASSERT_EQ(chunk.vals.size(), 40u);
     ColumnVec col;
-    SetViewFromChunk(chunk, 0, 40, &col);
+    ViewChunkRows(chunk, 0, 40, &col);
     EXPECT_EQ(col.rep(), ColumnRep::kValues);
     EXPECT_EQ(col.GetValue(1).string_value(), "seven");
   }
@@ -427,11 +409,11 @@ TEST_F(EncodedChunkTest, EncodedHashParityWithRowHash) {
   for (TableEncoding mode : {TableEncoding::kPlain, TableEncoding::kDict,
                              TableEncoding::kRle, TableEncoding::kAuto}) {
     const std::vector<Table::ColumnChunk>& chunks =
-        table_->ColumnarChunks(mode);
+        Load(mode)->ColumnarChunks();
     ColumnBatch batch(64);
     batch.ResizeCols(3);
     for (int c = 0; c < 3; ++c) {
-      SetViewFromChunk(chunks[c], 0, 40, &batch.col(c));
+      ViewChunkRows(chunks[c], 0, 40, &batch.col(c));
     }
     batch.set_num_rows(40);
     std::vector<size_t> hashes;
@@ -450,11 +432,13 @@ TEST_F(EncodedChunkTest, EncodedHashParityWithRowHash) {
 
 class ColumnarExecTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // 16 rows and batch_size 8: scans hit the batch capacity exactly, so
-    // every boundary (full batch, exact multiple, EOS-on-empty) is
-    // exercised. Includes nulls, strings, doubles, and negatives.
-    Table* t = *catalog_.CreateTable("t", {{"k", DataType::kInt64, false},
+  void SetUp() override { Load(&catalog_); }
+
+  // 16 rows and batch_size 8: scans hit the batch capacity exactly, so
+  // every boundary (full batch, exact multiple, EOS-on-empty) is
+  // exercised. Includes nulls, strings, doubles, and negatives.
+  static void Load(Catalog* catalog) {
+    Table* t = *catalog->CreateTable("t", {{"k", DataType::kInt64, false},
                                            {"v", DataType::kInt64, true},
                                            {"d", DataType::kDouble, true},
                                            {"s", DataType::kString, true}});
@@ -468,7 +452,7 @@ class ColumnarExecTest : public ::testing::Test {
                          : Value::String("s" + std::to_string(i % 3))};
       ASSERT_TRUE(t->Append(std::move(row)).ok());
     }
-    Table* u = *catalog_.CreateTable("u", {{"fk", DataType::kInt64, false},
+    Table* u = *catalog->CreateTable("u", {{"fk", DataType::kInt64, false},
                                            {"w", DataType::kInt64, true}});
     for (int i = 0; i < 24; ++i) {
       ASSERT_TRUE(u->Append({Value::Int64(i % 6),
@@ -478,10 +462,22 @@ class ColumnarExecTest : public ::testing::Test {
     }
   }
 
+  /// The same tables loaded under `encoding` (catalog_ itself for plain).
+  Catalog* CatalogIn(TableEncoding encoding) {
+    if (encoding == TableEncoding::kPlain) return &catalog_;
+    std::unique_ptr<Catalog>& catalog = encoded_[encoding];
+    if (catalog == nullptr) {
+      catalog = std::make_unique<Catalog>();
+      Load(catalog.get());
+      EXPECT_TRUE(catalog->EncodeTables(encoding).ok());
+    }
+    return catalog.get();
+  }
+
   // Runs `sql` in both modes with batch_size 8 and expects identical row
-  // multisets. The columnar side reads chunks under `encoding` (plain by
-  // default; the encoded modes are the storage-layer twist on the same
-  // oracle).
+  // multisets. The row side reads the plain catalog; the columnar side
+  // reads the catalog loaded under `encoding` (the encoded modes are the
+  // storage-layer twist on the same oracle).
   void ExpectModesAgree(const std::string& sql,
                         TableEncoding encoding = TableEncoding::kPlain) {
     EngineOptions row_options = EngineOptions::Full();
@@ -489,9 +485,8 @@ class ColumnarExecTest : public ::testing::Test {
     row_options.exec.batch_size = 8;
     EngineOptions col_options = EngineOptions::Full();
     col_options.exec.batch_size = 8;
-    col_options.exec.table_encoding = encoding;
     QueryEngine row_engine(&catalog_, row_options);
-    QueryEngine col_engine(&catalog_, col_options);
+    QueryEngine col_engine(CatalogIn(encoding), col_options);
     Result<QueryResult> expect = row_engine.Execute(sql);
     Result<QueryResult> actual = col_engine.Execute(sql);
     ASSERT_TRUE(expect.ok()) << sql << ": " << expect.status().ToString();
@@ -501,6 +496,7 @@ class ColumnarExecTest : public ::testing::Test {
   }
 
   Catalog catalog_;
+  std::map<TableEncoding, std::unique_ptr<Catalog>> encoded_;
 };
 
 TEST_F(ColumnarExecTest, FilterMatchesRowMode) {
@@ -540,8 +536,8 @@ TEST_F(ColumnarExecTest, SubqueryPlansMatchRowMode) {
 }
 
 TEST_F(ColumnarExecTest, EncodedStorageMatchesRowMode) {
-  // The same row-vs-columnar oracle with the columnar side reading
-  // dictionary/RLE/auto-encoded chunks: predicates translate to codes,
+  // The same row-vs-columnar oracle with the columnar side reading a
+  // catalog loaded with dictionary/RLE/auto-encoded chunks: predicates translate to codes,
   // hashing consumes codes, and the vectorized accumulators walk runs —
   // all of it must stay byte-equal to plain row execution. batch_size 8
   // on 16/24-row tables also forces mid-chunk window resumes.
@@ -566,8 +562,7 @@ TEST_F(ColumnarExecTest, EncodedStorageMatchesRowMode) {
 TEST_F(ColumnarExecTest, EncodedScanSurfacesEncodingInReport) {
   EngineOptions options = EngineOptions::Full();
   options.exec.batch_size = 8;
-  options.exec.table_encoding = TableEncoding::kDict;
-  QueryEngine engine(&catalog_, options);
+  QueryEngine engine(CatalogIn(TableEncoding::kDict), options);
   Result<std::string> report = engine.ExplainAnalyze(
       "select s, count(*) from t group by s");
   ASSERT_TRUE(report.ok()) << report.status().ToString();

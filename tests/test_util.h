@@ -45,6 +45,17 @@ inline Result<std::vector<Row>> ExecLogical(const RelExprPtr& tree,
   return out;
 }
 
+/// Every row of `table`, decoded cell by cell from its column chunks.
+inline std::vector<Row> TableRows(const Table& table) {
+  std::vector<Row> rows(table.num_rows(), Row(table.num_columns()));
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      rows[r][c] = table.CellAt(r, c);
+    }
+  }
+  return rows;
+}
+
 /// Canonical (sorted) string form of a row multiset for comparison.
 inline std::vector<std::string> CanonicalRows(const std::vector<Row>& rows) {
   std::vector<std::string> out;

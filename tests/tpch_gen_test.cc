@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "tests/test_util.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
 
@@ -50,7 +51,7 @@ TEST_F(TpchGenTest, PrimaryKeysAreUnique) {
   for (const char* name : {"customer", "orders", "part", "supplier"}) {
     Table* table = Db()->FindTable(name);
     std::set<int64_t> keys;
-    for (const Row& row : table->rows()) {
+    for (const Row& row : TableRows(*table)) {
       EXPECT_TRUE(keys.insert(row[0].int64_value()).second)
           << name << " duplicate key " << row[0].int64_value();
     }
@@ -58,7 +59,7 @@ TEST_F(TpchGenTest, PrimaryKeysAreUnique) {
   // Composite keys.
   Table* partsupp = Db()->FindTable("partsupp");
   std::set<std::pair<int64_t, int64_t>> ps_keys;
-  for (const Row& row : partsupp->rows()) {
+  for (const Row& row : TableRows(*partsupp)) {
     EXPECT_TRUE(ps_keys
                     .insert({row[0].int64_value(), row[1].int64_value()})
                     .second);
@@ -69,13 +70,13 @@ TEST_F(TpchGenTest, ForeignKeysInRange) {
   Table* orders = Db()->FindTable("orders");
   int64_t customers =
       static_cast<int64_t>(Db()->FindTable("customer")->num_rows());
-  for (const Row& row : orders->rows()) {
+  for (const Row& row : TableRows(*orders)) {
     int64_t cust = row[1].int64_value();
     EXPECT_GE(cust, 1);
     EXPECT_LE(cust, customers);
   }
   Table* nation = Db()->FindTable("nation");
-  for (const Row& row : nation->rows()) {
+  for (const Row& row : TableRows(*nation)) {
     int64_t region = row[2].int64_value();
     EXPECT_GE(region, 0);
     EXPECT_LE(region, 4);
@@ -87,7 +88,7 @@ TEST_F(TpchGenTest, ValueVocabularies) {
   int brand_ordinal = part->ColumnOrdinal("p_brand");
   int size_ordinal = part->ColumnOrdinal("p_size");
   bool saw_q17_brand = false;
-  for (const Row& row : part->rows()) {
+  for (const Row& row : TableRows(*part)) {
     const std::string& brand = row[brand_ordinal].string_value();
     ASSERT_EQ(brand.substr(0, 6), "Brand#");
     saw_q17_brand |= brand == "Brand#23";
@@ -102,7 +103,7 @@ TEST_F(TpchGenTest, LineitemDateOrdering) {
   Table* lineitem = Db()->FindTable("lineitem");
   int ship = lineitem->ColumnOrdinal("l_shipdate");
   int receipt = lineitem->ColumnOrdinal("l_receiptdate");
-  for (const Row& row : lineitem->rows()) {
+  for (const Row& row : TableRows(*lineitem)) {
     EXPECT_LT(row[ship].date_value(), row[receipt].date_value());
   }
 }
@@ -118,8 +119,8 @@ TEST_F(TpchGenTest, DifferentSeedsGiveDifferentData) {
   // Same shape, different content.
   ASSERT_EQ(a.FindTable("customer")->num_rows(),
             b.FindTable("customer")->num_rows());
-  EXPECT_NE(RowToString(a.FindTable("customer")->rows()[0]),
-            RowToString(b.FindTable("customer")->rows()[0]));
+  EXPECT_NE(RowToString(TableRows(*a.FindTable("customer"))[0]),
+            RowToString(TableRows(*b.FindTable("customer"))[0]));
 }
 
 TEST_F(TpchGenTest, QuerySetWellFormed) {

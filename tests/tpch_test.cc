@@ -6,6 +6,7 @@
 
 #include "algebra/expr_util.h"
 #include "engine/engine.h"
+#include "tests/test_util.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
 
@@ -203,8 +204,10 @@ TEST(TpchData, GeneratorIsDeterministic) {
     Table* ta = a.FindTable(name);
     Table* tb = b.FindTable(name);
     ASSERT_EQ(ta->num_rows(), tb->num_rows()) << name;
+    const std::vector<Row> rows_a = TableRows(*ta);
+    const std::vector<Row> rows_b = TableRows(*tb);
     for (size_t i = 0; i < ta->num_rows(); ++i) {
-      ASSERT_EQ(RowToString(ta->rows()[i]), RowToString(tb->rows()[i]))
+      ASSERT_EQ(RowToString(rows_a[i]), RowToString(rows_b[i]))
           << name << " row " << i;
     }
   }

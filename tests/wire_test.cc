@@ -215,7 +215,7 @@ TEST(WireErrorTest, RoundTripsEveryCode) {
       StatusCode::kRuntimeError,       StatusCode::kCardinalityViolation,
       StatusCode::kUnsupported,        StatusCode::kInternal,
       StatusCode::kCancelled,          StatusCode::kDeadlineExceeded,
-      StatusCode::kUnavailable,
+      StatusCode::kUnavailable,        StatusCode::kFailedPrecondition,
   };
   for (StatusCode code : codes) {
     Status original(code, "message for " + Status::CodeName(code));

@@ -6,8 +6,8 @@
 // Commands are executed in argv order:
 //   --sql "SELECT ..."     run a query, print header + rows to stdout
 //   --set "name value"     session SET (threads, exec, batch_size,
-//                          table_encoding, morsel_rows, timeout_ms,
-//                          slow_query_ms, plan_cache)
+//                          morsel_rows, timeout_ms, slow_query_ms,
+//                          plan_cache)
 //   --admin CMD            admin command ("metrics", "metrics json",
 //                          "metrics prom", "queries", "history [n]",
 //                          "cancel <id>", "ping")

@@ -23,9 +23,10 @@
 // stream — e.g. `--reference-exec row --test-exec parallel` is the
 // parallel-vs-serial oracle.
 //
-// --table-encoding sets the test side's columnar storage encoding
-// (reference scans stay plain), so `--reference-exec row --test-exec
-// columnar --table-encoding auto` is the encoded-storage oracle.
+// --table-encoding loads the test side's catalog in that storage encoding
+// (the reference side loads its own plain copy), so `--reference-exec row
+// --test-exec columnar --table-encoding auto` is the encoded-storage
+// oracle.
 //
 // Exit code 0 when every query agreed, 1 on divergence, 2 on setup error.
 
@@ -34,8 +35,20 @@
 #include <cstring>
 #include <optional>
 
+#include "catalog/table.h"
 #include "difftest/harness.h"
-#include "exec/exec.h"
+
+namespace {
+
+std::optional<orq::TableEncoding> ParseTableEncoding(const char* name) {
+  if (std::strcmp(name, "plain") == 0) return orq::TableEncoding::kPlain;
+  if (std::strcmp(name, "dict") == 0) return orq::TableEncoding::kDict;
+  if (std::strcmp(name, "rle") == 0) return orq::TableEncoding::kRle;
+  if (std::strcmp(name, "auto") == 0) return orq::TableEncoding::kAuto;
+  return std::nullopt;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   orq::HarnessOptions options;
@@ -78,7 +91,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       const char* enc = argv[++i];
-      std::optional<orq::TableEncoding> parsed = orq::ParseTableEncoding(enc);
+      std::optional<orq::TableEncoding> parsed = ParseTableEncoding(enc);
       if (!parsed.has_value()) {
         std::fprintf(stderr,
                      "--table-encoding expects plain|dict|rle|auto, got %s\n",
