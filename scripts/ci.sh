@@ -183,6 +183,12 @@ build/tools/bench_compare bench/baselines/BENCH_cache.json \
 build/tools/orq_loadgen --sessions 4 --queries 50 --seed 20260806 \
   --prepared --min-hit-rate 99 >/dev/null
 
+echo "=== Parallel-vs-row difftest campaign ==="
+# The ctest smoke runs 500 queries at one seed; the parallel aggregate
+# merge and the SUM accumulator get a longer campaign at a second seed.
+build/tools/difftest --seed 7 --queries 2000 --reference-exec row \
+  --test-exec parallel --threads 4
+
 echo "=== End-to-end benchmark answer check (held-out seed) ==="
 # Builds orq_bench from this checkout and checks every workload's answers
 # against its reference at the held-out seed, without a timed window.

@@ -7,8 +7,8 @@ namespace orq {
 TableIndex::TableIndex(const Table& table, std::vector<int> ordinals)
     : ordinals_(std::move(ordinals)) {
   const size_t rows = table.num_rows();
-  buckets_.map.reserve(rows);
-  std::vector<BucketRange*> row_bucket(rows, nullptr);
+  buckets_.Reset(ordinals_.size());
+  std::vector<uint32_t> row_bucket(rows, KeyTable::kNone);
   Row key(ordinals_.size());
   for (size_t pos = 0; pos < rows; ++pos) {
     bool null_key = false;
@@ -16,7 +16,7 @@ TableIndex::TableIndex(const Table& table, std::vector<int> ordinals)
       key[i] = table.CellAt(pos, ordinals_[i]);
       null_key |= key[i].is_null();
     }
-    if (!null_key) row_bucket[pos] = buckets_.Add(&key);
+    if (!null_key) row_bucket[pos] = buckets_.Add(key, RowHash{}(key));
   }
   buckets_.Scatter(row_bucket);
 }

@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "common/packed_key.h"
+#include "common/key_table.h"
 #include "common/value.h"
 
 namespace orq {
@@ -31,7 +31,7 @@ class TableIndex {
   /// ordinals()); empty when none.
   std::span<const uint32_t> Lookup(const Row& key) const;
 
-  size_t num_entries() const { return buckets_.map.size(); }
+  size_t num_entries() const { return buckets_.keys.size(); }
 
  private:
   std::vector<int> ordinals_;

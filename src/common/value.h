@@ -61,6 +61,28 @@ inline bool IsNumeric(DataType type) {
   return type == DataType::kInt64 || type == DataType::kDouble;
 }
 
+/// Physical representation of a column of values (a ColumnBatch column,
+/// a KeyTable key column).
+///
+///   kInts     — bool / int64 / date, one int64 per row.
+///   kDoubles  — double, one double per row.
+///   kStrings  — offset + arena: offsets[i]..offsets[i+1] into `chars`
+///               (n + 1 offsets, monotone; absolute, so a view may start
+///               at any row of a larger arena).
+///   kValues   — boxed fallback: one Value per row. Used for columns with
+///               mixed tags (a CASE that yields int64 on one branch and
+///               double on another) and for per-row-evaluated results.
+enum class ColumnRep : uint8_t { kInts, kDoubles, kStrings, kValues };
+
+/// The typed representation a column of `type` uses.
+inline ColumnRep RepForType(DataType type) {
+  switch (type) {
+    case DataType::kDouble: return ColumnRep::kDoubles;
+    case DataType::kString: return ColumnRep::kStrings;
+    default: return ColumnRep::kInts;
+  }
+}
+
 /// A nullable SQL scalar value: a type tag, a null flag, and storage.
 ///
 /// Comparison helpers come in two flavors:

@@ -12,18 +12,6 @@
 
 namespace orq {
 
-/// Physical representation of one column inside a ColumnBatch.
-///
-///   kInts     — bool / int64 / date, one int64 per row.
-///   kDoubles  — double, one double per row.
-///   kStrings  — offset + arena: offsets[i]..offsets[i+1] into `chars`
-///               (n + 1 offsets, monotone; absolute, so a view may start
-///               at any row of a larger arena).
-///   kValues   — boxed fallback: one Value per row. Used for columns with
-///               mixed tags (a CASE that yields int64 on one branch and
-///               double on another) and for per-row-evaluated results.
-enum class ColumnRep : uint8_t { kInts, kDoubles, kStrings, kValues };
-
 /// Storage encoding of a ColumnVec view, orthogonal to ColumnRep (which
 /// stays the *logical* representation).
 ///
@@ -41,15 +29,6 @@ enum class ColumnRep : uint8_t { kInts, kDoubles, kStrings, kValues };
 /// Kernels must check is_plain() before indexing the raw arrays per row,
 /// and may instead exploit the code/run structure directly.
 enum class ColumnEnc : uint8_t { kNone, kDict, kRle };
-
-/// The typed representation a column of `type` uses.
-inline ColumnRep RepForType(DataType type) {
-  switch (type) {
-    case DataType::kDouble: return ColumnRep::kDoubles;
-    case DataType::kString: return ColumnRep::kStrings;
-    default: return ColumnRep::kInts;
-  }
-}
 
 /// One column of a ColumnBatch: a typed array view plus an optional null
 /// mask (one byte per row, non-zero = NULL; no mask means no NULLs).
@@ -132,13 +111,6 @@ class ColumnVec {
     run_cursor_ = c;
     return c;
   }
-  /// One past the last view row of run r, clamped to the view.
-  uint32_t RunEndRow(uint32_t r) const {
-    const uint32_t e = run_ends_[r];
-    const uint32_t rel = e > row_base_ ? e - row_base_ : 0;
-    return rel < size_ ? rel : size_;
-  }
-
   /// Materializes row i as a Value. NULLs come back as Value::Null(type()):
   /// the original NULL's tag is not preserved, which is benign — NULL
   /// hashing, grouping, comparison, and printing are all tag-independent.
@@ -414,7 +386,7 @@ class ColumnBatch {
 /// without boxing — strings stay views. The Ref helpers below reproduce
 /// Value::SqlCompare / TotalCompare / GroupEquals / Hash exactly, so
 /// columnar kernels and row-engine hash tables interoperate: a key hashed
-/// column-wise finds the bucket a PackedKey built from Rows landed in.
+/// column-wise finds the KeyTable entry a Row-keyed insert made.
 struct ElemRef {
   DataType type;
   bool null;

@@ -4,8 +4,9 @@
 #include <utility>
 
 #include "algebra/expr_util.h"
-#include "common/packed_key.h"
+#include "common/key_table.h"
 #include "exec/evaluator.h"
+#include "exec/key_columns.h"
 #include "exec/ops.h"
 #include "exec/parallel.h"
 #include "exec/vector_kernels.h"
@@ -231,10 +232,18 @@ struct BuildTable {
   std::vector<Row> arena;  // build rows, arrival order
   KeyBuckets buckets;      // slots are arena indices
 
-  void Clear() {
+  void Reset(size_t key_width) {
     arena.clear();
-    buckets.Clear();
+    buckets.Reset(key_width);
   }
+};
+
+/// One build row of a parallel partial: its join key, the key's RowHash
+/// (computed by the worker, off the merge's critical section) and the row.
+struct KeyedRow {
+  Row key;
+  size_t hash;
+  Row row;
 };
 
 /// Build-side rendezvous of a parallel hash join. Every worker drains its
@@ -257,23 +266,24 @@ class SharedJoinState final : public SharedRegionState {
       partial.clear();
       partial.shrink_to_fit();
     }
-    table_.Clear();
+    table_.Reset(0);
   }
 
   /// Blocks until all workers deposited and the merge completed. Returns
   /// the shared table (same pointer for every worker) or the first
   /// deposited error. `*merged_here` is set for exactly one worker — the
   /// one that performed the merge — so table-wide stats are recorded once.
-  Result<const BuildTable*> Deposit(
-      int worker, const Status& drain,
-      std::vector<std::pair<PackedKey, Row>> partial, bool* merged_here) {
+  Result<const BuildTable*> Deposit(int worker, const Status& drain,
+                                    size_t key_width,
+                                    std::vector<KeyedRow> partial,
+                                    bool* merged_here) {
     std::unique_lock<std::mutex> lock(mu_);
     if (!drain.ok() && status_.ok()) status_ = drain;
     partials_[static_cast<size_t>(worker)] = std::move(partial);
     *merged_here = false;
     if (++deposited_ == workers_) {
       if (status_.ok()) {
-        Merge();
+        Merge(key_width);
         *merged_here = true;
       }
       merge_done_ = true;
@@ -288,16 +298,17 @@ class SharedJoinState final : public SharedRegionState {
  private:
   /// Runs under mu_ on the last depositor's thread; after merge_done_ the
   /// table is read-only, so probes need no lock.
-  void Merge() {
+  void Merge(size_t key_width) {
     size_t total = 0;
     for (const auto& partial : partials_) total += partial.size();
+    table_.Reset(key_width);
     table_.arena.reserve(total);
-    std::vector<BucketRange*> row_bucket;
+    std::vector<uint32_t> row_bucket;
     row_bucket.reserve(total);
     for (auto& partial : partials_) {
-      for (auto& [key, row] : partial) {
-        row_bucket.push_back(table_.buckets.Add(std::move(key)));
-        table_.arena.push_back(std::move(row));
+      for (KeyedRow& entry : partial) {
+        row_bucket.push_back(table_.buckets.Add(entry.key, entry.hash));
+        table_.arena.push_back(std::move(entry.row));
       }
       partial.clear();
       partial.shrink_to_fit();
@@ -311,7 +322,7 @@ class SharedJoinState final : public SharedRegionState {
   int deposited_ = 0;
   bool merge_done_ = false;
   Status status_;
-  std::vector<std::vector<std::pair<PackedKey, Row>>> partials_;
+  std::vector<std::vector<KeyedRow>> partials_;
   BuildTable table_;
 };
 
@@ -411,9 +422,9 @@ class ProbeJoinOp : public PhysicalOp {
   }
 
   /// Columnar probe: key hashes are computed column-wise for the whole
-  /// probe batch and lookups go through ColumnKeyRef (no probe-row
-  /// decode); output pairs (probe row, slot) are gathered into typed
-  /// output columns in one pass.
+  /// probe batch and lookups compare the key columns against the table's
+  /// typed keys (no probe-row decode); output pairs (probe row, slot) are
+  /// gathered into typed output columns in one pass.
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) final {
     const uint32_t cap = static_cast<uint32_t>(out->capacity());
     if (cin_ == nullptr) {
@@ -535,7 +546,6 @@ class ProbeJoinOp : public PhysicalOp {
       if (v->is_null()) return Status::OK();
       probe_key_[i] = std::move(*v);
     }
-    // Heterogeneous lookup: no key copy.
     if (const BucketRange* bucket = buckets_->Find(probe_key_)) {
       bucket_begin_ = bucket->begin;
       bucket_size_ = bucket->size;
@@ -571,9 +581,8 @@ class ProbeJoinOp : public PhysicalOp {
 
   /// Columnar analogue of LookupBucket: positions the bucket cursor for
   /// the probe row at selection position `j` of cin_. Key NULL detection
-  /// and the hash come from the key columns; the heterogeneous find
-  /// compares hash-first and only runs the per-key comparison on a hash
-  /// hit.
+  /// and the hash come from the key columns; the lookup compares stored
+  /// hash bits first and only runs the per-key comparison on a match.
   void LookupBucketColumnar(uint32_t j) {
     bucket_begin_ = 0;
     bucket_size_ = 0;
@@ -587,9 +596,8 @@ class ProbeJoinOp : public PhysicalOp {
       }
     }
     if (!null_key) {
-      ColumnKeyRef ref{probe_cols_.data(), probe_cols_.size(), r,
-                       chashes_[j]};
-      if (const BucketRange* bucket = buckets_->Find(ref)) {
+      if (const BucketRange* bucket = buckets_->Range(FindColumns(
+              buckets_->keys, probe_cols_.data(), r, chashes_[j]))) {
         bucket_begin_ = bucket->begin;
         bucket_size_ = bucket->size;
       }
@@ -819,11 +827,12 @@ class HashJoinOp final : public ProbeJoinOp {
       // Parallel build: drain this worker's share of the build input into
       // (key, row) pairs and meet the gang at the merge barrier. The drain
       // status rides along so an error still completes the barrier.
-      std::vector<std::pair<PackedKey, Row>> partial;
+      std::vector<KeyedRow> partial;
       Status drain = DrainBuildPartial(ctx, &partial);
       bool merged_here = false;
       Result<const BuildTable*> merged =
-          shared_->Deposit(worker_, drain, std::move(partial), &merged_here);
+          shared_->Deposit(worker_, drain, right_keys_.size(),
+                           std::move(partial), &merged_here);
       if (!merged.ok()) return merged.status();
       active_ = *merged;
       if (merged_here) RecordBuildStats();
@@ -846,7 +855,7 @@ class HashJoinOp final : public ProbeJoinOp {
   void CloseBuild() override {
     // The shared table is released by the exchange's Close (other workers
     // may still be probing it here); a caching build survives for replay.
-    if (shared_ == nullptr && !cache_build_) local_.Clear();
+    if (shared_ == nullptr && !cache_build_) local_.Reset(right_keys_.size());
     active_ = nullptr;
   }
 
@@ -879,20 +888,20 @@ class HashJoinOp final : public ProbeJoinOp {
     return true;
   }
 
-  /// Serial build: drain the right child into local_, keyed by a packed
-  /// key (hash precomputed once per distinct key). Buckets are ranges into
-  /// a single slots permutation rather than one vector of row copies per
-  /// key.
+  /// Serial build: drain the right child into local_, each row counted
+  /// into its key's bucket (key copied into the table only when new).
+  /// Buckets are ranges into a single slots permutation rather than one
+  /// vector of row copies per key.
   Status BuildLocal(ExecContext* ctx) {
-    local_.Clear();
+    local_.Reset(right_keys_.size());
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-    std::vector<BucketRange*> row_bucket;
+    std::vector<uint32_t> row_bucket;
     Row key(right_keys_.size());
     Status drain =
         DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
           ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
           if (!joinable) return Status::OK();
-          row_bucket.push_back(local_.buckets.Add(&key));
+          row_bucket.push_back(local_.buckets.Add(key, RowHash{}(key)));
           local_.arena.push_back(std::move(row));
           return Status::OK();
         });
@@ -905,15 +914,15 @@ class HashJoinOp final : public ProbeJoinOp {
   /// Parallel build: drain the right child (a morsel share of the build
   /// input) into per-row (key, row) pairs for the shared merge. Closes the
   /// child on every path; the caller deposits whatever status results.
-  Status DrainBuildPartial(ExecContext* ctx,
-                           std::vector<std::pair<PackedKey, Row>>* partial) {
+  Status DrainBuildPartial(ExecContext* ctx, std::vector<KeyedRow>* partial) {
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
     Status drain =
         DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
           Row key(right_keys_.size());
           ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
           if (joinable) {
-            partial->emplace_back(PackedKey(std::move(key)), std::move(row));
+            const size_t hash = RowHash{}(key);
+            partial->push_back(KeyedRow{std::move(key), hash, std::move(row)});
           }
           return Status::OK();
         });
@@ -930,8 +939,8 @@ class HashJoinOp final : public ProbeJoinOp {
   /// builder, or by the single worker that performed the parallel merge
   /// (into its shard; the exchange merges shards afterwards).
   void RecordBuildStats() {
-    const auto& map = active_->buckets.map;
-    RecordPeak(static_cast<int64_t>(map.size()));
+    const KeyBuckets& buckets = active_->buckets;
+    RecordPeak(static_cast<int64_t>(buckets.keys.size()));
     MetricsRegistry* m = metrics();
     if (m == nullptr) return;
     if (shared_ == nullptr) {
@@ -940,21 +949,21 @@ class HashJoinOp final : public ProbeJoinOp {
       m->Add(MetricCounter::kHashJoinBuildRows,
              static_cast<int64_t>(active_->arena.size()));
     }
-    m->Add(MetricCounter::kHashJoinBuckets, static_cast<int64_t>(map.size()));
+    m->Add(MetricCounter::kHashJoinBuckets,
+           static_cast<int64_t>(buckets.keys.size()));
     // Approximate resident footprint of the build side: row headers and
-    // value storage in the arena, the slots permutation, and the packed
-    // keys + bucket ranges in the table. String payloads are not walked.
-    int64_t bytes = static_cast<int64_t>(active_->buckets.slots.size() *
-                                         sizeof(uint32_t));
+    // value storage in the arena, the slots permutation, the bucket
+    // ranges and the key table. Arena string payloads are not walked.
+    int64_t bytes = static_cast<int64_t>(
+        buckets.slots.size() * sizeof(uint32_t) +
+        buckets.ranges.size() * sizeof(BucketRange) +
+        buckets.keys.MemoryBytes());
     for (const Row& row : active_->arena) {
       bytes += static_cast<int64_t>(sizeof(Row) +
                                     row.capacity() * sizeof(Value));
     }
-    for (const auto& entry : map) {
-      bytes += static_cast<int64_t>(
-          sizeof(PackedKey) + sizeof(BucketRange) +
-          entry.first.values.capacity() * sizeof(Value));
-      m->Observe(MetricHistogram::kHashJoinBucketRows, entry.second.size);
+    for (const BucketRange& range : buckets.ranges) {
+      m->Observe(MetricHistogram::kHashJoinBucketRows, range.size);
     }
     m->Add(MetricCounter::kHashJoinArenaBytes, bytes);
   }

@@ -16,7 +16,7 @@ namespace orq {
 /// Column-wise key hashing, RowHash-compatible: seed every selected row
 /// with RowHash's initial value, then fold key columns in left-to-right
 /// with HashCombineColumn. The result for row i equals
-/// RowHash{}(decoded key row i), so columnar probes and PackedKey tables
+/// RowHash{}(decoded key row i), so columnar probes and KeyTables
 /// built from Rows agree on buckets.
 void InitKeyHashes(const ColumnBatch& batch, std::vector<size_t>* hashes);
 void HashCombineColumn(const ColumnBatch& batch, const ColumnVec& col,

@@ -54,7 +54,8 @@ inline constexpr int kNumMetricCounters =
 enum class MetricHistogram : int {
   kHashJoinChainLength = 0,  // matching build rows per probe
   kHashJoinBucketRows,       // build rows per distinct key, at build end
-  kHashAggBucketChain,       // occupied-bucket chain lengths at build end
+  kHashAggBucketChain,       // group-table probe length per group at build
+                             // end (slots a lookup inspects, 1 = home)
   kBatchFillPercent,         // physical rows / batch capacity (0-100) per
                              // non-empty NextColumns pull
   kAdmissionQueueDepth,      // waiting queries observed at each admission

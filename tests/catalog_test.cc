@@ -89,11 +89,13 @@ TEST_F(CatalogTest, IndexBucketsPartitionRowPositions) {
   const KeyBuckets& buckets = table_->FindIndex({1})->buckets();
   ASSERT_EQ(buckets.slots.size(), 10u);
   std::vector<uint32_t> seen;
-  for (const auto& [key, range] : buckets.map) {
+  ASSERT_EQ(buckets.ranges.size(), buckets.keys.size());
+  for (uint32_t id = 0; id < buckets.keys.size(); ++id) {
+    const BucketRange& range = buckets.ranges[id];
     for (uint32_t i = range.begin; i < range.begin + range.size; ++i) {
       const uint32_t pos = buckets.slots[i];
       EXPECT_EQ(table_->CellAt(pos, 1).int64_value(),
-                key.values[0].int64_value());
+                buckets.keys.KeyAt(id, 0).int64_value());
       if (i > range.begin) {
         EXPECT_LT(buckets.slots[i - 1], pos);
       }

@@ -405,7 +405,7 @@ TEST_F(EncodedChunkTest, MixedTagColumnStaysBoxedUnderEveryEncoding) {
 TEST_F(EncodedChunkTest, EncodedHashParityWithRowHash) {
   // Column-wise hashing over dict codes and RLE runs must equal RowHash
   // over the decoded rows — the invariant that lets encoded probes share
-  // hash tables with row-built PackedKeys.
+  // key tables with Row-keyed inserts.
   for (TableEncoding mode : {TableEncoding::kPlain, TableEncoding::kDict,
                              TableEncoding::kRle, TableEncoding::kAuto}) {
     const std::vector<Table::ColumnChunk>& chunks =
