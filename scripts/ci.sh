@@ -189,6 +189,13 @@ echo "=== Parallel-vs-row difftest campaign ==="
 build/tools/difftest --seed 7 --queries 2000 --reference-exec row \
   --test-exec parallel --threads 4
 
+echo "=== Row-vs-columnar difftest campaign ==="
+# The columnar hash-join build and probe (typed build table, one batch
+# probe per join kind, the null-aware NOT IN join) are checked only
+# against the row engine; a longer campaign at a second seed.
+build/tools/difftest --seed 11 --queries 2000 --reference-exec row \
+  --test-exec columnar
+
 echo "=== End-to-end benchmark answer check (held-out seed) ==="
 # Builds orq_bench from this checkout and checks every workload's answers
 # against its reference at the held-out seed, without a timed window.

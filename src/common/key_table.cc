@@ -68,6 +68,8 @@ bool KeyColumn::Accept(DataType type) {
   if (rep != rep_) {
     const size_t n = nulls_.size();
     ints_.clear();
+    doubles_.clear();
+    offsets_.assign(1, 0);
     switch (rep) {
       case ColumnRep::kDoubles: doubles_.assign(n, 0.0); break;
       case ColumnRep::kStrings: offsets_.assign(n + 1, 0); break;
@@ -142,9 +144,25 @@ void KeyColumn::AppendValue(const Value& v) {
   }
 }
 
-void KeyColumn::Clear() {
-  type_ = DataType::kInt64;
-  rep_ = ColumnRep::kInts;
+void KeyColumn::AppendFrom(const KeyColumn& src) {
+  for (uint32_t id = 0; id < src.size(); ++id) {
+    if (src.rep_ == ColumnRep::kValues) {
+      AppendValue(src.vals_[id]);
+    } else if (src.IsNull(id)) {
+      AppendNull();
+    } else if (src.rep_ == ColumnRep::kInts) {
+      AppendInt(src.type_, src.ints_[id]);
+    } else if (src.rep_ == ColumnRep::kDoubles) {
+      AppendDouble(src.doubles_[id]);
+    } else {
+      AppendStr(src.StrAt(id));
+    }
+  }
+}
+
+void KeyColumn::Clear(DataType type) {
+  type_ = type;
+  rep_ = RepForType(type);
   typed_ = false;
   any_null_ = false;
   ints_.clear();

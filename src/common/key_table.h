@@ -52,8 +52,12 @@ class KeyColumn {
   void AppendDouble(double v);
   void AppendStr(std::string_view s);
   void AppendValue(const Value& v);
+  /// Appends every entry of `src`, in order.
+  void AppendFrom(const KeyColumn& src);
 
-  void Clear();
+  /// Empties the column. `type` is what an all-NULL column reports (a
+  /// declared type); the first non-NULL value still fixes the real one.
+  void Clear(DataType type = DataType::kInt64);
   size_t MemoryBytes() const;
 
  private:
@@ -209,9 +213,14 @@ struct KeyBuckets {
   uint32_t Add(const Row& key, size_t hash) {
     bool inserted = false;
     const uint32_t id = keys.InsertRow(key, hash, &inserted);
-    if (inserted) ranges.emplace_back();
-    ++ranges[id].size;
+    Count(id);
     return id;
+  }
+  /// Counts one row into bucket `id` of `keys`, which may be the one just
+  /// inserted (id == ranges.size()).
+  void Count(uint32_t id) {
+    if (id == ranges.size()) ranges.emplace_back();
+    ++ranges[id].size;
   }
 
   /// Assigns each bucket a contiguous slot range, then places row position

@@ -7,12 +7,6 @@
 
 namespace orq {
 
-namespace {
-
-constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exactly
-
-}  // namespace
-
 std::string DataTypeName(DataType type) {
   switch (type) {
     case DataType::kBool: return "bool";
@@ -68,30 +62,15 @@ int Value::TotalCompare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
-  if (null_) return 0x6e756c6cull;  // all NULLs hash alike (group semantics)
+  if (null_) return kNullHash;  // all NULLs hash alike (group semantics)
   switch (type_) {
     case DataType::kBool:
     case DataType::kDate:
-      return std::hash<int64_t>()(int_);
-    case DataType::kInt64: {
-      // Hash int64 through double when the value is exactly representable
-      // so that Int64(3) and Double(3.0) — which GroupEquals — hash alike.
-      // (A non-representable int64 never GroupEquals any double, so the
-      // integer fallback cannot disagree with the double path.) The range
-      // guard matters: for values near INT64_MAX the round-trip cast is
-      // out of range, i.e. undefined behavior, not just inexact.
-      double d = static_cast<double>(int_);
-      if (d >= -kTwo63 && d < kTwo63 && static_cast<int64_t>(d) == int_) {
-        return std::hash<double>()(d);
-      }
-      return std::hash<int64_t>()(int_);
-    }
-    case DataType::kDouble: {
-      double d = double_;
-      if (d == 0.0) d = 0.0;  // -0.0 GroupEquals 0.0; hash must agree
-      if (std::isnan(d)) return 0x7fff8e8eull;  // any NaN payload/sign
-      return std::hash<double>()(d);
-    }
+      return HashDateOrBool(int_);
+    case DataType::kInt64:
+      return HashInt64(int_);
+    case DataType::kDouble:
+      return HashDouble(double_);
     case DataType::kString:
       return std::hash<std::string>()(string_);
   }

@@ -1,7 +1,9 @@
 #ifndef ORQ_COMMON_VALUE_H_
 #define ORQ_COMMON_VALUE_H_
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -55,6 +57,52 @@ inline int CompareDoubles(double a, double b) {
   if (a > b) return 1;
   return 0;  // covers -0.0 == 0.0
 }
+
+/// Element hashes behind Value::Hash, inline so that column-wise hashing
+/// (HashRef, HashCombineColumn's typed loops) and Value::Hash are one
+/// definition. Consistent with GroupEquals: Int64(3) and Double(3.0)
+/// hash alike, -0.0 like 0.0, every NaN alike, every NULL alike.
+inline constexpr size_t kNullHash = 0x6e756c6cull;
+inline constexpr size_t kNanHash = 0x7fff8e8eull;
+
+/// MurmurHash3's 64-bit finalizer: a bijective bit mixer.
+inline size_t MixHash64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return static_cast<size_t>(x);
+}
+
+/// Hash of a non-NULL double: the mixed bit pattern, after folding -0.0
+/// into 0.0 and every NaN payload into one value.
+inline size_t HashDouble(double d) {
+  if (d == 0.0) return MixHash64(0);
+  if (std::isnan(d)) return kNanHash;
+  return MixHash64(std::bit_cast<uint64_t>(d));
+}
+
+/// Hash of a non-NULL int64: through double when the value is exactly
+/// representable, so it hashes like the double it GroupEquals. A value
+/// that is not (|i| > 2^53 and not a multiple of the spacing there)
+/// equals no double, so it hashes as itself. The range guard matters: for
+/// values near INT64_MAX the round-trip cast is out of range, i.e.
+/// undefined behavior, not just inexact.
+inline size_t HashInt64(int64_t i) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  if (i >= -kTwo53 && i <= kTwo53) return HashDouble(static_cast<double>(i));
+  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exactly
+  const double d = static_cast<double>(i);
+  if (d >= -kTwo63 && d < kTwo63 && static_cast<int64_t>(d) == i) {
+    return HashDouble(d);
+  }
+  return static_cast<size_t>(i);
+}
+
+/// Hash of a non-NULL date or bool payload: the identity (KeyTable mixes
+/// the bits before placing a key, so dense dates do not cluster).
+inline size_t HashDateOrBool(int64_t v) { return static_cast<size_t>(v); }
 
 /// Returns true if the type participates in numeric arithmetic/promotion.
 inline bool IsNumeric(DataType type) {

@@ -151,26 +151,56 @@ void ColumnVec::Seal() {
   nulls_ = any_null_ ? own_nulls_.data() : nullptr;
 }
 
+namespace {
+
+/// GatherFrom's fixed-width payload loop: out[k] = load(rows[k]), or a
+/// zero payload and a NULL byte where rows[k] is kNullRow or src's row is
+/// NULL. Returns whether any NULL was gathered.
+template <typename T, typename Load>
+bool GatherFixed(const ColumnVec& src, const uint32_t* rows, uint32_t n,
+                 std::vector<T>* out, std::vector<uint8_t>* nulls,
+                 Load load) {
+  out->resize(n);
+  nulls->resize(n);
+  T* dst = out->data();
+  uint8_t* dst_nulls = nulls->data();
+  uint8_t any = 0;
+  for (uint32_t k = 0; k < n; ++k) {
+    const uint32_t r = rows[k];
+    const uint8_t null =
+        r == ColumnVec::kNullRow || src.IsNull(r) ? uint8_t{1} : uint8_t{0};
+    dst_nulls[k] = null;
+    any |= null;
+    dst[k] = null != 0 ? T{} : load(r);
+  }
+  return any != 0;
+}
+
+}  // namespace
+
 void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
                            uint32_t n) {
   StartBuild(src.type(), n);
   switch (src.rep()) {
     case ColumnRep::kInts:
-      for (uint32_t k = 0; k < n; ++k) {
-        if (rows[k] == kNullRow || src.IsNull(rows[k])) {
-          AppendNull();
-        } else {
-          AppendInt(src.IntAt(rows[k]));
-        }
+      if (src.is_plain()) {
+        const int64_t* ints = src.ints();
+        any_null_ = GatherFixed(src, rows, n, &own_ints_, &own_nulls_,
+                                [ints](uint32_t r) { return ints[r]; });
+      } else {
+        any_null_ = GatherFixed(src, rows, n, &own_ints_, &own_nulls_,
+                                [&src](uint32_t r) { return src.IntAt(r); });
       }
       break;
     case ColumnRep::kDoubles:
-      for (uint32_t k = 0; k < n; ++k) {
-        if (rows[k] == kNullRow || src.IsNull(rows[k])) {
-          AppendNull();
-        } else {
-          AppendDouble(src.DoubleAt(rows[k]));
-        }
+      if (src.is_plain()) {
+        const double* doubles = src.doubles();
+        any_null_ = GatherFixed(src, rows, n, &own_doubles_, &own_nulls_,
+                                [doubles](uint32_t r) { return doubles[r]; });
+      } else {
+        any_null_ =
+            GatherFixed(src, rows, n, &own_doubles_, &own_nulls_,
+                        [&src](uint32_t r) { return src.DoubleAt(r); });
       }
       break;
     case ColumnRep::kStrings:
@@ -293,25 +323,15 @@ int TotalCompareRefs(const ElemRef& a, const ElemRef& b) {
 }
 
 size_t HashRef(const ElemRef& r) {
-  if (r.null) return 0x6e756c6cull;
+  if (r.null) return kNullHash;
   switch (r.type) {
     case DataType::kBool:
     case DataType::kDate:
-      return std::hash<int64_t>()(r.i);
-    case DataType::kInt64: {
-      constexpr double kTwo63 = 9223372036854775808.0;
-      double d = static_cast<double>(r.i);
-      if (d >= -kTwo63 && d < kTwo63 && static_cast<int64_t>(d) == r.i) {
-        return std::hash<double>()(d);
-      }
-      return std::hash<int64_t>()(r.i);
-    }
-    case DataType::kDouble: {
-      double d = r.d;
-      if (d == 0.0) d = 0.0;
-      if (std::isnan(d)) return 0x7fff8e8eull;
-      return std::hash<double>()(d);
-    }
+      return HashDateOrBool(r.i);
+    case DataType::kInt64:
+      return HashInt64(r.i);
+    case DataType::kDouble:
+      return HashDouble(r.d);
     case DataType::kString:
       return std::hash<std::string_view>()(r.s);
   }

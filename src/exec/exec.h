@@ -338,6 +338,22 @@ Status DrainRows(PhysicalOp* op, ExecContext* ctx, Fn&& fn) {
   }
 }
 
+/// DrainRows for the materializing operators that consume whole columns
+/// (hash-join build, ExceptAll): in columnar mode `on_batch(ColumnBatch&)`
+/// gets each NextColumns batch undecoded, and may narrow its selection;
+/// in row mode `on_row(Row&)` gets each row exactly as DrainRows hands it.
+template <typename RowFn, typename BatchFn>
+Status DrainBatches(PhysicalOp* op, ExecContext* ctx, RowFn&& on_row,
+                    BatchFn&& on_batch) {
+  if (!ctx->batched) return DrainRows(op, ctx, on_row);
+  ColumnBatch batch(ctx->batch_size);
+  while (true) {
+    ORQ_RETURN_IF_ERROR(op->NextColumns(ctx, &batch));
+    if (batch.selected() == 0) return Status::OK();
+    ORQ_RETURN_IF_ERROR(on_batch(batch));
+  }
+}
+
 /// Runs a plan to completion, collecting all rows.
 Result<std::vector<Row>> ExecuteToVector(PhysicalOp* plan, ExecContext* ctx);
 

@@ -225,29 +225,149 @@ class NLJoinOp : public PhysicalOp {
   uint32_t outer_pos_ = 0;
 };
 
-/// A complete hash-join build product: rows in arrival order and the
-/// key -> bucket-range lookup over their arena indices. Serial builds own
-/// one; parallel builds probe the one merged inside SharedJoinState.
-struct BuildTable {
-  std::vector<Row> arena;  // build rows, arrival order
-  KeyBuckets buckets;      // slots are arena indices
+/// Comparison classes of SQL `=`: values of one class compare, values of
+/// two classes compare as unknown (NULL). The null-aware anti join notes
+/// which classes its build keys span.
+uint8_t CompareClass(DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+    case DataType::kDouble: return 1;
+    case DataType::kBool: return 2;
+    case DataType::kString: return 4;
+    case DataType::kDate: return 8;
+  }
+  return 0;
+}
 
-  void Reset(size_t key_width) {
-    arena.clear();
+/// Narrows `batch`'s selection in place to the live rows for which
+/// keep(j, r) holds, r = RowAt(j); a dense batch that keeps every row
+/// stays dense.
+template <typename Keep>
+void NarrowSelection(ColumnBatch* batch, Keep keep) {
+  const uint32_t m = batch->selected();
+  if (!batch->has_selection()) {
+    std::vector<uint32_t>* sel = batch->MutableSelection();
+    sel->clear();
+    for (uint32_t j = 0; j < m; ++j) {
+      if (keep(j, j)) sel->push_back(j);
+    }
+    if (sel->size() == m) batch->ClearSelection();
+    return;
+  }
+  std::vector<uint32_t>& sel = *batch->MutableSelection();
+  uint32_t w = 0;
+  for (uint32_t j = 0; j < m; ++j) {
+    const uint32_t r = sel[j];
+    if (keep(j, r)) sel[w++] = r;
+  }
+  sel.resize(w);
+}
+
+/// A complete hash-join build product, column-major: build row i's
+/// right-layout values are entry i of the typed payload columns, and the
+/// key -> bucket-range lookup's slots are build row positions. Rows with a
+/// NULL key never join and are left out, but noted for the null-aware anti
+/// join. A serial build fills one; each parallel worker fills a partial
+/// and the last depositor merges them into the one SharedJoinState holds.
+struct BuildTable {
+  /// Payload storage a Reset keeps for the next build; beyond it the
+  /// columns give their memory back.
+  static constexpr size_t kKeepPayloadBytes = size_t{1} << 20;
+
+  KeyBuckets buckets;                // slots are build row positions
+  std::vector<KeyColumn> payload;    // right-layout columns, by build row
+  std::vector<uint32_t> row_bucket;  // bucket id by build row, until Finish
+  uint32_t rows = 0;                 // build rows stored
+  bool null_key = false;             // some drained row had a NULL key
+  uint8_t key_classes = 0;           // CompareClass bits of the stored keys
+
+  /// Empties the table for keys of `key_width` columns and payload columns
+  /// declared `types` (an all-NULL payload column reports its declared
+  /// type, so outer-join padding stays typed).
+  void Reset(size_t key_width, const std::vector<DataType>& types) {
     buckets.Reset(key_width);
+    size_t bytes = 0;
+    for (const KeyColumn& col : payload) bytes += col.MemoryBytes();
+    if (bytes > kKeepPayloadBytes) std::vector<KeyColumn>().swap(payload);
+    payload.resize(types.size());
+    for (size_t k = 0; k < types.size(); ++k) payload[k].Clear(types[k]);
+    row_bucket.clear();
+    rows = 0;
+    null_key = false;
+    key_classes = 0;
+  }
+
+  /// Row path: one build row and its (non-NULL) key.
+  void AddRow(const Row& key, const Row& row) {
+    row_bucket.push_back(buckets.Add(key, RowHash{}(key)));
+    ++rows;
+    for (size_t k = 0; k < payload.size(); ++k) payload[k].AppendValue(row[k]);
+  }
+
+  /// Columnar path: every live row of `batch`, whose keys (all non-NULL)
+  /// are `keys` with RowHash-compatible `hashes`; `ids` is scratch.
+  void AddBatch(const ColumnBatch& batch, const ColumnVec* const* keys,
+                const std::vector<size_t>& hashes,
+                std::vector<uint32_t>* ids) {
+    GroupIds(&buckets.keys, batch, keys, hashes, ids);
+    for (uint32_t id : *ids) buckets.Count(id);
+    row_bucket.insert(row_bucket.end(), ids->begin(), ids->end());
+    rows += batch.selected();
+    for (size_t k = 0; k < payload.size(); ++k) {
+      AppendLiveRows(batch, batch.col(k), &payload[k]);
+    }
+  }
+
+  /// Appends the rows of `part` (same widths) after this table's.
+  void Absorb(const BuildTable& part) {
+    std::vector<uint32_t> id_map(part.buckets.keys.size());
+    for (uint32_t id = 0; id < id_map.size(); ++id) {
+      bool inserted = false;
+      id_map[id] = buckets.keys.InsertFrom(part.buckets.keys, id, &inserted);
+    }
+    for (uint32_t bucket : part.row_bucket) {
+      const uint32_t id = id_map[bucket];
+      buckets.Count(id);
+      row_bucket.push_back(id);
+    }
+    for (size_t k = 0; k < payload.size(); ++k) {
+      payload[k].AppendFrom(part.payload[k]);
+    }
+    rows += part.rows;
+    null_key = null_key || part.null_key;
+  }
+
+  /// Lays the buckets out over the build rows and notes the key classes;
+  /// the table is read-only afterwards.
+  void Finish() {
+    buckets.Scatter(row_bucket);
+    std::vector<uint32_t>().swap(row_bucket);
+    for (size_t k = 0; k < buckets.keys.width(); ++k) {
+      const KeyColumn& col = buckets.keys.col(k);
+      if (col.size() == 0) continue;
+      if (col.rep() != ColumnRep::kValues) {
+        key_classes |= CompareClass(col.type());
+        continue;
+      }
+      for (uint32_t id = 0; id < col.size(); ++id) {
+        key_classes |= CompareClass(col.ValAt(id).type());
+      }
+    }
+  }
+
+  /// Resident bytes: the slots permutation, the bucket ranges, the key
+  /// table and the payload columns (string arenas included).
+  size_t MemoryBytes() const {
+    size_t bytes = buckets.slots.capacity() * sizeof(uint32_t) +
+                   buckets.ranges.capacity() * sizeof(BucketRange) +
+                   buckets.keys.MemoryBytes();
+    for (const KeyColumn& col : payload) bytes += col.MemoryBytes();
+    return bytes;
   }
 };
 
-/// One build row of a parallel partial: its join key, the key's RowHash
-/// (computed by the worker, off the merge's critical section) and the row.
-struct KeyedRow {
-  Row key;
-  size_t hash;
-  Row row;
-};
-
 /// Build-side rendezvous of a parallel hash join. Every worker drains its
-/// morsel share of the build input into a private (key, row) partial, then
+/// morsel share of the build input into a private BuildTable partial, then
 /// deposits it here; the last depositor merges all partials into one
 /// BuildTable which every worker then probes read-only. Deposits happen
 /// unconditionally — a worker whose drain failed deposits the error — so
@@ -262,11 +382,8 @@ class SharedJoinState final : public SharedRegionState {
     deposited_ = 0;
     merge_done_ = false;
     status_ = Status::OK();
-    for (auto& partial : partials_) {
-      partial.clear();
-      partial.shrink_to_fit();
-    }
-    table_.Reset(0);
+    for (BuildTable& partial : partials_) partial = BuildTable();
+    table_ = BuildTable();
   }
 
   /// Blocks until all workers deposited and the merge completed. Returns
@@ -275,15 +392,15 @@ class SharedJoinState final : public SharedRegionState {
   /// one that performed the merge — so table-wide stats are recorded once.
   Result<const BuildTable*> Deposit(int worker, const Status& drain,
                                     size_t key_width,
-                                    std::vector<KeyedRow> partial,
-                                    bool* merged_here) {
+                                    const std::vector<DataType>& types,
+                                    BuildTable partial, bool* merged_here) {
     std::unique_lock<std::mutex> lock(mu_);
     if (!drain.ok() && status_.ok()) status_ = drain;
     partials_[static_cast<size_t>(worker)] = std::move(partial);
     *merged_here = false;
     if (++deposited_ == workers_) {
       if (status_.ok()) {
-        Merge(key_width);
+        Merge(key_width, types);
         *merged_here = true;
       }
       merge_done_ = true;
@@ -298,22 +415,13 @@ class SharedJoinState final : public SharedRegionState {
  private:
   /// Runs under mu_ on the last depositor's thread; after merge_done_ the
   /// table is read-only, so probes need no lock.
-  void Merge(size_t key_width) {
-    size_t total = 0;
-    for (const auto& partial : partials_) total += partial.size();
-    table_.Reset(key_width);
-    table_.arena.reserve(total);
-    std::vector<uint32_t> row_bucket;
-    row_bucket.reserve(total);
-    for (auto& partial : partials_) {
-      for (KeyedRow& entry : partial) {
-        row_bucket.push_back(table_.buckets.Add(entry.key, entry.hash));
-        table_.arena.push_back(std::move(entry.row));
-      }
-      partial.clear();
-      partial.shrink_to_fit();
+  void Merge(size_t key_width, const std::vector<DataType>& types) {
+    table_.Reset(key_width, types);
+    for (BuildTable& partial : partials_) {
+      table_.Absorb(partial);
+      partial = BuildTable();
     }
-    table_.buckets.Scatter(row_bucket);
+    table_.Finish();
   }
 
   const int workers_;
@@ -322,7 +430,7 @@ class SharedJoinState final : public SharedRegionState {
   int deposited_ = 0;
   bool merge_done_ = false;
   Status status_;
-  std::vector<std::vector<KeyedRow>> partials_;
+  std::vector<BuildTable> partials_;
   BuildTable table_;
 };
 
@@ -344,16 +452,30 @@ std::string JoinKindName(PhysJoinKind kind) {
 /// value by slot (row path, per-row residual); GatherRight fills a typed
 /// right column by slots.
 ///
-/// The columnar probe enumerates (probe row, slot) candidates into a
-/// window of up to one batch capacity of candidates, each probe row closed
-/// by a row-end entry, and then consumes the window in order under the
-/// join kind's semantics. A vectorizable residual is evaluated for the
-/// whole window at once, column-wise over gathered candidate columns;
-/// vectorizable expressions cannot fail, so evaluating candidates a semi
-/// or anti join then skips is harmless. Any other residual runs through
-/// the row Evaluator per candidate as the window is consumed, so errors
-/// surface on exactly the candidates the row engine evaluates. A bucket
-/// may straddle windows and output batches.
+/// The columnar probe looks a whole probe batch up at once — one bucket id
+/// per live row (LookupBatch) — and then runs the join kind's own loop:
+///   * semi and anti joins without a residual narrow the probe batch's
+///     selection in place, the way Filter does (NextFiltered);
+///   * inner and outer joins without a residual emit (probe row, slot)
+///     pairs straight from the bucket ranges and gather them (NextPairs);
+///   * a join with a residual enumerates (probe row, slot) candidates into
+///     a window of up to one batch capacity, each probe row closed by a
+///     row-end entry, and consumes the window in order under the kind's
+///     semantics into the same pairs. A vectorizable residual is evaluated
+///     for the whole window at once, over gathered candidate columns;
+///     vectorizable expressions cannot fail, so evaluating candidates a
+///     semi or anti join then skips is harmless. Any other residual runs
+///     through the row Evaluator per candidate as the window is consumed,
+///     so errors surface on exactly the candidates the row engine
+///     evaluates. A bucket may straddle windows and output batches.
+/// An empty build looks nothing up: the probe input is drained (its key
+/// expressions still evaluated, so their errors still surface) without
+/// hashing it.
+///
+/// A null-aware anti join (NOT IN, one key, no residual) also rejects a
+/// probe row whose comparison with some build key is unknown: every row
+/// when a build key is NULL, a NULL probe key, and a probe key of another
+/// comparison class than a build key. An empty build passes every row.
 class ProbeJoinOp : public PhysicalOp {
  public:
   Status OpenImpl(ExecContext* ctx) final {
@@ -361,6 +483,7 @@ class ProbeJoinOp : public PhysicalOp {
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
     have_left_ = false;
     cjpos_ = 0;
+    bucket_pos_ = 0;
     win_row_.clear();
     win_slot_.clear();
     win_pos_ = 0;
@@ -409,7 +532,8 @@ class ProbeJoinOp : public PhysicalOp {
       if (!have_left_) continue;  // semi emitted via return; anti restarts
       // Bucket exhausted.
       have_left_ = false;
-      if (!row_matched_ && PassesUnmatched()) {
+      if (!row_matched_ && PassesUnmatched() &&
+          (!null_aware_ || NotInPasses(probe_key_[0]))) {
         *row = left_row_;
         if (kind_ == PhysJoinKind::kLeftOuter) {
           for (DataType type : pad_types_) {
@@ -421,43 +545,11 @@ class ProbeJoinOp : public PhysicalOp {
     }
   }
 
-  /// Columnar probe: key hashes are computed column-wise for the whole
-  /// probe batch and lookups compare the key columns against the table's
-  /// typed keys (no probe-row decode); output pairs (probe row, slot) are
-  /// gathered into typed output columns in one pass.
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* out) final {
-    const uint32_t cap = static_cast<uint32_t>(out->capacity());
-    if (cin_ == nullptr) {
-      cin_ = std::make_unique<ColumnBatch>(ctx->batch_size);
-    }
-    pair_left_.clear();
-    pair_right_.clear();
-    while (pair_left_.size() < cap) {
-      if (win_pos_ == win_slot_.size()) {
-        if (!have_left_ && cjpos_ >= cin_->selected()) {
-          // Refilling invalidates the probe views the gathered pairs
-          // reference; flush what we have first.
-          if (!pair_left_.empty()) break;
-          ORQ_RETURN_IF_ERROR(PullProbeBatch(ctx));
-          if (cin_->selected() == 0) break;  // probe input exhausted
-        }
-        ORQ_RETURN_IF_ERROR(FillWindow(cap, ctx));
-      }
-      ORQ_RETURN_IF_ERROR(ConsumeWindow(cap, ctx));
-    }
-    const uint32_t n = static_cast<uint32_t>(pair_left_.size());
-    if (n == 0) return Status::OK();  // EOS
-    out->ResizeCols(layout_.size());
-    for (size_t c = 0; c < left_width_; ++c) {
-      out->col(c).GatherFrom(cin_->col(c), pair_left_.data(), n);
-    }
-    if (kind_ == PhysJoinKind::kInner || kind_ == PhysJoinKind::kLeftOuter) {
-      for (size_t k = 0; k < pad_types_.size(); ++k) {
-        GatherRight(k, pair_right_.data(), n, &out->col(left_width_ + k));
-      }
-    }
-    out->set_num_rows(n);
-    return Status::OK();
+    const bool filters = kind_ == PhysJoinKind::kLeftSemi ||
+                         kind_ == PhysJoinKind::kLeftAnti;
+    if (filters && !has_residual_) return NextFiltered(ctx, out);
+    return NextPairs(ctx, out);
   }
 
   void CloseImpl() final {
@@ -473,8 +565,9 @@ class ProbeJoinOp : public PhysicalOp {
   ProbeJoinOp(PhysJoinKind kind, PhysicalOpPtr left,
               const std::vector<ColumnId>& right_layout,
               std::vector<ScalarExprPtr> probe_keys, ScalarExprPtr residual,
-              std::vector<DataType> right_types)
+              std::vector<DataType> right_types, bool null_aware)
       : kind_(kind),
+        null_aware_(null_aware),
         pad_types_(ResolvePadTypes(std::move(right_types),
                                    right_layout.size())),
         left_width_(left->layout().size()) {
@@ -509,19 +602,26 @@ class ProbeJoinOp : public PhysicalOp {
     children_.push_back(std::move(left));
   }
 
-  /// Points buckets_ at the lookup this Open probes.
+  /// Points buckets_ at the lookup this Open probes (and, for a null-aware
+  /// join, sets the build facts below).
   virtual Status OpenBuild(ExecContext* ctx) = 0;
   virtual void CloseBuild() = 0;
   /// Right-layout value `k` of build row `slot`.
   virtual Value RightValue(uint32_t slot, size_t k) const = 0;
   /// Fills `dst` with right-layout column `k` of build rows slots[0, n);
-  /// kNoRight entries are NULLs typed pad_types_[k].
+  /// kNoRight entries are NULLs.
   virtual void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
                            ColumnVec* dst) = 0;
 
   const PhysJoinKind kind_;
+  const bool null_aware_;
   const std::vector<DataType> pad_types_;  // right-layout declared types
   const KeyBuckets* buckets_ = nullptr;    // set by OpenBuild
+  /// Null-aware build facts: the build drained no row at all, a build key
+  /// was NULL, and the CompareClass bits of the build keys.
+  bool build_empty_ = false;
+  bool build_null_key_ = false;
+  uint8_t build_key_classes_ = 0;
 
  private:
   /// Slot value of a window's row-end entry (never a build row).
@@ -531,6 +631,17 @@ class ProbeJoinOp : public PhysicalOp {
   bool PassesUnmatched() const {
     return kind_ == PhysJoinKind::kLeftOuter ||
            kind_ == PhysJoinKind::kLeftAnti;
+  }
+
+  /// Null-aware anti join: whether an unmatched probe key of this NULL-ness
+  /// and type passes, i.e. no build key compares with it as unknown.
+  bool NotInPasses(bool key_null, DataType key_type) const {
+    if (build_empty_) return true;
+    if (build_null_key_ || key_null) return false;
+    return (build_key_classes_ & ~CompareClass(key_type)) == 0;
+  }
+  bool NotInPasses(const Value& key) const {
+    return NotInPasses(key.is_null(), key.type());
   }
 
   /// Row path: evaluates the probe keys for `left` and positions the
@@ -543,8 +654,8 @@ class ProbeJoinOp : public PhysicalOp {
     for (size_t i = 0; i < left_keys_.size(); ++i) {
       Result<Value> v = left_keys_[i].Eval(left, ctx);
       if (!v.ok()) return v.status();
-      if (v->is_null()) return Status::OK();
       probe_key_[i] = std::move(*v);
+      if (probe_key_[i].is_null()) return Status::OK();
     }
     if (const BucketRange* bucket = buckets_->Find(probe_key_)) {
       bucket_begin_ = bucket->begin;
@@ -557,54 +668,159 @@ class ProbeJoinOp : public PhysicalOp {
     return Status::OK();
   }
 
-  /// Pulls the next probe batch into cin_ and hashes its key columns.
-  Status PullProbeBatch(ExecContext* ctx) {
-    ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, cin_.get()));
-    cjpos_ = 0;
-    resid_row_ = kNoRight;
-    if (cin_->selected() == 0) return Status::OK();
+  /// Columnar lookup of every live row of `batch`: evaluates the probe
+  /// keys into probe_cols_ and sets ids_[j] to the bucket id of the row at
+  /// selection position j, or KeyTable::kNone for a NULL or absent key
+  /// (the build holds no NULL key, so a NULL probe key finds nothing). An
+  /// empty build skips the hashing.
+  Status LookupBatch(const ColumnBatch& batch, ExecContext* ctx) {
     for (size_t k = 0; k < probe_keys_.size(); ++k) {
       ORQ_ASSIGN_OR_RETURN(
           probe_cols_[k],
-          probe_keys_[k]->EvalOrFallback(*cin_, left_keys_[k], ctx));
+          probe_keys_[k]->EvalOrFallback(batch, left_keys_[k], ctx));
     }
-    InitKeyHashes(*cin_, &chashes_);
-    for (const ColumnVec* col : probe_cols_) {
-      HashCombineColumn(*cin_, *col, &chashes_);
+    const uint32_t live = batch.selected();
+    const KeyTable& keys = buckets_->keys;
+    if (keys.size() == 0) {
+      ids_.assign(live, KeyTable::kNone);
+    } else {
+      InitKeyHashes(batch, &hashes_);
+      for (const ColumnVec* col : probe_cols_) {
+        HashCombineColumn(batch, *col, &hashes_);
+      }
+      ids_.resize(live);
+      for (uint32_t j = 0; j < live; ++j) {
+        ids_[j] =
+            FindColumns(keys, probe_cols_.data(), batch.RowAt(j), hashes_[j]);
+      }
     }
     if (MetricsRegistry* m = metrics()) {
-      m->Add(MetricCounter::kHashJoinProbes,
-             static_cast<int64_t>(cin_->selected()));
+      m->Add(MetricCounter::kHashJoinProbes, static_cast<int64_t>(live));
+      for (uint32_t id : ids_) {
+        m->Observe(MetricHistogram::kHashJoinChainLength,
+                   id == KeyTable::kNone ? 0 : buckets_->ranges[id].size);
+      }
     }
     return Status::OK();
   }
 
-  /// Columnar analogue of LookupBucket: positions the bucket cursor for
-  /// the probe row at selection position `j` of cin_. Key NULL detection
-  /// and the hash come from the key columns; the lookup compares stored
-  /// hash bits first and only runs the per-key comparison on a match.
-  void LookupBucketColumnar(uint32_t j) {
-    bucket_begin_ = 0;
-    bucket_size_ = 0;
+  /// Semi and anti joins without a residual: the probe batch is the output
+  /// batch, narrowed to the rows that (semi) found or (anti) did not find
+  /// a bucket.
+  Status NextFiltered(ExecContext* ctx, ColumnBatch* out) {
+    const bool semi = kind_ == PhysJoinKind::kLeftSemi;
+    while (true) {
+      ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, out));
+      if (out->selected() == 0) return Status::OK();  // end of stream
+      ORQ_RETURN_IF_ERROR(LookupBatch(*out, ctx));
+      const uint32_t* ids = ids_.data();
+      if (semi) {
+        NarrowSelection(out, [ids](uint32_t j, uint32_t) {
+          return ids[j] != KeyTable::kNone;
+        });
+      } else if (!null_aware_) {
+        NarrowSelection(out, [ids](uint32_t j, uint32_t) {
+          return ids[j] == KeyTable::kNone;
+        });
+      } else {
+        const ColumnVec& key = *probe_cols_[0];
+        NarrowSelection(out, [&](uint32_t j, uint32_t r) {
+          if (ids[j] != KeyTable::kNone) return false;
+          if (key.rep() == ColumnRep::kValues) {
+            return NotInPasses(key.ValAt(r));
+          }
+          return NotInPasses(key.IsNull(r), key.type());
+        });
+      }
+      if (out->selected() > 0) return Status::OK();
+    }
+  }
+
+  /// Every other join emits (probe row, slot) pairs into one output
+  /// batch: without a residual straight from each probe row's bucket
+  /// range (AddRangePairs), with one through the candidate window. The
+  /// pairs are gathered column by column at the end.
+  Status NextPairs(ExecContext* ctx, ColumnBatch* out) {
+    const uint32_t cap = static_cast<uint32_t>(out->capacity());
+    if (cin_ == nullptr) cin_ = std::make_unique<ColumnBatch>(ctx->batch_size);
+    pair_left_.clear();
+    pair_right_.clear();
+    while (pair_left_.size() < cap) {
+      const bool window_done = win_pos_ == win_slot_.size() && !have_left_;
+      if (window_done && cjpos_ >= cin_->selected()) {
+        // Refilling invalidates the probe views the gathered pairs
+        // reference; flush what we have first.
+        if (!pair_left_.empty()) break;
+        ORQ_RETURN_IF_ERROR(PullProbeBatch(ctx));
+        if (cin_->selected() == 0) break;  // probe input exhausted
+      }
+      if (!has_residual_) {
+        AddRangePairs(cap);
+        continue;
+      }
+      if (win_pos_ == win_slot_.size()) {
+        ORQ_RETURN_IF_ERROR(FillWindow(cap, ctx));
+      }
+      ORQ_RETURN_IF_ERROR(ConsumeWindow(cap, ctx));
+    }
+    return EmitPairs(out);
+  }
+
+  /// Inner and outer joins without a residual: pairs every remaining
+  /// probe row of cin_ with its bucket's slots (an outer join's unmatched
+  /// row with kNoRight), until the output holds `cap` pairs. A bucket may
+  /// straddle output batches.
+  void AddRangePairs(uint32_t cap) {
+    const bool outer = kind_ == PhysJoinKind::kLeftOuter;
+    const uint32_t m = cin_->selected();
+    for (; cjpos_ < m; ++cjpos_) {
+      const uint32_t r = cin_->RowAt(cjpos_);
+      const uint32_t id = ids_[cjpos_];
+      if (id == KeyTable::kNone) {
+        if (!outer) continue;
+        if (pair_left_.size() >= cap) return;
+        AddPair(r, kNoRight);
+        continue;
+      }
+      const BucketRange& range = buckets_->ranges[id];
+      const uint32_t take =
+          std::min(range.size - bucket_pos_,
+                   cap - static_cast<uint32_t>(pair_left_.size()));
+      const uint32_t* slots = buckets_->slots.data() + range.begin;
+      pair_left_.insert(pair_left_.end(), take, r);
+      pair_right_.insert(pair_right_.end(), slots + bucket_pos_,
+                         slots + bucket_pos_ + take);
+      bucket_pos_ += take;
+      if (bucket_pos_ < range.size) return;  // the output is full
+      bucket_pos_ = 0;
+    }
+  }
+
+  /// Gathers this call's output pairs into `out`; none means EOS.
+  Status EmitPairs(ColumnBatch* out) {
+    const uint32_t n = static_cast<uint32_t>(pair_left_.size());
+    if (n == 0) return Status::OK();
+    out->ResizeCols(layout_.size());
+    for (size_t c = 0; c < left_width_; ++c) {
+      out->col(c).GatherFrom(cin_->col(c), pair_left_.data(), n);
+    }
+    if (kind_ == PhysJoinKind::kInner || kind_ == PhysJoinKind::kLeftOuter) {
+      for (size_t k = 0; k < pad_types_.size(); ++k) {
+        GatherRight(k, pair_right_.data(), n, &out->col(left_width_ + k));
+      }
+    }
+    out->set_num_rows(n);
+    return Status::OK();
+  }
+
+  /// Pulls the next probe batch into cin_ and looks it up.
+  Status PullProbeBatch(ExecContext* ctx) {
+    ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, cin_.get()));
+    cjpos_ = 0;
     bucket_pos_ = 0;
-    const uint32_t r = cin_->RowAt(j);
-    bool null_key = false;
-    for (const ColumnVec* col : probe_cols_) {
-      if (col->IsNull(r)) {
-        null_key = true;  // NULL keys never join
-        break;
-      }
-    }
-    if (!null_key) {
-      if (const BucketRange* bucket = buckets_->Range(FindColumns(
-              buckets_->keys, probe_cols_.data(), r, chashes_[j]))) {
-        bucket_begin_ = bucket->begin;
-        bucket_size_ = bucket->size;
-      }
-    }
-    if (MetricsRegistry* m = metrics()) {
-      m->Observe(MetricHistogram::kHashJoinChainLength, bucket_size_);
-    }
+    resid_row_ = kNoRight;
+    if (cin_->selected() == 0) return Status::OK();
+    return LookupBatch(*cin_, ctx);
   }
 
   /// Refills the window from the enumeration cursor: up to `cap`
@@ -620,7 +836,10 @@ class ProbeJoinOp : public PhysicalOp {
       if (!have_left_) {
         if (cjpos_ >= cin_->selected()) break;
         cleft_ = cin_->RowAt(cjpos_);
-        LookupBucketColumnar(cjpos_);
+        const BucketRange* bucket = buckets_->Range(ids_[cjpos_]);
+        bucket_begin_ = bucket != nullptr ? bucket->begin : 0;
+        bucket_size_ = bucket != nullptr ? bucket->size : 0;
+        bucket_pos_ = 0;
         ++cjpos_;
         have_left_ = true;
       }
@@ -634,7 +853,7 @@ class ProbeJoinOp : public PhysicalOp {
       have_left_ = false;
       if (candidates >= cap) break;
     }
-    if (candidates == 0 || !has_residual_ || !residual_vec_.vectorizable()) {
+    if (candidates == 0 || !residual_vec_.vectorizable()) {
       return Status::OK();
     }
     return EvalWindowResidual(candidates, ctx);
@@ -754,10 +973,10 @@ class ProbeJoinOp : public PhysicalOp {
   std::vector<int> residual_left_, residual_right_;
 
   /// Probe cursor. Row path: the current left row and its bucket. Columnar
-  /// path: the enumeration cursor FillWindow advances. The two never
-  /// interleave within one Open.
+  /// path: the selection position and bucket offset NextPairs or the
+  /// window fill resumes at. The two never interleave within one Open.
   Row left_row_;
-  Row probe_key_;  // scratch for heterogeneous lookups
+  Row probe_key_;  // the row path's probe key
   bool have_left_ = false;
   uint32_t bucket_begin_ = 0;
   uint32_t bucket_size_ = 0;
@@ -767,13 +986,15 @@ class ProbeJoinOp : public PhysicalOp {
   bool row_matched_ = false;
   bool row_done_ = false;
 
-  /// Columnar probe input.
+  /// Columnar probe input and its lookup: the key columns, the per
+  /// selection position key hashes and bucket ids.
   std::vector<std::unique_ptr<ColumnarEvaluator>> probe_keys_;
-  std::vector<const ColumnVec*> probe_cols_;  // key columns of cin_
-  std::unique_ptr<ColumnBatch> cin_;          // current probe input batch
-  std::vector<size_t> chashes_;  // per-selection-position key hashes
-  uint32_t cjpos_ = 0;           // next selection position to look up
-  uint32_t cleft_ = 0;           // physical probe row being enumerated
+  std::vector<const ColumnVec*> probe_cols_;
+  std::vector<size_t> hashes_;
+  std::vector<uint32_t> ids_;
+  std::unique_ptr<ColumnBatch> cin_;  // probe batch of the pair paths
+  uint32_t cjpos_ = 0;                // next selection position of cin_
+  uint32_t cleft_ = 0;                // physical probe row being enumerated
   /// The window: probe row (physical, in cin_) and slot or kRowEnd per
   /// entry, the vectorized residual's verdict per candidate entry, and the
   /// consumption cursor.
@@ -799,39 +1020,46 @@ std::vector<ScalarExprPtr> ProbeSides(
   return left;
 }
 
-/// Equi-join on a hash table built from the right input's rows.
+/// Equi-join on a hash table built from the right input: its rows stored
+/// column-major and typed (BuildTable), its right columns gathered by slot
+/// from zero-copy views of the payload columns.
 class HashJoinOp final : public ProbeJoinOp {
  public:
   HashJoinOp(PhysJoinKind kind, PhysicalOpPtr left, PhysicalOpPtr right,
              std::vector<std::pair<ScalarExprPtr, ScalarExprPtr>> keys,
              ScalarExprPtr residual, std::vector<DataType> right_types,
-             bool cache_build, SharedRegionStatePtr shared, int worker)
+             bool cache_build, SharedRegionStatePtr shared, int worker,
+             bool null_aware)
       : ProbeJoinOp(kind, std::move(left), right->layout(), ProbeSides(keys),
-                    std::move(residual), std::move(right_types)),
+                    std::move(residual), std::move(right_types), null_aware),
         cache_build_(cache_build && shared == nullptr),
         worker_(worker),
         shared_(std::static_pointer_cast<SharedJoinState>(shared)) {
     for (auto& key : keys) {
+      build_keys_.push_back(std::make_unique<ColumnarEvaluator>());
+      build_keys_.back()->Compile(key.second, right->layout());
       right_keys_.emplace_back(std::move(key.second), right->layout());
     }
+    build_cols_.resize(right_keys_.size());
     children_.push_back(std::move(right));
   }
 
   std::string name() const override {
-    return "HashJoin(" + JoinKindName(kind_) + ")";
+    return null_aware_ ? "HashJoin(null-aware-anti)"
+                       : "HashJoin(" + JoinKindName(kind_) + ")";
   }
 
  private:
   Status OpenBuild(ExecContext* ctx) override {
     if (shared_ != nullptr) {
       // Parallel build: drain this worker's share of the build input into
-      // (key, row) pairs and meet the gang at the merge barrier. The drain
+      // a partial table and meet the gang at the merge barrier. The drain
       // status rides along so an error still completes the barrier.
-      std::vector<KeyedRow> partial;
-      Status drain = DrainBuildPartial(ctx, &partial);
+      BuildTable partial;
+      Status drain = DrainBuild(ctx, &partial);
       bool merged_here = false;
       Result<const BuildTable*> merged =
-          shared_->Deposit(worker_, drain, right_keys_.size(),
+          shared_->Deposit(worker_, drain, right_keys_.size(), pad_types_,
                            std::move(partial), &merged_here);
       if (!merged.ok()) return merged.status();
       active_ = *merged;
@@ -843,38 +1071,39 @@ class HashJoinOp final : public ProbeJoinOp {
       }
       active_ = &local_;
     } else {
-      ORQ_RETURN_IF_ERROR(BuildLocal(ctx));
+      ORQ_RETURN_IF_ERROR(DrainBuild(ctx, &local_));
+      local_.Finish();
       built_ = true;
       active_ = &local_;
       RecordBuildStats();
     }
     buckets_ = &active_->buckets;
+    build_empty_ = active_->rows == 0 && !active_->null_key;
+    build_null_key_ = active_->null_key;
+    build_key_classes_ = active_->key_classes;
+    views_.resize(active_->payload.size());
+    for (size_t k = 0; k < views_.size(); ++k) {
+      ViewKeyColumn(active_->payload[k], 0, active_->rows, &views_[k]);
+    }
     return Status::OK();
   }
 
   void CloseBuild() override {
     // The shared table is released by the exchange's Close (other workers
     // may still be probing it here); a caching build survives for replay.
-    if (shared_ == nullptr && !cache_build_) local_.Reset(right_keys_.size());
+    if (shared_ == nullptr && !cache_build_) {
+      local_.Reset(right_keys_.size(), pad_types_);
+    }
     active_ = nullptr;
   }
 
   Value RightValue(uint32_t slot, size_t k) const override {
-    return active_->arena[slot][k];
+    return active_->payload[k].Get(slot);
   }
 
-  /// The arena is row-major: the column is appended value by value.
   void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
                    ColumnVec* dst) override {
-    dst->StartBuild(pad_types_[k], n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (slots[i] == kNoRight) {
-        dst->AppendNull();
-      } else {
-        dst->AppendValue(active_->arena[slots[i]][k]);
-      }
-    }
-    dst->Seal();
+    dst->GatherFrom(views_[k], slots, n);
   }
 
   /// Evaluates the build keys of `row` into `key`; false when a key is
@@ -888,49 +1117,54 @@ class HashJoinOp final : public ProbeJoinOp {
     return true;
   }
 
-  /// Serial build: drain the right child into local_, each row counted
-  /// into its key's bucket (key copied into the table only when new).
-  /// Buckets are ranges into a single slots permutation rather than one
-  /// vector of row copies per key.
-  Status BuildLocal(ExecContext* ctx) {
-    local_.Reset(right_keys_.size());
+  /// Drains the right child into `table` (Reset first): row by row in row
+  /// mode; in columnar mode each batch's build keys are evaluated and
+  /// hashed column-wise, its NULL-key rows dropped from the selection, and
+  /// the rest inserted column-keyed with their payload appended typed.
+  /// Closes the child on every path. Serial and parallel builds alike.
+  Status DrainBuild(ExecContext* ctx, BuildTable* table) {
+    table->Reset(right_keys_.size(), pad_types_);
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-    std::vector<uint32_t> row_bucket;
     Row key(right_keys_.size());
-    Status drain =
-        DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
-          ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
-          if (!joinable) return Status::OK();
-          row_bucket.push_back(local_.buckets.Add(key, RowHash{}(key)));
-          local_.arena.push_back(std::move(row));
-          return Status::OK();
-        });
-    children_[1]->Close();
-    ORQ_RETURN_IF_ERROR(drain);
-    local_.buckets.Scatter(row_bucket);
-    return Status::OK();
-  }
-
-  /// Parallel build: drain the right child (a morsel share of the build
-  /// input) into per-row (key, row) pairs for the shared merge. Closes the
-  /// child on every path; the caller deposits whatever status results.
-  Status DrainBuildPartial(ExecContext* ctx, std::vector<KeyedRow>* partial) {
-    ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-    Status drain =
-        DrainRows(children_[1].get(), ctx, [&](Row& row) -> Status {
-          Row key(right_keys_.size());
+    Status drain = DrainBatches(
+        children_[1].get(), ctx,
+        [&](Row& row) -> Status {
           ORQ_ASSIGN_OR_RETURN(bool joinable, BuildKey(row, ctx, &key));
           if (joinable) {
-            const size_t hash = RowHash{}(key);
-            partial->push_back(KeyedRow{std::move(key), hash, std::move(row)});
+            table->AddRow(key, row);
+          } else {
+            table->null_key = true;
           }
+          return Status::OK();
+        },
+        [&](ColumnBatch& batch) -> Status {
+          for (size_t k = 0; k < build_keys_.size(); ++k) {
+            ORQ_ASSIGN_OR_RETURN(
+                build_cols_[k],
+                build_keys_[k]->EvalOrFallback(batch, right_keys_[k], ctx));
+          }
+          const uint32_t live = batch.selected();
+          NarrowSelection(&batch, [&](uint32_t, uint32_t r) {
+            for (const ColumnVec* col : build_cols_) {
+              if (col->IsNull(r)) return false;
+            }
+            return true;
+          });
+          if (batch.selected() < live) table->null_key = true;
+          if (batch.selected() == 0) return Status::OK();
+          InitKeyHashes(batch, &build_hashes_);
+          for (const ColumnVec* col : build_cols_) {
+            HashCombineColumn(batch, *col, &build_hashes_);
+          }
+          table->AddBatch(batch, build_cols_.data(), build_hashes_,
+                          &build_ids_);
           return Status::OK();
         });
     children_[1]->Close();
     ORQ_RETURN_IF_ERROR(drain);
     if (MetricsRegistry* m = metrics()) {
       m->Add(MetricCounter::kHashJoinBuildRows,
-             static_cast<int64_t>(partial->size()));
+             static_cast<int64_t>(table->rows));
     }
     return Status::OK();
   }
@@ -943,38 +1177,29 @@ class HashJoinOp final : public ProbeJoinOp {
     RecordPeak(static_cast<int64_t>(buckets.keys.size()));
     MetricsRegistry* m = metrics();
     if (m == nullptr) return;
-    if (shared_ == nullptr) {
-      // The parallel path counts build rows per worker in
-      // DrainBuildPartial; count the serial drain here.
-      m->Add(MetricCounter::kHashJoinBuildRows,
-             static_cast<int64_t>(active_->arena.size()));
-    }
     m->Add(MetricCounter::kHashJoinBuckets,
            static_cast<int64_t>(buckets.keys.size()));
-    // Approximate resident footprint of the build side: row headers and
-    // value storage in the arena, the slots permutation, the bucket
-    // ranges and the key table. Arena string payloads are not walked.
-    int64_t bytes = static_cast<int64_t>(
-        buckets.slots.size() * sizeof(uint32_t) +
-        buckets.ranges.size() * sizeof(BucketRange) +
-        buckets.keys.MemoryBytes());
-    for (const Row& row : active_->arena) {
-      bytes += static_cast<int64_t>(sizeof(Row) +
-                                    row.capacity() * sizeof(Value));
-    }
     for (const BucketRange& range : buckets.ranges) {
       m->Observe(MetricHistogram::kHashJoinBucketRows, range.size);
     }
-    m->Add(MetricCounter::kHashJoinArenaBytes, bytes);
+    m->Add(MetricCounter::kHashJoinArenaBytes,
+           static_cast<int64_t>(active_->MemoryBytes()));
   }
 
   const bool cache_build_;
   const int worker_;
   std::shared_ptr<SharedJoinState> shared_;
   std::vector<Evaluator> right_keys_;
+  /// Columnar build scratch: key evaluators, key columns, hashes, ids.
+  std::vector<std::unique_ptr<ColumnarEvaluator>> build_keys_;
+  std::vector<const ColumnVec*> build_cols_;
+  std::vector<size_t> build_hashes_;
+  std::vector<uint32_t> build_ids_;
   BuildTable local_;                    // serial/cached build product
   const BuildTable* active_ = nullptr;  // table being probed (local or shared)
   bool built_ = false;                  // local_ valid across Open cycles
+  /// Zero-copy views of the probed table's payload columns.
+  std::vector<ColumnVec> views_;
 };
 
 /// Index-lookup join: the probe runs against a base table's prebuilt index
@@ -988,7 +1213,8 @@ class IndexJoinOp final : public ProbeJoinOp {
               std::vector<int> ordinals, std::vector<ColumnId> layout,
               ScalarExprPtr residual, std::vector<DataType> right_types)
       : ProbeJoinOp(kind, std::move(left), layout, std::move(probe_keys),
-                    std::move(residual), std::move(right_types)),
+                    std::move(residual), std::move(right_types),
+                    /*null_aware=*/false),
         table_(table),
         index_(index),
         ordinals_(std::move(ordinals)) {}
@@ -1050,7 +1276,20 @@ PhysicalOpPtr MakeHashJoinOp(
   return std::make_unique<HashJoinOp>(kind, std::move(left), std::move(right),
                                       std::move(keys), std::move(residual),
                                       std::move(right_types), cache_build,
-                                      std::move(shared), worker);
+                                      std::move(shared), worker,
+                                      /*null_aware=*/false);
+}
+
+PhysicalOpPtr MakeNullAwareAntiJoinOp(
+    PhysicalOpPtr left, PhysicalOpPtr right,
+    std::pair<ScalarExprPtr, ScalarExprPtr> key,
+    std::vector<DataType> right_types, bool cache_build,
+    SharedRegionStatePtr shared, int worker) {
+  return std::make_unique<HashJoinOp>(
+      PhysJoinKind::kLeftAnti, std::move(left), std::move(right),
+      std::vector<std::pair<ScalarExprPtr, ScalarExprPtr>>{std::move(key)},
+      nullptr, std::move(right_types), cache_build, std::move(shared), worker,
+      /*null_aware=*/true);
 }
 
 PhysicalOpPtr MakeIndexJoinOp(PhysJoinKind kind, PhysicalOpPtr left,

@@ -30,22 +30,25 @@ inline bool ElemEqualsKey(const ColumnVec& c, uint32_t r, const KeyColumn& k,
   return k.EqualsValue(id, c.GetValue(r));
 }
 
+/// Appends element `r` of `c` to `key`, typed when `c` is.
+inline void AppendElem(const ColumnVec& c, uint32_t r, KeyColumn* key) {
+  if (c.rep() == ColumnRep::kValues) {
+    key->AppendValue(c.ValAt(r));
+  } else if (c.IsNull(r)) {
+    key->AppendNull();
+  } else if (c.rep() == ColumnRep::kInts) {
+    key->AppendInt(c.type(), c.IntAt(r));
+  } else if (c.rep() == ColumnRep::kDoubles) {
+    key->AppendDouble(c.DoubleAt(r));
+  } else {
+    key->AppendStr(c.StrAt(r));
+  }
+}
+
 void AppendKeyColumns(KeyTable* table, const ColumnVec* const* cols,
                       uint32_t r) {
   for (size_t k = 0; k < table->width(); ++k) {
-    const ColumnVec& c = *cols[k];
-    KeyColumn& key = table->mutable_col(k);
-    if (c.rep() == ColumnRep::kValues) {
-      key.AppendValue(c.ValAt(r));
-    } else if (c.IsNull(r)) {
-      key.AppendNull();
-    } else if (c.rep() == ColumnRep::kInts) {
-      key.AppendInt(c.type(), c.IntAt(r));
-    } else if (c.rep() == ColumnRep::kDoubles) {
-      key.AppendDouble(c.DoubleAt(r));
-    } else {
-      key.AppendStr(c.StrAt(r));
-    }
+    AppendElem(*cols[k], r, &table->mutable_col(k));
   }
 }
 
@@ -87,6 +90,12 @@ void GroupIds(KeyTable* table, const ColumnBatch& batch,
         [&](uint32_t id) { return KeyEqualsColumns(*table, id, cols, r); },
         [&] { AppendKeyColumns(table, cols, r); }, &inserted);
   }
+}
+
+void AppendLiveRows(const ColumnBatch& batch, const ColumnVec& col,
+                    KeyColumn* dst) {
+  const uint32_t m = batch.selected();
+  for (uint32_t j = 0; j < m; ++j) AppendElem(col, batch.RowAt(j), dst);
 }
 
 void ViewKeyColumn(const KeyColumn& col, uint32_t begin, uint32_t n,

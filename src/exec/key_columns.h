@@ -27,6 +27,11 @@ void GroupIds(KeyTable* table, const ColumnBatch& batch,
               const ColumnVec* const* cols, const std::vector<size_t>& hashes,
               std::vector<uint32_t>* ids);
 
+/// Appends `col`'s value at every live row of `batch`, in selection
+/// order, to `dst` (typed when `col` is).
+void AppendLiveRows(const ColumnBatch& batch, const ColumnVec& col,
+                    KeyColumn* dst);
+
 /// Points `out` at entries [begin, begin + n) of a key column, zero-copy;
 /// the view lives as long as the table is neither reset nor grown.
 void ViewKeyColumn(const KeyColumn& col, uint32_t begin, uint32_t n,

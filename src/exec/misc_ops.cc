@@ -1,7 +1,9 @@
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
+#include "common/key_table.h"
 #include "exec/evaluator.h"
+#include "exec/key_columns.h"
 #include "exec/ops.h"
 #include "exec/vector_kernels.h"
 #include "obs/metrics.h"
@@ -430,6 +432,11 @@ class UnionAllOp : public PhysicalOp {
   size_t current_ = 0;
 };
 
+/// Bag difference: each right row cancels one equal (grouping semantics:
+/// NULLs equal, Int64(3) == Double(3.0)) left row, in left stream order.
+/// The right input is counted into a KeyTable keyed by all its columns —
+/// one count per distinct row id — column-keyed in columnar mode, so
+/// neither side decodes a row there.
 class ExceptAllOp : public PhysicalOp {
  public:
   ExceptAllOp(PhysicalOpPtr left, PhysicalOpPtr right,
@@ -440,17 +447,27 @@ class ExceptAllOp : public PhysicalOp {
   }
 
   Status OpenImpl(ExecContext* ctx) override {
+    keys_.Reset(layout_.size());
     counts_.clear();
     ORQ_RETURN_IF_ERROR(children_[1]->Open(ctx));
-    Status drain = DrainRows(children_[1].get(), ctx, [this](Row& row) {
-      ++counts_[std::move(row)];
-      return Status::OK();
-    });
+    Status drain = DrainBatches(
+        children_[1].get(), ctx,
+        [this](Row& row) {
+          bool inserted = false;
+          Count(keys_.InsertRow(row, RowHash{}(row), &inserted));
+          return Status::OK();
+        },
+        [this](ColumnBatch& batch) {
+          HashRows(batch);
+          GroupIds(&keys_, batch, cols_.data(), hashes_, &ids_);
+          for (uint32_t id : ids_) Count(id);
+          return Status::OK();
+        });
     children_[1]->Close();
     ORQ_RETURN_IF_ERROR(drain);
-    RecordPeak(static_cast<int64_t>(counts_.size()));
+    RecordPeak(static_cast<int64_t>(keys_.size()));
     if (MetricsRegistry* m = metrics()) {
-      m->Add(MetricCounter::kSpoolRows, static_cast<int64_t>(counts_.size()));
+      m->Add(MetricCounter::kSpoolRows, static_cast<int64_t>(keys_.size()));
     }
     return children_[0]->Open(ctx);
   }
@@ -459,11 +476,7 @@ class ExceptAllOp : public PhysicalOp {
     while (true) {
       ORQ_ASSIGN_OR_RETURN(bool more, children_[0]->Next(ctx, row));
       if (!more) return false;
-      auto it = counts_.find(*row);
-      if (it != counts_.end() && it->second > 0) {
-        --it->second;
-        continue;  // cancelled by a right-side occurrence
-      }
+      if (Cancel(keys_.FindRow(*row))) continue;
       return true;
     }
   }
@@ -477,16 +490,13 @@ class ExceptAllOp : public PhysicalOp {
       ORQ_RETURN_IF_ERROR(children_[0]->NextColumns(ctx, out));
       const uint32_t live = out->selected();
       if (live == 0) return Status::OK();
+      HashRows(*out);
       keep_.clear();
       for (uint32_t j = 0; j < live; ++j) {
         const uint32_t i = out->RowAt(j);
-        out->DecodeRow(i, &decode_row_);
-        auto it = counts_.find(decode_row_);
-        if (it != counts_.end() && it->second > 0) {
-          --it->second;
-          continue;
+        if (!Cancel(FindColumns(keys_, cols_.data(), i, hashes_[j]))) {
+          keep_.push_back(i);
         }
-        keep_.push_back(i);
       }
       if (keep_.empty()) continue;
       if (keep_.size() < live) *out->MutableSelection() = keep_;
@@ -496,14 +506,42 @@ class ExceptAllOp : public PhysicalOp {
 
   void CloseImpl() override {
     children_[0]->Close();
+    keys_.Reset(0);
     counts_.clear();
   }
   std::string name() const override { return "ExceptAll"; }
 
  private:
-  std::unordered_map<Row, int64_t, RowHash, RowGroupEq> counts_;
-  std::vector<uint32_t> keep_;  // surviving physical rows of one batch
-  Row decode_row_;
+  void Count(uint32_t id) {
+    if (id == counts_.size()) counts_.push_back(0);
+    ++counts_[id];
+  }
+
+  /// Uses up one right occurrence of row id `id`; false when none is left.
+  bool Cancel(uint32_t id) {
+    if (id == KeyTable::kNone || counts_[id] == 0) return false;
+    --counts_[id];
+    return true;
+  }
+
+  /// Points cols_ at every column of `batch` and hashes its live rows.
+  void HashRows(const ColumnBatch& batch) {
+    cols_.resize(layout_.size());
+    InitKeyHashes(batch, &hashes_);
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c] = &batch.col(c);
+      HashCombineColumn(batch, *cols_[c], &hashes_);
+    }
+  }
+
+  KeyTable keys_;                // distinct right rows
+  std::vector<int64_t> counts_;  // right occurrences left, by row id
+  /// Columnar scratch: row columns, per-live-row hashes and ids, and the
+  /// surviving physical rows of one batch.
+  std::vector<const ColumnVec*> cols_;
+  std::vector<size_t> hashes_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> keep_;
 };
 
 }  // namespace

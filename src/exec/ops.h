@@ -71,6 +71,18 @@ PhysicalOpPtr MakeHashJoinOp(
     bool cache_build = false, SharedRegionStatePtr shared = nullptr,
     int worker = 0);
 
+/// NOT IN as a hash join: the anti join whose whole predicate is
+/// `l = r OR (l = r) IS NULL`, with `key` = (l, r). Null-aware: a left row
+/// passes only when no right row makes l = r true or unknown, so an empty
+/// right input passes every row, a NULL r rejects every row, and a NULL l
+/// is rejected whenever the right input is non-empty. Other arguments as
+/// in MakeHashJoinOp.
+PhysicalOpPtr MakeNullAwareAntiJoinOp(
+    PhysicalOpPtr left, PhysicalOpPtr right,
+    std::pair<ScalarExprPtr, ScalarExprPtr> key,
+    std::vector<DataType> right_types = {}, bool cache_build = false,
+    SharedRegionStatePtr shared = nullptr, int worker = 0);
+
 /// Index-lookup join: the Apply-over-IndexSeek plan (paper section 4's
 /// correlated execution with index lookup) run as a hash-join probe whose
 /// build side is `index`, prebuilt over `table`. Each left row's

@@ -6,6 +6,32 @@
 
 namespace orq {
 
+namespace {
+
+constexpr size_t kRowHashPrime = 1099511628211ull;
+
+/// Folds elem_hash(i) — or the NULL hash where `nulls` marks row i — into
+/// the hash of every live row i, in selection order: one tight loop per
+/// element type.
+template <typename ElemHash>
+inline void CombineLive(const ColumnBatch& batch, const uint8_t* nulls,
+                        size_t* h, ElemHash elem_hash) {
+  const uint32_t m = batch.selected();
+  auto fold = [&](uint32_t j, uint32_t i) {
+    const size_t v =
+        nulls != nullptr && nulls[i] != 0 ? kNullHash : elem_hash(i);
+    h[j] = h[j] * kRowHashPrime + v;
+  };
+  if (batch.has_selection()) {
+    const uint32_t* sel = batch.selection().data();
+    for (uint32_t j = 0; j < m; ++j) fold(j, sel[j]);
+  } else {
+    for (uint32_t j = 0; j < m; ++j) fold(j, j);
+  }
+}
+
+}  // namespace
+
 void InitKeyHashes(const ColumnBatch& batch, std::vector<size_t>* hashes) {
   hashes->assign(batch.selected(), size_t{0x9e3779b97f4a7c15ull});
 }
@@ -19,11 +45,8 @@ void HashCombineColumn(const ColumnBatch& batch, const ColumnVec& col,
     // code load + one table load per row, no string bytes touched.
     const uint32_t* codes = col.codes();
     const size_t* dh = col.dict_hashes();
-    for (uint32_t j = 0; j < m; ++j) {
-      const uint32_t i = batch.RowAt(j);
-      const size_t v = col.IsNull(i) ? size_t{0x6e756c6cull} : dh[codes[i]];
-      h[j] = h[j] * 1099511628211ull + v;
-    }
+    CombineLive(batch, col.nulls(), h,
+                [&](uint32_t i) { return dh[codes[i]]; });
     return;
   }
   if (col.enc() == ColumnEnc::kRle) {
@@ -37,12 +60,37 @@ void HashCombineColumn(const ColumnBatch& batch, const ColumnVec& col,
         last_run = run;
         last_hash = HashRef(RleRunRef(col, run));
       }
-      h[j] = h[j] * 1099511628211ull + last_hash;
+      h[j] = h[j] * kRowHashPrime + last_hash;
     }
     return;
   }
-  for (uint32_t j = 0; j < m; ++j) {
-    h[j] = h[j] * 1099511628211ull + HashRef(LoadElem(col, batch.RowAt(j)));
+  switch (col.rep()) {
+    case ColumnRep::kInts: {
+      const int64_t* ints = col.ints();
+      if (col.type() == DataType::kInt64) {
+        CombineLive(batch, col.nulls(), h,
+                    [&](uint32_t i) { return HashInt64(ints[i]); });
+      } else {
+        CombineLive(batch, col.nulls(), h,
+                    [&](uint32_t i) { return HashDateOrBool(ints[i]); });
+      }
+      return;
+    }
+    case ColumnRep::kDoubles: {
+      const double* doubles = col.doubles();
+      CombineLive(batch, col.nulls(), h,
+                  [&](uint32_t i) { return HashDouble(doubles[i]); });
+      return;
+    }
+    case ColumnRep::kStrings:
+      CombineLive(batch, col.nulls(), h, [&](uint32_t i) {
+        return std::hash<std::string_view>()(col.StrAt(i));
+      });
+      return;
+    case ColumnRep::kValues:
+      CombineLive(batch, nullptr, h,
+                  [&](uint32_t i) { return col.ValAt(i).Hash(); });
+      return;
   }
 }
 

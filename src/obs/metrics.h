@@ -11,10 +11,10 @@ namespace orq {
 /// volume, and the Apply re-execution pattern. One slot per counter, plain
 /// int64_t, no strings on the hot path.
 enum class MetricCounter : int {
-  kHashJoinBuildRows = 0,  // rows drained into hash-join arenas
+  kHashJoinBuildRows = 0,  // rows stored in hash-join build tables
   kHashJoinBuckets,        // distinct join keys across all builds
-  kHashJoinArenaBytes,     // approximate build-arena footprint (rows+slots)
-  kHashJoinProbes,         // probe-side LookupBucket calls
+  kHashJoinArenaBytes,     // build tables' resident bytes (payload+keys)
+  kHashJoinProbes,         // probe rows looked up
   kHashAggInputRows,       // rows accumulated by hash aggregates
   kHashAggGroups,          // distinct groups across all aggregations
   kSpoolRows,              // rows materialized by NLJoin/Sort/ExceptAll spools

@@ -334,6 +334,305 @@ TEST_F(BatchExecTest, HashJoinPerRowResidualEveryKind) {
   }
 }
 
+// ---- Probe boundaries: every hash-join probe loop against the
+// NestedLoopsJoin plan of the same join, as a serial build, a cached build
+// (re-opened, so its second Open probes the retained table) and a 4-worker
+// parallel build merged at the barrier.
+
+/// How a hash-join plan gets its build side.
+enum class BuildMode { kSerial, kCached, kParallel };
+
+/// The rows `plan` produces from a fresh context; an error fails the test.
+std::vector<std::string> RunRows(PhysicalOp* plan, bool batched,
+                                 int batch_size, TaskPool* pool,
+                                 const std::string& what) {
+  ExecContext ctx = MakeContext(batched, batch_size, pool);
+  Result<std::vector<Row>> rows = ExecuteToVector(plan, &ctx);
+  EXPECT_TRUE(rows.ok()) << what << ": " << rows.status().ToString();
+  return rows.ok() ? CanonicalRows(*rows) : std::vector<std::string>{};
+}
+
+/// make_hash(mode) builds the hash join under test, its probe and build
+/// inputs scanned serially (kSerial, kCached) or as one worker's morsel
+/// share (kParallel, wrapped in an Exchange here); make_nl() the
+/// NestedLoopsJoin reference. Every build mode must produce the
+/// reference's rows in row and in columnar mode at every boundary batch
+/// size, across a re-open.
+void ExpectHashJoinMatchesNL(
+    const std::function<PhysicalOpPtr(BuildMode, int, SharedRegionStatePtr,
+                                      SharedRegionStatePtr,
+                                      SharedRegionStatePtr)>& make_hash,
+    const std::function<PhysicalOpPtr()>& make_nl, const std::string& what) {
+  PhysicalOpPtr nl = make_nl();
+  const std::vector<std::string> want =
+      RunRows(nl.get(), false, kDefaultBatchRows, nullptr, what + " NL");
+  constexpr int kWorkers = 4;
+  TaskPool pool(kWorkers);
+  for (BuildMode mode :
+       {BuildMode::kSerial, BuildMode::kCached, BuildMode::kParallel}) {
+    const std::string label =
+        what + " build=" + std::to_string(static_cast<int>(mode));
+    auto make = [&]() -> PhysicalOpPtr {
+      if (mode != BuildMode::kParallel) {
+        return make_hash(mode, 0, nullptr, nullptr, nullptr);
+      }
+      SharedRegionStatePtr probe = MakeMorselSource();
+      SharedRegionStatePtr build = MakeMorselSource();
+      SharedRegionStatePtr join = MakeSharedJoinState(kWorkers);
+      std::vector<PhysicalOpPtr> instances;
+      for (int w = 0; w < kWorkers; ++w) {
+        instances.push_back(make_hash(mode, w, probe, build, join));
+      }
+      std::vector<ColumnId> layout = instances[0]->layout();
+      return MakeExchangeOp(std::move(instances), {probe, build, join},
+                            std::move(layout));
+    };
+    PhysicalOpPtr plan = make();
+    EXPECT_EQ(RunRows(plan.get(), false, kDefaultBatchRows, &pool, label),
+              want)
+        << label << " (row mode)";
+    if (mode != BuildMode::kCached) {
+      ExpectColumnarMatchesRows(make, label, &pool);
+      continue;
+    }
+    // A cached build's re-open replays the table without re-running the
+    // build input, so only the rows (not rows_produced) repeat.
+    for (bool batched : {false, true}) {
+      for (int batch_size : kBoundarySizes) {
+        PhysicalOpPtr cached = make();
+        for (int open = 0; open < 2; ++open) {
+          EXPECT_EQ(RunRows(cached.get(), batched, batch_size, &pool, label),
+                    want)
+              << label << " batched=" << batched
+              << " batch_size=" << batch_size << " open=" << open;
+        }
+      }
+    }
+  }
+}
+
+class ProbeBoundaryTest : public BatchExecTest {
+ protected:
+  void SetUp() override {
+    BatchExecTest::SetUp();
+    // q: kRows probe rows, keys 0..12 with a NULL every 11th row.
+    q_ = *catalog_.CreateTable("q", {{"k", DataType::kInt64, true},
+                                     {"v", DataType::kInt64, false}});
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(q_->Append({i % 11 == 5 ? Value::Null(DataType::kInt64)
+                                          : Value::Int64(i % 13),
+                              Value::Int64(i)})
+                      .ok());
+    }
+    // r: the build side every test filters: x, a string and a double,
+    // with duplicate keys 2 and 4 and one NULL key.
+    r_ = *catalog_.CreateTable("r", {{"x", DataType::kInt64, true},
+                                     {"name", DataType::kString, false},
+                                     {"score", DataType::kDouble, false}});
+    const std::vector<Value> xs = {Value::Int64(2), Value::Int64(2),
+                                   Value::Int64(4), Value::Int64(4),
+                                   Value::Int64(4), Value::Int64(7),
+                                   Value::Null(DataType::kInt64)};
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_TRUE(r_->Append({xs[i], Value::String("r" + std::to_string(i)),
+                              Value::Double(0.5 * static_cast<double>(i))})
+                      .ok());
+    }
+  }
+
+  static std::vector<DataType> RTypes() {
+    return {DataType::kInt64, DataType::kString, DataType::kDouble};
+  }
+
+  /// Scan of `table` with columns {first, first + 1, ...}: serial, or one
+  /// worker's morsels of `source`.
+  static PhysicalOpPtr Scan(Table* table, std::vector<int> ordinals,
+                            ColumnId first, SharedRegionStatePtr source) {
+    std::vector<ColumnId> layout;
+    for (size_t i = 0; i < ordinals.size(); ++i) {
+      layout.push_back(first + static_cast<ColumnId>(i));
+    }
+    if (source != nullptr) {
+      return MakeMorselScan(table, std::move(ordinals), std::move(layout),
+                            std::move(source));
+    }
+    return MakeTableScan(table, std::move(ordinals), std::move(layout));
+  }
+
+  /// q's rows (columns 1, 2), optionally filtered by `probe_filter`.
+  PhysicalOpPtr Probe(const ScalarExprPtr& probe_filter,
+                      SharedRegionStatePtr source) {
+    PhysicalOpPtr scan = Scan(q_, {0, 1}, 1, std::move(source));
+    if (probe_filter == nullptr) return scan;
+    return MakeFilterOp(std::move(scan), probe_filter);
+  }
+
+  /// r's rows (columns 3, 4, 5) that pass `build_filter`.
+  PhysicalOpPtr Build(const ScalarExprPtr& build_filter,
+                      SharedRegionStatePtr source) {
+    return MakeFilterOp(Scan(r_, {0, 1, 2}, 3, std::move(source)),
+                        build_filter);
+  }
+
+  /// HashJoin(kind) on q.k = r.x vs NestedLoopsJoin(kind) on the same
+  /// equality, probe and build filtered as given.
+  void ExpectEquiJoin(PhysJoinKind kind, const ScalarExprPtr& probe_filter,
+                      const ScalarExprPtr& build_filter,
+                      const std::string& what) {
+    ExpectHashJoinMatchesNL(
+        [&](BuildMode mode, int worker, SharedRegionStatePtr probe,
+            SharedRegionStatePtr build, SharedRegionStatePtr join) {
+          return MakeHashJoinOp(
+              kind, Probe(probe_filter, std::move(probe)),
+              Build(build_filter, std::move(build)),
+              {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}},
+              nullptr, RTypes(), mode == BuildMode::kCached, std::move(join),
+              worker);
+        },
+        [&] {
+          return MakeNLJoinOp(kind, Probe(probe_filter, nullptr),
+                              Build(build_filter, nullptr),
+                              Eq(CRef(1, DataType::kInt64),
+                                 CRef(3, DataType::kInt64)),
+                              false, RTypes());
+        },
+        what + " kind=" + std::to_string(static_cast<int>(kind)));
+  }
+
+  /// NOT IN: the null-aware HashJoin(anti) vs NestedLoopsJoin(anti) on
+  /// `q.k = r.x OR (q.k = r.x) IS NULL`, the build filtered as given.
+  void ExpectNotIn(const ScalarExprPtr& build_filter,
+                   const std::string& what) {
+    ExpectHashJoinMatchesNL(
+        [&](BuildMode mode, int worker, SharedRegionStatePtr probe,
+            SharedRegionStatePtr build, SharedRegionStatePtr join) {
+          return MakeNullAwareAntiJoinOp(
+              Probe(nullptr, std::move(probe)),
+              Build(build_filter, std::move(build)),
+              {CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)},
+              RTypes(), mode == BuildMode::kCached, std::move(join), worker);
+        },
+        [&] {
+          ScalarExprPtr eq =
+              Eq(CRef(1, DataType::kInt64), CRef(3, DataType::kInt64));
+          return MakeNLJoinOp(PhysJoinKind::kLeftAnti, Probe(nullptr, nullptr),
+                              Build(build_filter, nullptr),
+                              MakeOr({eq, MakeIsNull(eq)}), false, RTypes());
+        },
+        "NOT IN " + what);
+  }
+
+  static constexpr PhysJoinKind kKinds[] = {
+      PhysJoinKind::kInner, PhysJoinKind::kLeftOuter, PhysJoinKind::kLeftSemi,
+      PhysJoinKind::kLeftAnti};
+
+  Table* q_ = nullptr;
+  Table* r_ = nullptr;
+};
+
+// An empty build: inner and semi emit nothing, anti passes every probe
+// row, outer pads every probe row with NULLs of the declared right types.
+TEST_F(ProbeBoundaryTest, EmptyBuildEveryKind) {
+  for (PhysJoinKind kind : kKinds) {
+    ExpectEquiJoin(kind, nullptr, LitBool(false), "empty build");
+  }
+  PhysicalOpPtr outer = MakeHashJoinOp(
+      PhysJoinKind::kLeftOuter, Probe(nullptr, nullptr),
+      Build(LitBool(false), nullptr),
+      {{CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}}, nullptr,
+      RTypes());
+  for (bool batched : {false, true}) {
+    ExecContext ctx = MakeContext(batched, 4, nullptr);
+    Result<std::vector<Row>> rows = ExecuteToVector(outer.get(), &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
+    for (const Row& row : *rows) {
+      ASSERT_TRUE(row[2].is_null() && row[3].is_null() && row[4].is_null());
+      EXPECT_EQ(row[2].type(), DataType::kInt64);
+      EXPECT_EQ(row[3].type(), DataType::kString);
+      EXPECT_EQ(row[4].type(), DataType::kDouble);
+    }
+  }
+}
+
+// An empty build still evaluates every probe row's key: a key that
+// divides by zero errors in both modes, whatever the kind.
+TEST_F(ProbeBoundaryTest, EmptyBuildStillEvaluatesProbeKeys) {
+  for (PhysJoinKind kind : kKinds) {
+    for (bool batched : {false, true}) {
+      PhysicalOpPtr join = MakeHashJoinOp(
+          kind, Probe(nullptr, nullptr), Build(LitBool(false), nullptr),
+          {{MakeArith(ArithOp::kDiv, CRef(2, DataType::kInt64), LitInt(0)),
+            CRef(3, DataType::kInt64)}},
+          nullptr, RTypes());
+      ExecContext ctx = MakeContext(batched, 16, nullptr);
+      EXPECT_FALSE(ExecuteToVector(join.get(), &ctx).ok())
+          << "kind=" << static_cast<int>(kind) << " batched=" << batched;
+    }
+  }
+}
+
+// Duplicate and NULL build keys, NULL probe keys, every kind.
+TEST_F(ProbeBoundaryTest, DuplicateAndNullKeysEveryKind) {
+  for (PhysJoinKind kind : kKinds) {
+    ExpectEquiJoin(kind, nullptr, LitBool(true), "duplicates");
+  }
+}
+
+// Every kind over a probe batch that already carries a selection
+// (Filter's), and a dense one: semi and anti joins narrow it in place,
+// inner and outer joins gather from its selected rows. The second build
+// has unique keys (7, and a NULL key it leaves out).
+TEST_F(ProbeBoundaryTest, SelectionNarrowingOnSelectedProbe) {
+  ScalarExprPtr odd_v = MakeCompare(
+      CompareOp::kEq,
+      MakeArith(ArithOp::kSub, CRef(2, DataType::kInt64),
+                MakeArith(ArithOp::kMul,
+                          MakeArith(ArithOp::kDiv, CRef(2, DataType::kInt64),
+                                    LitInt(2)),
+                          LitInt(2))),
+      LitInt(1));
+  ScalarExprPtr x = CRef(3, DataType::kInt64);
+  ScalarExprPtr unique =
+      MakeOr({MakeCompare(CompareOp::kGt, x, LitInt(4)), MakeIsNull(x)});
+  for (PhysJoinKind kind : kKinds) {
+    for (const ScalarExprPtr& build : {LitBool(true), unique}) {
+      ExpectEquiJoin(kind, odd_v, build, "selected probe");
+      ExpectEquiJoin(kind,
+                     MakeCompare(CompareOp::kGt, CRef(2, DataType::kInt64),
+                                 LitInt(-1)),
+                     build, "dense probe");
+    }
+  }
+}
+
+// The NOT IN matrix. q's probe keys include NULLs throughout, so each
+// build case also covers a NULL probe key against it.
+TEST_F(ProbeBoundaryTest, NotInMatrix) {
+  ScalarExprPtr x = CRef(3, DataType::kInt64);
+  // Empty inner: every row passes, NULL probe keys included.
+  ExpectNotIn(LitBool(false), "empty inner");
+  // An inner holding a NULL: no row passes.
+  ExpectNotIn(LitBool(true), "inner with NULL");
+  ExpectNotIn(MakeIsNull(x), "inner of only NULL");
+  // A non-empty inner without NULLs: NULL probe keys are rejected, the
+  // other keys pass unless found.
+  ExpectNotIn(MakeCompare(CompareOp::kEq, x, LitInt(7)), "inner {7}");
+  // Duplicate inner keys.
+  ExpectNotIn(MakeCompare(CompareOp::kLt, x, LitInt(5)), "inner {2,2,4,4,4}");
+  // A NULL probe key against an empty inner passes.
+  PhysicalOpPtr join = MakeNullAwareAntiJoinOp(
+      Probe(MakeIsNull(CRef(1, DataType::kInt64)), nullptr),
+      Build(LitBool(false), nullptr),
+      {CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)}, RTypes());
+  for (bool batched : {false, true}) {
+    ExecContext ctx = MakeContext(batched, 16, nullptr);
+    Result<std::vector<Row>> rows = ExecuteToVector(join.get(), &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), static_cast<size_t>((kRows + 5) / 11));
+  }
+}
+
 // Every kind over t (kRows probe rows, fan-out three for four keys): the
 // index join equals the Apply-over-IndexSeek plan it replaces and holds
 // the batch protocol at every boundary.
@@ -504,6 +803,47 @@ TEST_F(BatchExecTest, ExceptAllBoundaries) {
                                MakeTableScan(u_, {0}, {7}), {1});
       },
       "ExceptAll");
+}
+
+// ExceptAll cancels one left row per right row under grouping semantics,
+// in left stream order: duplicates one for one, NULL against NULL, and
+// Int64(3) against Double(3.0). Same sequence in both modes, at every
+// batch size, on every re-open.
+TEST_F(BatchExecTest, ExceptAllCancelsInStreamOrder) {
+  Table* left = *catalog_.CreateTable("el", {{"a", DataType::kInt64, true}});
+  Table* right = *catalog_.CreateTable("er", {{"a", DataType::kDouble, true}});
+  const Value null = Value::Null(DataType::kInt64);
+  for (const Value& v : {Value::Int64(3), Value::Int64(1), Value::Int64(3),
+                         null, Value::Int64(2), Value::Int64(3), null,
+                         Value::Int64(3)}) {
+    ASSERT_TRUE(left->Append({v}).ok());
+  }
+  for (const Value& v : {Value::Double(3.0), Value::Null(DataType::kDouble),
+                         Value::Double(3.0), Value::Double(9.0)}) {
+    ASSERT_TRUE(right->Append({v}).ok());
+  }
+  auto make = [&] {
+    return MakeExceptAllOp(MakeTableScan(left, {0}, {1}),
+                           MakeTableScan(right, {0}, {2}), {1});
+  };
+  const std::vector<std::string> want = {"[1]", "[2]", "[3]", "[NULL]",
+                                         "[3]"};
+  for (bool batched : {false, true}) {
+    for (int batch_size : kBoundarySizes) {
+      PhysicalOpPtr plan = make();
+      ExecContext ctx = MakeContext(batched, batch_size, nullptr);
+      for (int open = 0; open < 2; ++open) {
+        Result<std::vector<Row>> rows = ExecuteToVector(plan.get(), &ctx);
+        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+        std::vector<std::string> got;
+        for (const Row& row : *rows) got.push_back(RowToString(row));
+        EXPECT_EQ(got, want) << "batched=" << batched
+                             << " batch_size=" << batch_size
+                             << " open=" << open;
+      }
+    }
+  }
+  ExpectColumnarMatchesRows(make, "ExceptAll(group semantics)");
 }
 
 TEST_F(BatchExecTest, SegmentApplyAndSegmentScanBoundaries) {

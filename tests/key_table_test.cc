@@ -5,7 +5,10 @@
 // parity between Row-keyed and column-keyed access.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -130,7 +133,7 @@ void ProbeShape(const KeyTable& table, int64_t* longest, double* mean) {
 }
 
 TEST(KeyTableTest, DenseIdentityHashedKeysDoNotCluster) {
-  // Dates and bools hash to themselves (std::hash<int64_t>), so dense
+  // Dates and bools hash to themselves (HashDateOrBool), so dense
   // dates are consecutive hashes; dates 1024 days apart share their low
   // ten hash bits. Neither may pile up in a run of slots.
   for (int stride : {1, 1024}) {
@@ -144,6 +147,93 @@ TEST(KeyTableTest, DenseIdentityHashedKeysDoNotCluster) {
     EXPECT_LE(longest, 16) << "stride " << stride;
     EXPECT_LT(mean, 2.0) << "stride " << stride;
   }
+}
+
+/// RowHash of each one-value key in `rows`, column-wise through
+/// HashCombineColumn: over the batch as given, then under a selection of
+/// every other row.
+void ExpectColumnHashesMatchRows(const std::vector<Row>& rows,
+                                 ColumnRep want_rep) {
+  ColumnBatch batch(static_cast<int>(rows.size()));
+  batch.SetRows(rows.data(), static_cast<uint32_t>(rows.size()), 1);
+  ASSERT_EQ(batch.col(0).rep(), want_rep) << RowToString(rows[0]);
+  std::vector<size_t> hashes;
+  InitKeyHashes(batch, &hashes);
+  HashCombineColumn(batch, batch.col(0), &hashes);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(hashes[i], RowHash{}(rows[i])) << RowToString(rows[i]);
+  }
+  std::vector<uint32_t>* sel = batch.MutableSelection();
+  for (uint32_t i = 1; i < rows.size(); i += 2) sel->push_back(i);
+  InitKeyHashes(batch, &hashes);
+  HashCombineColumn(batch, batch.col(0), &hashes);
+  for (uint32_t j = 0; j < batch.selected(); ++j) {
+    EXPECT_EQ(hashes[j], RowHash{}(rows[batch.RowAt(j)]))
+        << RowToString(rows[batch.RowAt(j)]);
+  }
+}
+
+TEST(KeyTableTest, HashParityAcrossValueRefAndColumnLoops) {
+  // Value::Hash, HashRef and every typed HashCombineColumn loop are one
+  // hash, and values equal under grouping semantics hash alike.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double nan_payload = std::bit_cast<double>(0x7ff8000000000123ull);
+  const double nan_negative = std::bit_cast<double>(0xfff8000000000000ull);
+  const Value null_int = Value::Null(DataType::kInt64);
+  const std::vector<Row> ints = {
+      {Value::Int64(kTwo53)},      {Value::Int64(-kTwo53)},
+      {Value::Int64(kTwo53 + 1)},  {Value::Int64(-kTwo53 - 1)},
+      {Value::Int64(kMin)},        {null_int},
+      {Value::Int64(kMax)},        {Value::Int64(3)},
+      {Value::Int64(0)},           {Value::Int64(-1)}};
+  const std::vector<Row> doubles = {
+      {Value::Double(3.0)},           {Value::Double(0.0)},
+      {Value::Double(-0.0)},          {Value::Null(DataType::kDouble)},
+      {Value::Double(nan)},           {Value::Double(nan_payload)},
+      {Value::Double(nan_negative)},  {Value::Double(9007199254740992.0)},
+      {Value::Double(-9223372036854775808.0)},
+      {Value::Double(std::numeric_limits<double>::infinity())}};
+  const std::vector<Row> dates = {{Value::Date(0)},
+                                  {Value::Date(-1)},
+                                  {Value::Null(DataType::kDate)},
+                                  {Value::Date(9000)}};
+  const std::vector<Row> bools = {{Value::Bool(true)},
+                                  {Value::Null(DataType::kBool)},
+                                  {Value::Bool(false)}};
+  const std::vector<Row> strings = {{Value::String("x")},
+                                    {Value::String("")},
+                                    {Value::Null(DataType::kString)}};
+  std::vector<Row> boxed;
+  for (const auto* rows : {&ints, &doubles, &dates, &bools, &strings}) {
+    for (const Row& row : *rows) {
+      EXPECT_EQ(HashRef(LoadValue(row[0])), row[0].Hash())
+          << RowToString(row);
+      boxed.push_back(row);
+    }
+  }
+  ExpectColumnHashesMatchRows(ints, ColumnRep::kInts);
+  ExpectColumnHashesMatchRows(doubles, ColumnRep::kDoubles);
+  ExpectColumnHashesMatchRows(dates, ColumnRep::kInts);
+  ExpectColumnHashesMatchRows(bools, ColumnRep::kInts);
+  ExpectColumnHashesMatchRows(strings, ColumnRep::kStrings);
+  ExpectColumnHashesMatchRows(boxed, ColumnRep::kValues);
+
+  EXPECT_EQ(Value::Int64(3).Hash(), Value::Double(3.0).Hash());
+  EXPECT_EQ(Value::Int64(kTwo53).Hash(),
+            Value::Double(9007199254740992.0).Hash());
+  EXPECT_EQ(Value::Int64(kMin).Hash(),
+            Value::Double(-9223372036854775808.0).Hash());
+  EXPECT_EQ(Value::Double(0.0).Hash(), Value::Double(-0.0).Hash());
+  EXPECT_EQ(Value::Double(0.0).Hash(), Value::Int64(0).Hash());
+  EXPECT_EQ(Value::Double(nan).Hash(), Value::Double(nan_payload).Hash());
+  EXPECT_EQ(Value::Double(nan).Hash(), Value::Double(nan_negative).Hash());
+  EXPECT_EQ(null_int.Hash(), Value::Null(DataType::kString).Hash());
+  // Neighbours do not collide.
+  EXPECT_NE(Value::Int64(kTwo53).Hash(), Value::Int64(kTwo53 + 1).Hash());
+  EXPECT_NE(Value::Int64(kMax).Hash(), Value::Int64(kMax - 1).Hash());
 }
 
 TEST(KeyTableTest, RowAndColumnKeysMeet) {
