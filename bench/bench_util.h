@@ -61,20 +61,15 @@ inline std::vector<std::string>& PlanJsonRegistry() {
   return *plans;
 }
 
-/// Shared TPC-H catalogs, generated once per scale factor and storage
-/// encoding.
-inline Catalog* TpchAt(double scale_factor,
-                       TableEncoding encoding = TableEncoding::kPlain) {
-  static auto* catalogs =
-      new std::map<std::pair<double, TableEncoding>,
-                   std::unique_ptr<Catalog>>();
-  auto it = catalogs->find({scale_factor, encoding});
+/// Shared TPC-H catalogs, generated once per scale factor.
+inline Catalog* TpchAt(double scale_factor) {
+  static auto* catalogs = new std::map<double, std::unique_ptr<Catalog>>();
+  auto it = catalogs->find(scale_factor);
   if (it == catalogs->end()) {
     auto catalog = std::make_unique<Catalog>();
     TpchGenOptions options;
     options.scale_factor = scale_factor;
     Status status = GenerateTpch(catalog.get(), options);
-    if (status.ok()) status = catalog->EncodeTables(encoding);
     if (!status.ok()) {
       std::fprintf(stderr, "TPC-H generation failed: %s\n",
                    status.ToString().c_str());
@@ -85,9 +80,7 @@ inline Catalog* TpchAt(double scale_factor,
     for (const std::string& name : catalog->TableNames()) {
       catalog->GetStats(*catalog->FindTable(name));
     }
-    it = catalogs->emplace(std::make_pair(scale_factor, encoding),
-                           std::move(catalog))
-             .first;
+    it = catalogs->emplace(scale_factor, std::move(catalog)).first;
   }
   return it->second.get();
 }

@@ -46,8 +46,7 @@ for pair in \
     bench_fig8_suite:BENCH_fig8.json \
     bench_fig9_q2:BENCH_fig9_q2.json \
     bench_fig9_q17:BENCH_fig9_q17.json \
-    bench_columnar:BENCH_columnar.json \
-    bench_encoding:BENCH_encoding.json; do
+    bench_columnar:BENCH_columnar.json; do
   bench_bin="${pair%%:*}"
   baseline="bench/baselines/${pair##*:}"
   build/tools/bench_compare "${baseline}" \
@@ -63,14 +62,6 @@ echo "=== Columnar speedup gate ==="
 build/tools/bench_compare --speedup bench/baselines/BENCH_columnar.json
 build/tools/bench_compare --speedup "${BENCH_SMOKE_DIR}/bench_columnar.json"
 
-echo "=== Encoded-storage speedup gate ==="
-# Encoded chunks (dict/RLE under the auto heuristic) must hold >=1.2x over
-# plain columnar chunks on at least one dict-friendly aggregate workload.
-# Only the baseline is gated strictly; the fresh smoke run uses a timing
-# window too short for a stable sub-1.5x ratio, so it rides the wall-time
-# tolerance above instead.
-build/tools/bench_compare --speedup bench/baselines/BENCH_encoding.json \
-  --slow /plain/ --fast /encoded/ --min-ratio 1.2 --min-pairs 1
 # Parallel gate: the 4-thread Figure 8 run must keep the exact row counts
 # the serial engine produces (any drift is a parallel-correctness bug, not
 # noise) and stay within the wall tolerance of its own parallel baseline.

@@ -36,8 +36,7 @@ for pair in \
     bench_fig8_suite:BENCH_fig8.json \
     bench_fig9_q2:BENCH_fig9_q2.json \
     bench_fig9_q17:BENCH_fig9_q17.json \
-    bench_columnar:BENCH_columnar.json \
-    bench_encoding:BENCH_encoding.json; do
+    bench_columnar:BENCH_columnar.json; do
   bench_bin="${pair%%:*}"
   out="bench/baselines/${pair##*:}"
   echo "=== ${bench_bin} -> ${out} ==="
@@ -50,10 +49,6 @@ done
 # (columnar >= 1.5x over row-at-a-time on >= 2 workloads): fail here at
 # refresh time rather than on the next CI run.
 build/tools/bench_compare --speedup bench/baselines/BENCH_columnar.json
-# Likewise the encoded-storage baseline: encoded chunks >= 1.2x over plain
-# columnar on >= 1 dict-friendly aggregate workload.
-build/tools/bench_compare --speedup bench/baselines/BENCH_encoding.json \
-  --slow /plain/ --fast /encoded/ --min-ratio 1.2 --min-pairs 1
 
 # Morsel-parallel baseline: the Figure 8 suite again, but with every engine
 # running 4 worker threads. Row counts must stay identical to the serial

@@ -38,13 +38,6 @@ Table* Catalog::FindTable(const std::string& name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-Status Catalog::EncodeTables(TableEncoding mode) {
-  for (auto& [key, table] : tables_) {
-    ORQ_RETURN_IF_ERROR(table->Encode(mode));
-  }
-  return Status::OK();
-}
-
 const TableStats& Catalog::GetStats(const Table& table) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   auto it = stats_.find(&table);

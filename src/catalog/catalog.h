@@ -29,10 +29,6 @@ class Catalog {
   /// Case-insensitive lookup; nullptr when absent.
   Table* FindTable(const std::string& name) const;
 
-  /// Encodes every table under `mode` (Table::Encode): a load-time step,
-  /// after the last Append and before any query runs.
-  Status EncodeTables(TableEncoding mode);
-
   /// Statistics for a table, computed lazily and cached. Safe under
   /// concurrent readers (the stats cache is internally synchronized; map
   /// nodes are stable, so returned references outlive the lock). Call

@@ -20,19 +20,10 @@ struct ColumnSpec {
   bool nullable = true;
 };
 
-/// Storage encoding a table is loaded in (Table::Encode). kAuto picks
-/// per column chunk by a cardinality/run-count heuristic; the forced modes
-/// apply wherever the column type allows and fall back to plain elsewhere.
-enum class TableEncoding : uint8_t { kPlain, kDict, kRle, kAuto };
-
-/// Physical encoding one column chunk ended up with.
-enum class ChunkEncoding : uint8_t { kPlain, kDict, kRle };
-
 /// An in-memory, column-major base table with declared keys and optional
 /// hash indexes. Tables are append-only: Append writes each row straight
-/// into the typed column chunks, which are the only copy of the data.
-/// Encode optionally compresses the chunks once, after loading; statistics
-/// and indexes are built after loading too.
+/// into the typed column chunks, which are the only copy of the data and
+/// its only layout; statistics and indexes are built after loading.
 class Table {
  public:
   Table(std::string name, std::vector<ColumnSpec> columns);
@@ -45,13 +36,8 @@ class Table {
   /// Ordinal of a column by (case-insensitive) name, or -1.
   int ColumnOrdinal(const std::string& name) const;
 
-  /// Appends a row; the row must match the schema arity, and the table
-  /// must not be encoded yet (FailedPrecondition otherwise).
+  /// Appends a row; the row must match the schema arity.
   Status Append(Row row);
-
-  /// Encodes every column chunk in place under `mode`, once: the table is
-  /// read-only afterwards. Call after loading and before serving queries.
-  Status Encode(TableEncoding mode);
 
   /// Declares the primary key (column ordinals). Keys feed the optimizer's
   /// key-derivation (identities 7-9 require keys; Max1row elimination uses
@@ -75,38 +61,21 @@ class Table {
   /// int64 array; strings are an arena plus absolute offsets. A column
   /// whose values ever disagree with the declared type — or whose string
   /// arena would outgrow uint32 offsets — falls back to boxed `vals`
-  /// (mixed = true); correctness never depends on the typed form.
-  ///
-  /// Encoded forms reuse the payload arrays at a different granularity:
-  ///  - kDict: `codes` holds one uint32 per row indexing the payload
-  ///    arrays, which hold one entry per distinct value (`dict_hashes`
-  ///    pre-computes Value::Hash per entry so column-wise hashing never
-  ///    touches the bytes). `nulls` stays one byte per row.
-  ///  - kRle: payload arrays and `nulls` hold one entry per run;
-  ///    `run_ends` is the cumulative row count (run r covers rows
-  ///    [run_ends[r-1], run_ends[r])).
+  /// (mixed = true); correctness never depends on the typed form. Every
+  /// array holds one entry per row (offsets one more).
   struct ColumnChunk {
     DataType type = DataType::kInt64;
     bool mixed = false;
     bool any_null = false;
-    ChunkEncoding encoding = ChunkEncoding::kPlain;
     std::vector<int64_t> ints;
     std::vector<double> doubles;
     std::string chars;
-    std::vector<uint32_t> offsets;  // entries + 1, absolute into chars
+    std::vector<uint32_t> offsets;  // rows + 1, absolute into chars
     std::vector<Value> vals;        // boxed fallback when mixed
-    std::vector<uint8_t> nulls;     // non-zero = NULL (per row; per run in RLE)
-    std::vector<uint32_t> codes;       // kDict: one per row
-    std::vector<size_t> dict_hashes;   // kDict: one per entry
-    std::vector<uint32_t> run_ends;    // kRle: cumulative, one per run
+    std::vector<uint8_t> nulls;     // non-zero = NULL
 
-    size_t dict_size() const { return dict_hashes.size(); }
-    size_t num_runs() const { return run_ends.size(); }
-    /// Footprint of the arrays (boxed values counted at the inline Value
-    /// size; their string heap is not tracked).
-    size_t bytes() const;
-    /// Decodes the cell at `row` under any encoding. A NULL reads back as
-    /// Value::Null(type); any other boxed value reads back as appended.
+    /// Decodes the cell at `row`. A NULL reads back as Value::Null(type);
+    /// any other boxed value reads back as appended.
     Value GetValue(size_t row) const;
   };
 
@@ -135,7 +104,6 @@ class Table {
   std::vector<ColumnSpec> columns_;
   std::vector<ColumnChunk> chunks_;
   size_t num_rows_ = 0;
-  bool encoded_ = false;
   std::vector<int> primary_key_;
   std::vector<std::vector<int>> unique_keys_;
   std::vector<std::unique_ptr<TableIndex>> indexes_;

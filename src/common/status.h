@@ -31,8 +31,8 @@ enum class StatusCode {
   kDeadlineExceeded,
   /// The server declined the request up front (admission queue full).
   kUnavailable,
-  /// The object is not in a state that allows the operation (e.g. an
-  /// Append to a table that was already encoded).
+  /// The object is not in a state that allows the operation. No engine
+  /// path returns it today; it keeps its place in the wire protocol.
   kFailedPrecondition,
 };
 

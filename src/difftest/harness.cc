@@ -149,13 +149,8 @@ std::string HarnessReport::Summary() const {
 }
 
 Result<HarnessReport> RunDifftest(const HarnessOptions& options) {
-  // Two independently loaded catalogs: the reference reads plain storage
-  // whatever encoding the test side is loaded in.
-  Catalog naive_catalog;
-  ORQ_RETURN_IF_ERROR(BuildDifftestCatalog(&naive_catalog, options.seed));
-  Catalog full_catalog;
-  ORQ_RETURN_IF_ERROR(BuildDifftestCatalog(&full_catalog, options.seed));
-  ORQ_RETURN_IF_ERROR(full_catalog.EncodeTables(options.test_table_encoding));
+  Catalog catalog;
+  ORQ_RETURN_IF_ERROR(BuildDifftestCatalog(&catalog, options.seed));
   EngineOptions naive_options = NaiveReferenceOptions();
   naive_options.exec.batched = options.reference_batched;
   naive_options.exec.num_threads = options.reference_threads;
@@ -164,7 +159,7 @@ Result<HarnessReport> RunDifftest(const HarnessOptions& options) {
   full_options.exec.batched = options.test_batched;
   full_options.exec.num_threads = options.test_threads;
   full_options.exec.morsel_rows = options.morsel_rows;
-  DualOracle oracle(&naive_catalog, std::move(naive_options), &full_catalog,
+  DualOracle oracle(&catalog, std::move(naive_options),
                     std::move(full_options));
   oracle.set_timeout_ms(options.timeout_ms);
   QueryGenerator generator(options.seed);
@@ -176,8 +171,7 @@ Result<HarnessReport> RunDifftest(const HarnessOptions& options) {
     EngineOptions cache_options = EngineOptions::Full();
     cache_options.exec.batched = options.test_batched;
     cache_options.plan_cache.enable = true;
-    cache_engine =
-        std::make_unique<QueryEngine>(&full_catalog, cache_options);
+    cache_engine = std::make_unique<QueryEngine>(&catalog, cache_options);
   }
 
   HarnessReport report;

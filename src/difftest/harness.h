@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/table.h"
 #include "common/result.h"
 #include "difftest/oracle.h"
 
@@ -26,10 +25,6 @@ struct HarnessOptions {
   /// is the columnar oracle.
   bool reference_batched = true;
   bool test_batched = true;
-  /// Storage encoding the test side's catalog is loaded in (the reference
-  /// side loads its own, plain copy from the same seed). Reference row vs
-  /// test columnar+auto is the encoded oracle difftest_smoke_encoded runs.
-  TableEncoding test_table_encoding = TableEncoding::kPlain;
   /// Worker threads per side; 0 runs the classic serial engine. A positive
   /// count turns that side into the morsel-driven parallel engine, so e.g.
   /// reference row-mode vs test parallel columnar is the parallel-vs-serial

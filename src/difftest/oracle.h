@@ -66,15 +66,8 @@ class DualOracle {
   /// columnar test engine).
   DualOracle(Catalog* catalog, EngineOptions naive_options,
              EngineOptions full_options)
-      : DualOracle(catalog, std::move(naive_options), catalog,
-                   std::move(full_options)) {}
-
-  /// One catalog per side: both hold the same data, so the test side may
-  /// read storage encoded differently from the reference's plain load.
-  DualOracle(Catalog* naive_catalog, EngineOptions naive_options,
-             Catalog* full_catalog, EngineOptions full_options)
-      : naive_(naive_catalog, std::move(naive_options)),
-        full_(full_catalog, std::move(full_options)) {}
+      : naive_(catalog, std::move(naive_options)),
+        full_(catalog, std::move(full_options)) {}
 
   DualOutcome Run(const std::string& sql);
 

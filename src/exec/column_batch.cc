@@ -182,27 +182,18 @@ void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
                            uint32_t n) {
   StartBuild(src.type(), n);
   switch (src.rep()) {
-    case ColumnRep::kInts:
-      if (src.is_plain()) {
-        const int64_t* ints = src.ints();
-        any_null_ = GatherFixed(src, rows, n, &own_ints_, &own_nulls_,
-                                [ints](uint32_t r) { return ints[r]; });
-      } else {
-        any_null_ = GatherFixed(src, rows, n, &own_ints_, &own_nulls_,
-                                [&src](uint32_t r) { return src.IntAt(r); });
-      }
+    case ColumnRep::kInts: {
+      const int64_t* ints = src.ints();
+      any_null_ = GatherFixed(src, rows, n, &own_ints_, &own_nulls_,
+                              [ints](uint32_t r) { return ints[r]; });
       break;
-    case ColumnRep::kDoubles:
-      if (src.is_plain()) {
-        const double* doubles = src.doubles();
-        any_null_ = GatherFixed(src, rows, n, &own_doubles_, &own_nulls_,
-                                [doubles](uint32_t r) { return doubles[r]; });
-      } else {
-        any_null_ =
-            GatherFixed(src, rows, n, &own_doubles_, &own_nulls_,
-                        [&src](uint32_t r) { return src.DoubleAt(r); });
-      }
+    }
+    case ColumnRep::kDoubles: {
+      const double* doubles = src.doubles();
+      any_null_ = GatherFixed(src, rows, n, &own_doubles_, &own_nulls_,
+                              [doubles](uint32_t r) { return doubles[r]; });
       break;
+    }
     case ColumnRep::kStrings:
       for (uint32_t k = 0; k < n; ++k) {
         if (rows[k] == kNullRow || src.IsNull(rows[k])) {
@@ -273,15 +264,6 @@ void ColumnVec::ReleaseOwned() {
   offsets_ = nullptr;
   vals_ = nullptr;
   nulls_ = nullptr;
-  enc_ = ColumnEnc::kNone;
-  codes_ = nullptr;
-  dict_hashes_ = nullptr;
-  dict_size_ = 0;
-  run_ends_ = nullptr;
-  run_nulls_ = nullptr;
-  num_runs_ = 0;
-  row_base_ = 0;
-  run_cursor_ = 0;
   size_ = 0;
 }
 

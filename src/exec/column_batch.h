@@ -1,7 +1,6 @@
 #ifndef ORQ_EXEC_COLUMN_BATCH_H_
 #define ORQ_EXEC_COLUMN_BATCH_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -11,24 +10,6 @@
 #include "common/value.h"
 
 namespace orq {
-
-/// Storage encoding of a ColumnVec view, orthogonal to ColumnRep (which
-/// stays the *logical* representation).
-///
-///   kNone — payload arrays hold one entry per row (the plain layout).
-///   kDict — `codes()` holds one uint32 per row indexing the payload
-///           arrays, which hold one entry per distinct value; the null
-///           mask stays per-row. `dict_hashes()` pre-computes Value::Hash
-///           per entry.
-///   kRle  — payload arrays and the null mask hold one entry per run;
-///           absolute cumulative `run_ends` (minus the view's row base)
-///           map rows to runs.
-///
-/// The typed accessors (IntAt/DoubleAt/StrAt/IsNull/GetValue) decode
-/// transparently, so every generic consumer is encoding-correct untouched.
-/// Kernels must check is_plain() before indexing the raw arrays per row,
-/// and may instead exploit the code/run structure directly.
-enum class ColumnEnc : uint8_t { kNone, kDict, kRle };
 
 /// One column of a ColumnBatch: a typed array view plus an optional null
 /// mask (one byte per row, non-zero = NULL; no mask means no NULLs).
@@ -57,27 +38,16 @@ class ColumnVec {
 
   bool IsNull(uint32_t i) const {
     if (rep_ == ColumnRep::kValues) return vals_[i].is_null();
-    if (enc_ == ColumnEnc::kRle) {
-      return run_nulls_ != nullptr && run_nulls_[RunOf(i)] != 0;
-    }
     return nulls_ != nullptr && nulls_[i] != 0;
   }
-  bool has_nulls() const {
-    return nulls_ != nullptr || run_nulls_ != nullptr;
-  }
-  /// Per-row null mask — valid for plain and dict columns only (RLE keeps
-  /// nulls per run; use IsNull or run_nulls there).
+  bool has_nulls() const { return nulls_ != nullptr; }
+  /// Per-row null mask, or nullptr when the column has no NULLs.
   const uint8_t* nulls() const { return nulls_; }
 
-  int64_t IntAt(uint32_t i) const {
-    return ints_[enc_ == ColumnEnc::kNone ? i : PhysIndex(i)];
-  }
-  double DoubleAt(uint32_t i) const {
-    return doubles_[enc_ == ColumnEnc::kNone ? i : PhysIndex(i)];
-  }
+  int64_t IntAt(uint32_t i) const { return ints_[i]; }
+  double DoubleAt(uint32_t i) const { return doubles_[i]; }
   std::string_view StrAt(uint32_t i) const {
-    const uint32_t p = enc_ == ColumnEnc::kNone ? i : PhysIndex(i);
-    return std::string_view(chars_ + offsets_[p], offsets_[p + 1] - offsets_[p]);
+    return std::string_view(chars_ + offsets_[i], offsets_[i + 1] - offsets_[i]);
   }
   const Value& ValAt(uint32_t i) const { return vals_[i]; }
 
@@ -86,31 +56,6 @@ class ColumnVec {
   const char* chars() const { return chars_; }
   const uint32_t* offsets() const { return offsets_; }
 
-  // ---- encoding introspection ----
-
-  ColumnEnc enc() const { return enc_; }
-  bool is_plain() const { return enc_ == ColumnEnc::kNone; }
-  const uint32_t* codes() const { return codes_; }
-  const size_t* dict_hashes() const { return dict_hashes_; }
-  uint32_t dict_size() const { return dict_size_; }
-  uint32_t num_runs() const { return num_runs_; }
-  const uint8_t* run_nulls() const { return run_nulls_; }
-  /// Run index of view row i (kRle only). Sequential access is O(1) via a
-  /// cached cursor; a backward jump re-seeks by binary search, so the
-  /// increasing-order visits every kernel makes stay cheap.
-  uint32_t RunOf(uint32_t i) const {
-    const uint32_t abs = i + row_base_;
-    uint32_t c = run_cursor_;
-    if (c >= num_runs_ || (c > 0 && abs < run_ends_[c - 1])) {
-      c = static_cast<uint32_t>(
-          std::upper_bound(run_ends_, run_ends_ + num_runs_, abs) -
-          run_ends_);
-    } else {
-      while (abs >= run_ends_[c]) ++c;
-    }
-    run_cursor_ = c;
-    return c;
-  }
   /// Materializes row i as a Value. NULLs come back as Value::Null(type()):
   /// the original NULL's tag is not preserved, which is benign — NULL
   /// hashing, grouping, comparison, and printing are all tag-independent.
@@ -152,51 +97,6 @@ class ColumnVec {
     vals_ = vals;
     size_ = n;
   }
-  /// Dictionary view: codes[0..n) index the dict payload (one entry per
-  /// distinct value; `dict_ints` or `dict_chars`+`dict_offsets` by type),
-  /// `hashes` pre-computes Value::Hash per entry, `nulls` stays per-row.
-  void SetDictView(DataType type, const uint32_t* codes,
-                   const int64_t* dict_ints, const char* dict_chars,
-                   const uint32_t* dict_offsets, const size_t* hashes,
-                   uint32_t dict_size, const uint8_t* nulls, uint32_t n) {
-    ReleaseOwned();
-    type_ = type;
-    rep_ = RepForType(type);
-    enc_ = ColumnEnc::kDict;
-    codes_ = codes;
-    ints_ = dict_ints;
-    chars_ = dict_chars;
-    offsets_ = dict_offsets;
-    dict_hashes_ = hashes;
-    dict_size_ = dict_size;
-    nulls_ = nulls;
-    size_ = n;
-  }
-  /// Run-length view over rows [row_base, row_base + n) of a chunk whose
-  /// `run_ends` are absolute cumulative row counts; the payload arrays
-  /// and `run_nulls` hold one entry per run.
-  void SetRleView(DataType type, const int64_t* run_ints,
-                  const double* run_doubles, const char* run_chars,
-                  const uint32_t* run_offsets, const uint32_t* run_ends,
-                  const uint8_t* run_nulls, uint32_t num_runs,
-                  uint32_t row_base, uint32_t n) {
-    ReleaseOwned();
-    type_ = type;
-    rep_ = RepForType(type);
-    enc_ = ColumnEnc::kRle;
-    ints_ = run_ints;
-    doubles_ = run_doubles;
-    chars_ = run_chars;
-    offsets_ = run_offsets;
-    run_ends_ = run_ends;
-    run_nulls_ = run_nulls;
-    num_runs_ = num_runs;
-    row_base_ = row_base;
-    run_cursor_ = static_cast<uint32_t>(
-        std::upper_bound(run_ends, run_ends + num_runs, row_base) -
-        run_ends);
-    size_ = n;
-  }
   /// Copies `other`'s view pointers (not its owned storage); `other` must
   /// outlive this column's consumers. This is how projection passes
   /// columns through without touching data.
@@ -204,21 +104,12 @@ class ColumnVec {
     ReleaseOwned();
     type_ = other.type_;
     rep_ = other.rep_;
-    enc_ = other.enc_;
     ints_ = other.ints_;
     doubles_ = other.doubles_;
     chars_ = other.chars_;
     offsets_ = other.offsets_;
     vals_ = other.vals_;
     nulls_ = other.nulls_;
-    codes_ = other.codes_;
-    dict_hashes_ = other.dict_hashes_;
-    dict_size_ = other.dict_size_;
-    run_ends_ = other.run_ends_;
-    run_nulls_ = other.run_nulls_;
-    num_runs_ = other.num_runs_;
-    row_base_ = other.row_base_;
-    run_cursor_ = other.run_cursor_;
     size_ = other.size_;
   }
 
@@ -246,8 +137,7 @@ class ColumnVec {
   /// append; the column then reads like any other.
   void Seal();
   /// Owned, dense copy of `src` at physical rows rows[0, n), staying in
-  /// src's representation (no boxing unless src itself is boxed; encoded
-  /// sources decode). A kNullRow entry gathers a NULL of src's type (join
+  /// src's representation (no boxing unless src itself is boxed). A kNullRow entry gathers a NULL of src's type (join
   /// padding). `src` must not be this column.
   void GatherFrom(const ColumnVec& src, const uint32_t* rows, uint32_t n);
   static constexpr uint32_t kNullRow = UINT32_MAX;
@@ -278,14 +168,8 @@ class ColumnVec {
   void ReleaseOwned();
   void DegradeToValues();
 
-  /// Payload index of view row i under an encoded layout.
-  uint32_t PhysIndex(uint32_t i) const {
-    return enc_ == ColumnEnc::kDict ? codes_[i] : RunOf(i);
-  }
-
   DataType type_ = DataType::kInt64;
   ColumnRep rep_ = ColumnRep::kInts;
-  ColumnEnc enc_ = ColumnEnc::kNone;
   uint32_t size_ = 0;
 
   const int64_t* ints_ = nullptr;
@@ -294,16 +178,6 @@ class ColumnVec {
   const uint32_t* offsets_ = nullptr;
   const Value* vals_ = nullptr;
   const uint8_t* nulls_ = nullptr;
-  const uint32_t* codes_ = nullptr;       // kDict: one per row
-  const size_t* dict_hashes_ = nullptr;   // kDict: one per entry
-  uint32_t dict_size_ = 0;
-  const uint32_t* run_ends_ = nullptr;    // kRle: cumulative, absolute
-  const uint8_t* run_nulls_ = nullptr;    // kRle: one per run
-  uint32_t num_runs_ = 0;
-  uint32_t row_base_ = 0;
-  /// Monotone run cursor for RunOf; mutable because lookup is logically
-  /// const (columnar execution is single-threaded per batch).
-  mutable uint32_t run_cursor_ = 0;
 
   std::vector<int64_t> own_ints_;
   std::vector<double> own_doubles_;
@@ -420,43 +294,6 @@ inline ElemRef LoadElem(const ColumnVec& c, uint32_t idx) {
     case ColumnRep::kInts: r.i = c.IntAt(idx); break;
     case ColumnRep::kDoubles: r.d = c.DoubleAt(idx); break;
     case ColumnRep::kStrings: r.s = c.StrAt(idx); break;
-    default: break;
-  }
-  return r;
-}
-
-/// Ref of dictionary entry `code` of a kDict column. Entries are never
-/// null (NULL rows live in the per-row mask and intern the zero value).
-inline ElemRef DictEntryRef(const ColumnVec& c, uint32_t code) {
-  ElemRef r;
-  r.type = c.type();
-  r.null = false;
-  switch (c.rep()) {
-    case ColumnRep::kInts: r.i = c.ints()[code]; break;
-    case ColumnRep::kDoubles: r.d = c.doubles()[code]; break;
-    case ColumnRep::kStrings:
-      r.s = std::string_view(c.chars() + c.offsets()[code],
-                             c.offsets()[code + 1] - c.offsets()[code]);
-      break;
-    default: break;
-  }
-  return r;
-}
-
-/// Ref of run `run` of a kRle column (the value every row of the run
-/// shares).
-inline ElemRef RleRunRef(const ColumnVec& c, uint32_t run) {
-  ElemRef r;
-  r.type = c.type();
-  r.null = c.run_nulls() != nullptr && c.run_nulls()[run] != 0;
-  if (r.null) return r;
-  switch (c.rep()) {
-    case ColumnRep::kInts: r.i = c.ints()[run]; break;
-    case ColumnRep::kDoubles: r.d = c.doubles()[run]; break;
-    case ColumnRep::kStrings:
-      r.s = std::string_view(c.chars() + c.offsets()[run],
-                             c.offsets()[run + 1] - c.offsets()[run]);
-      break;
     default: break;
   }
   return r;

@@ -252,19 +252,6 @@ class PhysicalOp {
   /// `if (MetricsRegistry* m = metrics()) m->Add(...)`.
   MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Table scans report the encodings of the column chunks they serve
-  /// (once per Open) so EXPLAIN ANALYZE can print the per-scan
-  /// `encoding= bytes=` line. No-op when collection is disabled.
-  void RecordScanEncoding(int64_t dict_cols, int64_t rle_cols,
-                          int64_t plain_cols, int64_t bytes) {
-    if (stats_ != nullptr) {
-      stats_->enc_dict_cols += dict_cols;
-      stats_->enc_rle_cols += rle_cols;
-      stats_->enc_plain_cols += plain_cols;
-      stats_->enc_bytes += bytes;
-    }
-  }
-
   /// Row -> column adapter: loops this operator's NextImpl (not the Next
   /// shell, so rows are accounted once, by the NextColumns shell) into
   /// scratch rows and transposes them into typed columns

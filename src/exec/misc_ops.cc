@@ -411,7 +411,7 @@ class UnionAllOp : public PhysicalOp {
 
   /// Whole-batch passthrough, same child rotation: children produce
   /// positionally aligned layouts, so the current child fills the output
-  /// batch directly and encoded scan views cross the union untouched.
+  /// batch directly and zero-copy scan views cross the union untouched.
   Status NextColumnsImpl(ExecContext* ctx, ColumnBatch* batch) override {
     while (current_ < children_.size()) {
       ORQ_RETURN_IF_ERROR(children_[current_]->NextColumns(ctx, batch));

@@ -15,8 +15,7 @@ namespace orq {
 enum class PhysJoinKind { kInner, kLeftOuter, kLeftSemi, kLeftAnti };
 
 /// Points `col` at rows [pos, pos + n) of a table column chunk, zero copy,
-/// keeping the chunk's physical form (dict codes, RLE runs, or the boxed
-/// fallback of a mixed column). Shared by the table scans and the index
+/// typed arrays or, for a mixed column, the boxed fallback. Shared by the table scans and the index
 /// join's right-side gather.
 void ViewChunkRows(const Table::ColumnChunk& chunk, size_t pos, uint32_t n,
                    ColumnVec* col);

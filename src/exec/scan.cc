@@ -15,23 +15,6 @@ void ViewChunkRows(const Table::ColumnChunk& chunk, size_t pos, uint32_t n,
     col->SetValuesView(chunk.type, chunk.vals.data() + pos, n);
     return;
   }
-  if (chunk.encoding == ChunkEncoding::kDict) {
-    col->SetDictView(chunk.type, chunk.codes.data() + pos, chunk.ints.data(),
-                     chunk.chars.data(), chunk.offsets.data(),
-                     chunk.dict_hashes.data(),
-                     static_cast<uint32_t>(chunk.dict_size()),
-                     chunk.any_null ? chunk.nulls.data() + pos : nullptr, n);
-    return;
-  }
-  if (chunk.encoding == ChunkEncoding::kRle) {
-    col->SetRleView(chunk.type, chunk.ints.data(), chunk.doubles.data(),
-                    chunk.chars.data(), chunk.offsets.data(),
-                    chunk.run_ends.data(),
-                    chunk.any_null ? chunk.nulls.data() : nullptr,
-                    static_cast<uint32_t>(chunk.num_runs()),
-                    static_cast<uint32_t>(pos), n);
-    return;
-  }
   const uint8_t* nulls = chunk.any_null ? chunk.nulls.data() + pos : nullptr;
   switch (chunk.type) {
     case DataType::kDouble:
@@ -61,10 +44,7 @@ class TableScanBase : public PhysicalOp {
   }
 
  protected:
-  void Restart() {
-    pos_ = 0;
-    recorded_enc_ = false;
-  }
+  void Restart() { pos_ = 0; }
 
   /// Decodes table row pos_ (its `ordinals_` columns) into `row`; advances.
   void CopyRow(Row* row) {
@@ -77,12 +57,9 @@ class TableScanBase : public PhysicalOp {
 
   /// Points `batch`'s columns at table rows [pos_, pos_ + n) of the
   /// table's column chunks, one view per ordinal, and advances. No per-row
-  /// work at all — the batch is pointers plus a row count. Encoded chunks
-  /// keep their physical form (dict codes / RLE runs); downstream kernels
-  /// decide per column whether to exploit or transparently decode it.
+  /// work at all — the batch is pointers plus a row count.
   void ViewRows(uint32_t n, ColumnBatch* batch) {
     const std::vector<Table::ColumnChunk>& chunks = table_->ColumnarChunks();
-    if (!recorded_enc_) RecordEncodingShape(chunks);
     batch->ResizeCols(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
       ViewChunkRows(chunks[ordinals_[i]], pos_, n, &batch->col(i));
@@ -94,42 +71,6 @@ class TableScanBase : public PhysicalOp {
   const Table* table_;
   std::vector<int> ordinals_;
   size_t pos_ = 0;
-
- private:
-  /// Once per Open, on the first columnar pull: per-scan encoding shape
-  /// into OpStats (the EXPLAIN ANALYZE `encoding=` line) and the global
-  /// encoding.* counters for the chunks this scan serves.
-  void RecordEncodingShape(const std::vector<Table::ColumnChunk>& chunks) {
-    recorded_enc_ = true;
-    int64_t dict_cols = 0, rle_cols = 0, plain_cols = 0;
-    int64_t bytes = 0, dict_entries = 0, rle_runs = 0;
-    for (int ordinal : ordinals_) {
-      const Table::ColumnChunk& chunk = chunks[ordinal];
-      bytes += static_cast<int64_t>(chunk.bytes());
-      switch (chunk.encoding) {
-        case ChunkEncoding::kDict:
-          ++dict_cols;
-          dict_entries += static_cast<int64_t>(chunk.dict_size());
-          break;
-        case ChunkEncoding::kRle:
-          ++rle_cols;
-          rle_runs += static_cast<int64_t>(chunk.num_runs());
-          break;
-        case ChunkEncoding::kPlain:
-          ++plain_cols;
-          break;
-      }
-    }
-    RecordScanEncoding(dict_cols, rle_cols, plain_cols, bytes);
-    if (MetricsRegistry* m = metrics()) {
-      m->Add(MetricCounter::kEncodedChunks, dict_cols + rle_cols);
-      m->Add(MetricCounter::kDictEntries, dict_entries);
-      m->Add(MetricCounter::kEncodedBytes, bytes);
-      m->Add(MetricCounter::kRleRuns, rle_runs);
-    }
-  }
-
-  bool recorded_enc_ = false;
 };
 
 /// Atomic claim cursor shared by the N MorselScan instances of one table

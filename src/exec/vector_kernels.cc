@@ -39,31 +39,6 @@ void InitKeyHashes(const ColumnBatch& batch, std::vector<size_t>* hashes) {
 void HashCombineColumn(const ColumnBatch& batch, const ColumnVec& col,
                        std::vector<size_t>* hashes) {
   size_t* h = hashes->data();
-  const uint32_t m = batch.selected();
-  if (col.enc() == ColumnEnc::kDict) {
-    // Dictionary columns carry every entry's Value::Hash precomputed; one
-    // code load + one table load per row, no string bytes touched.
-    const uint32_t* codes = col.codes();
-    const size_t* dh = col.dict_hashes();
-    CombineLive(batch, col.nulls(), h,
-                [&](uint32_t i) { return dh[codes[i]]; });
-    return;
-  }
-  if (col.enc() == ColumnEnc::kRle) {
-    // Selected rows are increasing, so the run cursor advances monotonically
-    // and each run's value is hashed once.
-    uint32_t last_run = UINT32_MAX;
-    size_t last_hash = 0;
-    for (uint32_t j = 0; j < m; ++j) {
-      const uint32_t run = col.RunOf(batch.RowAt(j));
-      if (run != last_run) {
-        last_run = run;
-        last_hash = HashRef(RleRunRef(col, run));
-      }
-      h[j] = h[j] * kRowHashPrime + last_hash;
-    }
-    return;
-  }
   switch (col.rep()) {
     case ColumnRep::kInts: {
       const int64_t* ints = col.ints();
@@ -215,58 +190,6 @@ void CompareColConst(CompareOp op, const ColumnVec& col, const Value& cv,
     ForEachLive(b, [&](uint32_t i) { on[i] = 1; });
     any_null = true;
     done = true;
-  } else if (col.enc() == ColumnEnc::kDict) {
-    // Translate the literal once per dictionary entry into a truth table
-    // (1 true / 0 false / -1 NULL-incomparable), then the per-row loop is
-    // a uint32 code load and a table lookup — no value comparison per row.
-    const ElemRef cr = LoadValue(cv);
-    const uint32_t ds = col.dict_size();
-    std::vector<int8_t> table(ds);
-    for (uint32_t e = 0; e < ds; ++e) {
-      std::optional<int> c = SqlCompareRefs(DictEntryRef(col, e), cr);
-      table[e] =
-          c.has_value() ? static_cast<int8_t>(CmpHolds(op, *c) ? 1 : 0)
-                        : static_cast<int8_t>(-1);
-    }
-    const uint32_t* codes = col.codes();
-    ForEachLive(b, [&](uint32_t i) {
-      if (col.IsNull(i)) {
-        on[i] = 1;
-        any_null = true;
-        return;
-      }
-      const int8_t t = table[codes[i]];
-      if (t < 0) {
-        on[i] = 1;
-        any_null = true;
-      } else {
-        o[i] = t;
-      }
-    });
-    done = true;
-  } else if (col.enc() == ColumnEnc::kRle) {
-    // One comparison per run: live rows come in increasing order, so the
-    // cached verdict covers every row until the run boundary.
-    const ElemRef cr = LoadValue(cv);
-    uint32_t last_run = UINT32_MAX;
-    int8_t last_t = 0;
-    ForEachLive(b, [&](uint32_t i) {
-      const uint32_t run = col.RunOf(i);
-      if (run != last_run) {
-        last_run = run;
-        std::optional<int> c = SqlCompareRefs(RleRunRef(col, run), cr);
-        last_t =
-            c.has_value() ? static_cast<int8_t>(CmpHolds(op, *c) ? 1 : 0)
-                          : static_cast<int8_t>(-1);
-      }
-      if (last_t < 0) {
-        on[i] = 1;
-        any_null = true;
-      } else {
-        o[i] = last_t;
-      }
-    });
-    done = true;
   } else if (col.rep() == ColumnRep::kInts) {
     if (col.type() == DataType::kInt64 && cv.type() == DataType::kInt64) {
       const int64_t* a = col.ints();
@@ -345,22 +268,14 @@ void CompareColCol(CompareOp op, const ColumnVec& l, const ColumnVec& r,
   uint8_t* on = out->MutableNulls();
   bool any_null = false;
   bool done = false;
-  // The numeric fast paths index the raw payload arrays per row, so they
-  // require plain encodings on both sides; the string path goes through
-  // StrAt (dict-transparent) but its null masks are per-row, which rules
-  // out RLE. Encoded pairs the guards reject fall to the ref loop, where
-  // LoadElem decodes transparently.
-  const bool plain = l.is_plain() && r.is_plain();
-  const bool no_rle =
-      l.enc() != ColumnEnc::kRle && r.enc() != ColumnEnc::kRle;
-  if (plain && l.rep() == ColumnRep::kInts && r.rep() == ColumnRep::kInts &&
+  if (l.rep() == ColumnRep::kInts && r.rep() == ColumnRep::kInts &&
       l.type() == r.type()) {
     const int64_t* a = l.ints();
     const int64_t* c = r.ints();
     EmitCmp(op, b, l.nulls(), r.nulls(), o, on, &any_null,
             [a, c](uint32_t i) { return ThreeWayInt(a[i], c[i]); });
     done = true;
-  } else if (plain && l.rep() == ColumnRep::kInts &&
+  } else if (l.rep() == ColumnRep::kInts &&
              l.type() == DataType::kInt64 &&
              r.rep() == ColumnRep::kDoubles) {
     const int64_t* a = l.ints();
@@ -368,21 +283,21 @@ void CompareColCol(CompareOp op, const ColumnVec& l, const ColumnVec& r,
     EmitCmp(op, b, l.nulls(), r.nulls(), o, on, &any_null, [a, c](
                 uint32_t i) { return CompareInt64WithDouble(a[i], c[i]); });
     done = true;
-  } else if (plain && l.rep() == ColumnRep::kDoubles &&
+  } else if (l.rep() == ColumnRep::kDoubles &&
              r.rep() == ColumnRep::kInts && r.type() == DataType::kInt64) {
     const double* a = l.doubles();
     const int64_t* c = r.ints();
     EmitCmp(op, b, l.nulls(), r.nulls(), o, on, &any_null, [a, c](
                 uint32_t i) { return -CompareInt64WithDouble(c[i], a[i]); });
     done = true;
-  } else if (plain && l.rep() == ColumnRep::kDoubles &&
+  } else if (l.rep() == ColumnRep::kDoubles &&
              r.rep() == ColumnRep::kDoubles) {
     const double* a = l.doubles();
     const double* c = r.doubles();
     EmitCmp(op, b, l.nulls(), r.nulls(), o, on, &any_null,
             [a, c](uint32_t i) { return CompareDoubles(a[i], c[i]); });
     done = true;
-  } else if (no_rle && l.rep() == ColumnRep::kStrings &&
+  } else if (l.rep() == ColumnRep::kStrings &&
              r.rep() == ColumnRep::kStrings) {
     EmitCmp(op, b, l.nulls(), r.nulls(), o, on, &any_null,
             [&l, &r](uint32_t i) {
@@ -543,12 +458,10 @@ Status ColumnarEvaluator::ArithNode(const ScalarExpr& e,
     return Status::OK();
   }
 
-  // Boxed and encoded inputs both leave the lane fast paths (which index
-  // raw payload arrays per row) for the element-wise tail, where GetValue
-  // decodes transparently.
-  const bool boxed =
-      (L != nullptr && (L->rep() == ColumnRep::kValues || !L->is_plain())) ||
-      (R != nullptr && (R->rep() == ColumnRep::kValues || !R->is_plain()));
+  // Boxed inputs leave the lane fast paths (which index raw payload arrays
+  // per row) for the element-wise tail.
+  const bool boxed = (L != nullptr && L->rep() == ColumnRep::kValues) ||
+                     (R != nullptr && R->rep() == ColumnRep::kValues);
   const DataType lt = lc != nullptr ? lc->type() : L->type();
   const DataType rt = rc != nullptr ? rc->type() : R->type();
   const uint8_t* ln = L != nullptr ? L->nulls() : nullptr;
@@ -808,8 +721,7 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
                            EvalNode(*e.children[0], batch, ctx));
       ColumnVec* out = NewScratch();
       bool any_null = false;
-      if (c->is_plain() && c->rep() == ColumnRep::kInts &&
-          c->type() == DataType::kInt64) {
+      if (c->rep() == ColumnRep::kInts && c->type() == DataType::kInt64) {
         out->PrepareScatter(DataType::kInt64, batch.num_rows());
         const int64_t* a = c->ints();
         EmitLanes(batch, c->nulls(), nullptr, out->MutableInts(),
@@ -818,7 +730,7 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
         out->SetAnyNull(any_null);
         return out;
       }
-      if (c->is_plain() && c->rep() == ColumnRep::kDoubles) {
+      if (c->rep() == ColumnRep::kDoubles) {
         out->PrepareScatter(DataType::kDouble, batch.num_rows());
         const double* a = c->doubles();
         EmitLanes(batch, c->nulls(), nullptr, out->MutableDoubles(),

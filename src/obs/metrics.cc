@@ -33,10 +33,6 @@ const char* MetricCounterName(MetricCounter counter) {
     case MetricCounter::kPlanCacheMisses: return "plan_cache.misses";
     case MetricCounter::kPlanCacheEvictions: return "plan_cache.evictions";
     case MetricCounter::kColumnBatches: return "columnar.batches";
-    case MetricCounter::kEncodedChunks: return "encoding.chunks";
-    case MetricCounter::kDictEntries: return "encoding.dict_entries";
-    case MetricCounter::kEncodedBytes: return "encoding.bytes";
-    case MetricCounter::kRleRuns: return "encoding.rle_runs";
   }
   return "unknown";
 }

@@ -39,15 +39,9 @@ enum class MetricCounter : int {
   // Columnar execution (exec/column_batch.h): column batches produced by
   // operators running in columnar mode (zero in row mode).
   kColumnBatches,
-  // Encoded columnar storage (catalog/table.h): per-column-chunk counters
-  // recorded by table scans once per Open, for the chunks they serve.
-  kEncodedChunks,   // dict- or RLE-encoded column chunks served by scans
-  kDictEntries,     // dictionary entries across served dict chunks
-  kEncodedBytes,    // byte footprint of served chunks (all encodings)
-  kRleRuns,         // runs across served RLE chunks
 };
 inline constexpr int kNumMetricCounters =
-    static_cast<int>(MetricCounter::kRleRuns) + 1;
+    static_cast<int>(MetricCounter::kColumnBatches) + 1;
 
 /// Fixed-bucket histograms for distributions where the mean hides the
 /// story (a few mega-buckets in a hash join, half-empty batches).

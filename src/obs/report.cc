@@ -66,16 +66,6 @@ void RenderRec(const PlanStatsNode& node, int indent, std::string* out) {
                                node.stats.batch_slots) +
                 "%");
   }
-  // Encoded-storage shape of a table scan's served chunks (recorded once
-  // per Open): how many projected columns came dict/RLE/plain and their
-  // total byte footprint.
-  if (node.stats.enc_dict_cols > 0 || node.stats.enc_rle_cols > 0 ||
-      node.stats.enc_plain_cols > 0) {
-    out->append(" encoding=dict:" + std::to_string(node.stats.enc_dict_cols) +
-                ",rle:" + std::to_string(node.stats.enc_rle_cols) +
-                ",plain:" + std::to_string(node.stats.enc_plain_cols) +
-                " bytes=" + std::to_string(node.stats.enc_bytes));
-  }
   out->append(")\n");
   for (const PlanStatsNode& child : node.children) {
     RenderRec(child, indent + 1, out);

@@ -20,10 +20,6 @@ void StatsCollector::MergeFrom(const StatsCollector& other) {
     }
     ours.batch_slots += theirs.batch_slots;
     ours.column_batches += theirs.column_batches;
-    ours.enc_dict_cols += theirs.enc_dict_cols;
-    ours.enc_rle_cols += theirs.enc_rle_cols;
-    ours.enc_plain_cols += theirs.enc_plain_cols;
-    ours.enc_bytes += theirs.enc_bytes;
   }
 }
 

@@ -40,14 +40,6 @@ struct OpStats {
   /// Non-empty column batches this operator produced; nonzero marks the
   /// operator as having run columnar.
   int64_t column_batches = 0;
-  /// Encoded-storage shape of the column chunks a table scan served,
-  /// recorded once per Open (scans under Apply accumulate across
-  /// re-opens, mirroring every other counter here). Drives the per-scan
-  /// `encoding=dict:x,rle:y,plain:z bytes=n` EXPLAIN ANALYZE line.
-  int64_t enc_dict_cols = 0;
-  int64_t enc_rle_cols = 0;
-  int64_t enc_plain_cols = 0;
-  int64_t enc_bytes = 0;
 };
 
 /// Owns the per-operator stats of one execution. Operators are identified

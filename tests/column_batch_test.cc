@@ -5,8 +5,6 @@
 // end-to-end row-vs-columnar equivalence at awkward batch boundaries.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -234,72 +232,51 @@ TEST(ExecModeTest, ColumnarComposesWithThreads) {
   EngineOptions parallel = EngineOptions::Full();
   parallel.exec.num_threads = 2;
   parallel.exec.morsel_rows = 512;
-  // The row reference reads a plain catalog; the parallel side reads one
-  // loaded in each encoding.
-  auto load = [](Catalog* catalog, TableEncoding enc) {
-    Table* t = *catalog->CreateTable("t", {{"k", DataType::kInt64, false},
-                                           {"g", DataType::kInt64, false}});
-    for (int i = 0; i < 5000; ++i) {
-      ASSERT_TRUE(t->Append({Value::Int64(i), Value::Int64(i % 7)}).ok());
-    }
-    ASSERT_TRUE(catalog->EncodeTables(enc).ok());
-  };
-  Catalog plain;
-  load(&plain, TableEncoding::kPlain);
-  for (TableEncoding enc : {TableEncoding::kPlain, TableEncoding::kAuto}) {
-    Catalog catalog;
-    load(&catalog, enc);
-    Result<QueryResult> expect = QueryEngine(&plain, serial).Execute(sql);
-    Result<QueryResult> actual = QueryEngine(&catalog, parallel).Execute(sql);
-    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    EXPECT_EQ(CanonicalRows(expect->rows), CanonicalRows(actual->rows));
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("t", {{"k", DataType::kInt64, false},
+                                        {"g", DataType::kInt64, false}});
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(t->Append({Value::Int64(i), Value::Int64(i % 7)}).ok());
   }
+  Result<QueryResult> expect = QueryEngine(&catalog, serial).Execute(sql);
+  Result<QueryResult> actual = QueryEngine(&catalog, parallel).Execute(sql);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(CanonicalRows(expect->rows), CanonicalRows(actual->rows));
 }
 
-// The storage encoding is chosen once, when a catalog is loaded: no
-// session knob selects it per query, and an encoded table is read-only.
-TEST(ExecModeTest, TableEncodingIsChosenAtLoad) {
+// Tables have one storage layout: no session knob selects an encoding.
+TEST(ExecModeTest, StorageLayoutIsNotASessionOption) {
   Session session(1, EngineOptions::Full(), 0);
   Status knob = session.ApplySet("table_encoding auto");
   ASSERT_EQ(knob.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(knob.ToString().find("unknown SET option"), std::string::npos);
-
-  Catalog catalog;
-  Table* t = *catalog.CreateTable("t", {{"g", DataType::kInt64, false}});
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(t->Append({Value::Int64(i / 16)}).ok());
-  }
-  ASSERT_TRUE(catalog.EncodeTables(TableEncoding::kAuto).ok());
-  EXPECT_EQ(t->ColumnarChunks()[0].encoding, ChunkEncoding::kRle);
-  EXPECT_EQ(catalog.EncodeTables(TableEncoding::kPlain).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(t->ColumnarChunks()[0].encoding, ChunkEncoding::kRle);
 }
 
-class EncodedChunkTest : public ::testing::Test {
+class ChunkViewTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // 40 rows: id unique (stays plain under auto), grp clustered in runs
-    // of 8 (RLE under auto), tag low-cardinality strings with nulls (dict
-    // under auto).
+    // 40 rows over every typed layout (int64, double, date, bool, string),
+    // each column with NULLs.
     for (int i = 0; i < 40; ++i) {
-      rows_.push_back({Value::Int64(i * 7 % 41), Value::Int64(i / 8),
-                       i % 11 == 0 ? Value::Null(DataType::kString)
-                                   : Value::String("group_name_" +
-                                                   std::to_string(i % 3))});
+      rows_.push_back(
+          {i % 9 == 0 ? Value::Null(DataType::kInt64) : Value::Int64(i * 7 % 41),
+           i % 7 == 0 ? Value::Null(DataType::kDouble) : Value::Double(i * 0.5),
+           i % 6 == 0 ? Value::Null(DataType::kDate) : Value::Date(9000 + i),
+           i % 5 == 0 ? Value::Null(DataType::kBool) : Value::Bool(i % 2 == 0),
+           i % 11 == 0 ? Value::Null(DataType::kString)
+                       : Value::String("group_name_" + std::to_string(i % 3))});
     }
   }
 
-  /// A fresh table holding rows_, encoded under `mode` at load.
-  const Table* Load(TableEncoding mode) {
-    Table* table = *catalog_.CreateTable(
-        "e" + std::to_string(tables_++),
-        {{"id", DataType::kInt64, false},
-         {"grp", DataType::kInt64, false},
-         {"tag", DataType::kString, true}});
+  /// A fresh table holding rows_.
+  const Table* Load() {
+    Table* table = *catalog_.CreateTable("e", {{"i", DataType::kInt64, true},
+                                               {"d", DataType::kDouble, true},
+                                               {"dt", DataType::kDate, true},
+                                               {"b", DataType::kBool, true},
+                                               {"s", DataType::kString, true}});
     for (const Row& row : rows_) EXPECT_TRUE(table->Append(row).ok());
-    EXPECT_TRUE(table->Encode(mode).ok());
     return table;
   }
 
@@ -315,6 +292,7 @@ class EncodedChunkTest : public ::testing::Test {
       Value got = col.GetValue(i);
       EXPECT_EQ(want.is_null(), got.is_null()) << "col " << c << " row " << i;
       if (!want.is_null()) {
+        EXPECT_EQ(want.type(), got.type()) << "col " << c << " row " << i;
         EXPECT_EQ(want.TotalCompare(got), 0) << "col " << c << " row " << i;
       }
     }
@@ -322,111 +300,57 @@ class EncodedChunkTest : public ::testing::Test {
 
   Catalog catalog_;
   std::vector<Row> rows_;
-  int tables_ = 0;
 };
 
-TEST_F(EncodedChunkTest, AutoHeuristicPicksPerColumn) {
-  const std::vector<Table::ColumnChunk>& chunks =
-      Load(TableEncoding::kAuto)->ColumnarChunks();
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[0].encoding, ChunkEncoding::kPlain);  // unique ints
-  EXPECT_EQ(chunks[1].encoding, ChunkEncoding::kRle);    // 5 runs of 8
-  EXPECT_EQ(chunks[1].num_runs(), 5u);
-  EXPECT_EQ(chunks[2].encoding, ChunkEncoding::kDict);   // 3 distinct + null
-  EXPECT_EQ(chunks[2].dict_size(), 4u);  // null rows intern ""
-  // A plain load of the same rows is a distinct, unencoded chunk set, and
-  // the encoded forms actually compress against it: RLE collapses the
-  // runs, dict shares the long string payloads.
-  const std::vector<Table::ColumnChunk>& plain =
-      Load(TableEncoding::kPlain)->ColumnarChunks();
-  EXPECT_EQ(plain[1].encoding, ChunkEncoding::kPlain);
-  EXPECT_EQ(plain[2].encoding, ChunkEncoding::kPlain);
-  EXPECT_LT(chunks[1].bytes(), plain[1].bytes());
-  EXPECT_LT(chunks[2].bytes(), plain[2].bytes());
-}
-
-TEST_F(EncodedChunkTest, EncodedViewsRoundTripWithWindows) {
-  for (TableEncoding mode : {TableEncoding::kDict, TableEncoding::kRle,
-                             TableEncoding::kAuto}) {
-    const std::vector<Table::ColumnChunk>& chunks =
-        Load(mode)->ColumnarChunks();
-    for (int c = 0; c < 3; ++c) {
-      ExpectWindowRoundTrips(chunks[c], c, 0, 40);
-      ExpectWindowRoundTrips(chunks[c], c, 7, 33);   // mid-run resume
-      ExpectWindowRoundTrips(chunks[c], c, 39, 1);   // last row
-    }
+TEST_F(ChunkViewTest, ViewsRoundTripWithWindows) {
+  const std::vector<Table::ColumnChunk>& chunks = Load()->ColumnarChunks();
+  ASSERT_EQ(chunks.size(), 5u);
+  for (int c = 0; c < 5; ++c) {
+    EXPECT_FALSE(chunks[c].mixed);
+    ExpectWindowRoundTrips(chunks[c], c, 0, 40);
+    ExpectWindowRoundTrips(chunks[c], c, 7, 33);  // mid-table resume
+    ExpectWindowRoundTrips(chunks[c], c, 39, 1);  // last row
   }
-  // Forced modes encode every eligible column.
-  EXPECT_EQ(Load(TableEncoding::kDict)->ColumnarChunks()[0].encoding,
-            ChunkEncoding::kDict);
-  EXPECT_EQ(Load(TableEncoding::kRle)->ColumnarChunks()[2].encoding,
-            ChunkEncoding::kRle);
 }
 
-TEST_F(EncodedChunkTest, RleCursorHandlesBackwardJumps) {
-  const Table::ColumnChunk& chunk =
-      Load(TableEncoding::kRle)->ColumnarChunks()[1];
-  ASSERT_EQ(chunk.encoding, ChunkEncoding::kRle);
+TEST_F(ChunkViewTest, MixedTagColumnStaysBoxed) {
+  Table* m = *catalog_.CreateTable("m", {{"x", DataType::kInt64, true}});
+  for (int i = 0; i < 40; ++i) {
+    // Value tags disagree with the declared type on some rows, so the
+    // chunk must degrade to boxed values.
+    ASSERT_TRUE(
+        m->Append({i % 2 == 0 ? Value::Int64(7) : Value::String("seven")})
+            .ok());
+  }
+  const Table::ColumnChunk& chunk = m->ColumnarChunks()[0];
+  EXPECT_TRUE(chunk.mixed);
+  ASSERT_EQ(chunk.vals.size(), 40u);
   ColumnVec col;
   ViewChunkRows(chunk, 0, 40, &col);
-  // Monotone forward, then a backward jump: the cached run cursor must
-  // reseek, not walk off the run array.
-  EXPECT_EQ(col.IntAt(30), 3);
-  EXPECT_EQ(col.IntAt(39), 4);
-  EXPECT_EQ(col.IntAt(2), 0);
-  EXPECT_EQ(col.IntAt(17), 2);
+  EXPECT_EQ(col.rep(), ColumnRep::kValues);
+  EXPECT_EQ(col.GetValue(1).string_value(), "seven");
 }
 
-TEST_F(EncodedChunkTest, MixedTagColumnStaysBoxedUnderEveryEncoding) {
-  for (TableEncoding mode : {TableEncoding::kPlain, TableEncoding::kDict,
-                             TableEncoding::kRle, TableEncoding::kAuto}) {
-    Table* m = *catalog_.CreateTable("m" + std::to_string(tables_++),
-                                     {{"x", DataType::kInt64, true}});
-    for (int i = 0; i < 40; ++i) {
-      // Value tags disagree with the declared type on some rows, so the
-      // chunk must degrade to boxed values — and encoding must leave it
-      // alone under every mode.
-      ASSERT_TRUE(
-          m->Append({i % 2 == 0 ? Value::Int64(7) : Value::String("seven")})
-              .ok());
-    }
-    ASSERT_TRUE(m->Encode(mode).ok());
-    const Table::ColumnChunk& chunk = m->ColumnarChunks()[0];
-    EXPECT_TRUE(chunk.mixed);
-    EXPECT_EQ(chunk.encoding, ChunkEncoding::kPlain);
-    ASSERT_EQ(chunk.vals.size(), 40u);
-    ColumnVec col;
-    ViewChunkRows(chunk, 0, 40, &col);
-    EXPECT_EQ(col.rep(), ColumnRep::kValues);
-    EXPECT_EQ(col.GetValue(1).string_value(), "seven");
+TEST_F(ChunkViewTest, ColumnHashParityWithRowHash) {
+  // Column-wise hashing over chunk views must equal RowHash over the
+  // decoded rows — the invariant that lets columnar probes share key
+  // tables with Row-keyed inserts.
+  const std::vector<Table::ColumnChunk>& chunks = Load()->ColumnarChunks();
+  ColumnBatch batch(64);
+  batch.ResizeCols(5);
+  for (int c = 0; c < 5; ++c) {
+    ViewChunkRows(chunks[c], 0, 40, &batch.col(c));
   }
-}
-
-TEST_F(EncodedChunkTest, EncodedHashParityWithRowHash) {
-  // Column-wise hashing over dict codes and RLE runs must equal RowHash
-  // over the decoded rows — the invariant that lets encoded probes share
-  // key tables with Row-keyed inserts.
-  for (TableEncoding mode : {TableEncoding::kPlain, TableEncoding::kDict,
-                             TableEncoding::kRle, TableEncoding::kAuto}) {
-    const std::vector<Table::ColumnChunk>& chunks =
-        Load(mode)->ColumnarChunks();
-    ColumnBatch batch(64);
-    batch.ResizeCols(3);
-    for (int c = 0; c < 3; ++c) {
-      ViewChunkRows(chunks[c], 0, 40, &batch.col(c));
-    }
-    batch.set_num_rows(40);
-    std::vector<size_t> hashes;
-    InitKeyHashes(batch, &hashes);
-    for (int c = 0; c < 3; ++c) {
-      HashCombineColumn(batch, batch.col(c), &hashes);
-    }
-    Row decoded;
-    for (uint32_t j = 0; j < 40; ++j) {
-      batch.DecodeRow(batch.RowAt(j), &decoded);
-      EXPECT_EQ(hashes[j], RowHash{}(decoded))
-          << "mode " << static_cast<int>(mode) << " row " << j;
-    }
+  batch.set_num_rows(40);
+  std::vector<size_t> hashes;
+  InitKeyHashes(batch, &hashes);
+  for (int c = 0; c < 5; ++c) {
+    HashCombineColumn(batch, batch.col(c), &hashes);
+  }
+  Row decoded;
+  for (uint32_t j = 0; j < 40; ++j) {
+    batch.DecodeRow(batch.RowAt(j), &decoded);
+    EXPECT_EQ(hashes[j], RowHash{}(decoded)) << "row " << j;
   }
 }
 
@@ -462,46 +386,30 @@ class ColumnarExecTest : public ::testing::Test {
     }
   }
 
-  /// The same tables loaded under `encoding` (catalog_ itself for plain).
-  Catalog* CatalogIn(TableEncoding encoding) {
-    if (encoding == TableEncoding::kPlain) return &catalog_;
-    std::unique_ptr<Catalog>& catalog = encoded_[encoding];
-    if (catalog == nullptr) {
-      catalog = std::make_unique<Catalog>();
-      Load(catalog.get());
-      EXPECT_TRUE(catalog->EncodeTables(encoding).ok());
-    }
-    return catalog.get();
-  }
-
   // Runs `sql` in both modes with batch_size 8 and expects identical row
-  // multisets. The row side reads the plain catalog; the columnar side
-  // reads the catalog loaded under `encoding` (the encoded modes are the
-  // storage-layer twist on the same oracle).
-  void ExpectModesAgree(const std::string& sql,
-                        TableEncoding encoding = TableEncoding::kPlain) {
+  // multisets.
+  void ExpectModesAgree(const std::string& sql) {
     EngineOptions row_options = EngineOptions::Full();
     row_options.exec.batched = false;
     row_options.exec.batch_size = 8;
     EngineOptions col_options = EngineOptions::Full();
     col_options.exec.batch_size = 8;
     QueryEngine row_engine(&catalog_, row_options);
-    QueryEngine col_engine(CatalogIn(encoding), col_options);
+    QueryEngine col_engine(&catalog_, col_options);
     Result<QueryResult> expect = row_engine.Execute(sql);
     Result<QueryResult> actual = col_engine.Execute(sql);
     ASSERT_TRUE(expect.ok()) << sql << ": " << expect.status().ToString();
     ASSERT_TRUE(actual.ok()) << sql << ": " << actual.status().ToString();
-    EXPECT_EQ(CanonicalRows(expect->rows), CanonicalRows(actual->rows))
-        << sql << " (encoding " << static_cast<int>(encoding) << ")";
+    EXPECT_EQ(CanonicalRows(expect->rows), CanonicalRows(actual->rows)) << sql;
   }
 
   Catalog catalog_;
-  std::map<TableEncoding, std::unique_ptr<Catalog>> encoded_;
 };
 
 TEST_F(ColumnarExecTest, FilterMatchesRowMode) {
   ExpectModesAgree("select k, v from t where v > 0");
   ExpectModesAgree("select k from t where v > 0 and d < 6.0 and s = 's1'");
+  ExpectModesAgree("select k from t where s <> 's0'");
   // All rows filtered out: the selection vector empties and the scan must
   // still drive to a clean EOS.
   ExpectModesAgree("select k from t where v > 1000");
@@ -533,42 +441,6 @@ TEST_F(ColumnarExecTest, SubqueryPlansMatchRowMode) {
       "select k from t where v < (select sum(w) from u where fk = k)");
   ExpectModesAgree(
       "select k, (select count(*) from u where fk = k) from t");
-}
-
-TEST_F(ColumnarExecTest, EncodedStorageMatchesRowMode) {
-  // The same row-vs-columnar oracle with the columnar side reading a
-  // catalog loaded with dictionary/RLE/auto-encoded chunks: predicates translate to codes,
-  // hashing consumes codes, and the vectorized accumulators walk runs —
-  // all of it must stay byte-equal to plain row execution. batch_size 8
-  // on 16/24-row tables also forces mid-chunk window resumes.
-  for (TableEncoding enc : {TableEncoding::kDict, TableEncoding::kRle,
-                            TableEncoding::kAuto}) {
-    ExpectModesAgree("select k from t where v > 0 and d < 6.0 and s = 's1'",
-                     enc);
-    ExpectModesAgree("select k from t where s <> 's0'", enc);
-    ExpectModesAgree(
-        "select s, sum(v), count(*), min(d), max(k) from t group by s", enc);
-    ExpectModesAgree("select sum(v), count(v), avg(d) from t", enc);
-    ExpectModesAgree("select k, sum(w) from t, u where k = fk group by k",
-                     enc);
-    ExpectModesAgree(
-        "select k from t where exists (select 1 from u where fk = k)", enc);
-    ExpectModesAgree(
-        "select k, (select count(*) from u where fk = k) from t", enc);
-    ExpectModesAgree("select k + 1, d * 2.0, -v from t", enc);
-  }
-}
-
-TEST_F(ColumnarExecTest, EncodedScanSurfacesEncodingInReport) {
-  EngineOptions options = EngineOptions::Full();
-  options.exec.batch_size = 8;
-  QueryEngine engine(CatalogIn(TableEncoding::kDict), options);
-  Result<std::string> report = engine.ExplainAnalyze(
-      "select s, count(*) from t group by s");
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  // The scan line reports its per-column encoding split and encoded bytes.
-  EXPECT_NE(report->find("encoding=dict:"), std::string::npos) << *report;
-  EXPECT_NE(report->find("bytes="), std::string::npos) << *report;
 }
 
 TEST_F(ColumnarExecTest, StatsInvariantHoldsColumnar) {

@@ -187,7 +187,7 @@ TEST(ServerSmokeTest, SetChangesTakeEffectAndValidate) {
   server.Stop();
 }
 
-TEST(ServerSmokeTest, ExecModesThreadsAndEncodedStorageOverTheWire) {
+TEST(ServerSmokeTest, ExecModesAndThreadsOverTheWire) {
   QueryServer server(SharedCatalog(), ServerOptions());
   ASSERT_TRUE(server.Start().ok());
   Result<Client> connected = Client::Connect("127.0.0.1", server.port());
@@ -244,37 +244,11 @@ TEST(ServerSmokeTest, ExecModesThreadsAndEncodedStorageOverTheWire) {
   }
   EXPECT_EQ(named, 3) << *history;
 
-  // The storage encoding is a load-time choice, not a session knob.
+  // Tables have one storage layout, so no session knob selects one.
   Status knob = client.Set("table_encoding", "dict");
   ASSERT_EQ(knob.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(knob.ToString().find("unknown SET option"), std::string::npos);
   server.Stop();
-
-  // Encoded storage under the parallel columnar engine: a server over a
-  // catalog loaded dict-encoded. Forced dict (not auto) because the
-  // difftest tables are small enough that the auto heuristic keeps them
-  // plain.
-  auto encoded = std::make_shared<Catalog>();
-  ASSERT_TRUE(BuildDifftestCatalog(encoded.get(), kSeed).ok());
-  ASSERT_TRUE(encoded->EncodeTables(TableEncoding::kDict).ok());
-  QueryServer encoded_server(encoded, ServerOptions());
-  ASSERT_TRUE(encoded_server.Start().ok());
-  Result<Client> encoded_connected =
-      Client::Connect("127.0.0.1", encoded_server.port());
-  ASSERT_TRUE(encoded_connected.ok());
-  Client encoded_client = std::move(encoded_connected.value());
-  ASSERT_TRUE(encoded_client.Set("threads", "2").ok());
-  Result<WireResult> result =
-      encoded_client.Query("SELECT COUNT(*), MIN(n_name) FROM nation");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->rows.size(), 1u);
-  EXPECT_NE(result->rows[0].find("6"), std::string::npos)
-      << result->rows[0];
-  // Encoding counters reach the metrics surface once an encoded scan ran.
-  Result<std::string> metrics = encoded_client.Admin("metrics");
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics->find("encoding.chunks"), std::string::npos);
-  encoded_server.Stop();
 }
 
 TEST(ServerSmokeTest, MetricsAdminReportsServerCounters) {

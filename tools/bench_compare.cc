@@ -18,10 +18,13 @@
 // wall-time checks entirely (row-count gating only) — useful on shared CI
 // machines with unbounded timing noise.
 //
-// Exit code 0 when the gate passes, 1 on any failure, 2 on usage or I/O
+// Exit code 0 when the gate passes, 1 on any failure, 2 on usage (numbers
+// must parse whole; --min-pairs >= 1, --min-ratio > 0) or I/O
 // errors (including unreadable baselines: a gate that cannot read its
 // baseline must not go green).
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +45,19 @@ bool ReadFile(const char* path, std::string* out) {
   return true;
 }
 
+/// Parses all of `text` as a finite number; exits 2 naming `what` when it
+/// does not.
+double ParseNumber(const char* what, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    std::fprintf(stderr, "%s expects a number, got \"%s\"\n", what, text);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -49,7 +65,7 @@ int main(int argc, char** argv) {
   orq::SpeedupGateOptions speedup_options;
   if (const char* env = std::getenv("ORQ_BENCH_TOLERANCE");
       env != nullptr && env[0] != '\0') {
-    options.wall_tolerance = std::atof(env);
+    options.wall_tolerance = ParseNumber("ORQ_BENCH_TOLERANCE", env);
   }
   bool speedup_mode = false;
   const char* baseline_path = nullptr;
@@ -63,7 +79,7 @@ int main(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tolerance") == 0) {
-      options.wall_tolerance = std::atof(flag_value(&i));
+      options.wall_tolerance = ParseNumber("--tolerance", flag_value(&i));
     } else if (std::strcmp(argv[i], "--speedup") == 0) {
       speedup_mode = true;
     } else if (std::strcmp(argv[i], "--slow") == 0) {
@@ -71,9 +87,18 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--fast") == 0) {
       speedup_options.fast_tag = flag_value(&i);
     } else if (std::strcmp(argv[i], "--min-ratio") == 0) {
-      speedup_options.min_ratio = std::atof(flag_value(&i));
+      speedup_options.min_ratio = ParseNumber("--min-ratio", flag_value(&i));
+      if (speedup_options.min_ratio <= 0) {
+        std::fprintf(stderr, "--min-ratio expects a positive ratio\n");
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--min-pairs") == 0) {
-      speedup_options.min_pairs = std::atoi(flag_value(&i));
+      const double pairs = ParseNumber("--min-pairs", flag_value(&i));
+      if (pairs < 1 || pairs != std::floor(pairs) || pairs > 1e9) {
+        std::fprintf(stderr, "--min-pairs expects a count of at least 1\n");
+        return 2;
+      }
+      speedup_options.min_pairs = static_cast<int>(pairs);
     } else if (baseline_path == nullptr) {
       baseline_path = argv[i];
     } else if (current_path == nullptr) {

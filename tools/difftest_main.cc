@@ -5,7 +5,6 @@
 // Usage: difftest [--seed N] [--queries N] [--max-failures N] [--verbose]
 //                 [--reference-exec row|columnar|parallel]
 //                 [--test-exec row|columnar|parallel] [--threads N]
-//                 [--table-encoding plain|dict|rle|auto]
 //                 [--timeout-ms N] [--plan-cache]
 //
 // --plan-cache adds a cached-vs-cold oracle side: every non-divergent
@@ -23,32 +22,15 @@
 // stream — e.g. `--reference-exec row --test-exec parallel` is the
 // parallel-vs-serial oracle.
 //
-// --table-encoding loads the test side's catalog in that storage encoding
-// (the reference side loads its own plain copy), so `--reference-exec row
-// --test-exec columnar --table-encoding auto` is the encoded-storage
-// oracle.
-//
-// Exit code 0 when every query agreed, 1 on divergence, 2 on setup error.
+// Exit code 0 when every query agreed, 1 on divergence, 2 on setup or
+// usage error (a numeric flag must parse whole; --queries must be >= 1).
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 
-#include "catalog/table.h"
 #include "difftest/harness.h"
-
-namespace {
-
-std::optional<orq::TableEncoding> ParseTableEncoding(const char* name) {
-  if (std::strcmp(name, "plain") == 0) return orq::TableEncoding::kPlain;
-  if (std::strcmp(name, "dict") == 0) return orq::TableEncoding::kDict;
-  if (std::strcmp(name, "rle") == 0) return orq::TableEncoding::kRle;
-  if (std::strcmp(name, "auto") == 0) return orq::TableEncoding::kAuto;
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   orq::HarnessOptions options;
@@ -61,12 +43,25 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s requires a value\n", flag);
         std::exit(2);
       }
-      return std::atoll(argv[++i]);
+      const char* text = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      const long long v = std::strtoll(text, &end, 10);
+      if (end == text || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "%s expects an integer, got \"%s\"\n", flag,
+                     text);
+        std::exit(2);
+      }
+      return v;
     };
     if (std::strcmp(argv[i], "--seed") == 0) {
       options.seed = static_cast<uint64_t>(next_int("--seed"));
     } else if (std::strcmp(argv[i], "--queries") == 0) {
       options.num_queries = static_cast<int>(next_int("--queries"));
+      if (options.num_queries < 1) {
+        std::fprintf(stderr, "--queries expects a positive count\n");
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--max-failures") == 0) {
       options.max_failures = static_cast<int>(next_int("--max-failures"));
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
@@ -85,20 +80,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threads expects a positive count\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--table-encoding") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--table-encoding requires plain|dict|rle|auto\n");
-        return 2;
-      }
-      const char* enc = argv[++i];
-      std::optional<orq::TableEncoding> parsed = ParseTableEncoding(enc);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr,
-                     "--table-encoding expects plain|dict|rle|auto, got %s\n",
-                     enc);
-        return 2;
-      }
-      options.test_table_encoding = *parsed;
     } else if (std::strcmp(argv[i], "--reference-exec") == 0 ||
                std::strcmp(argv[i], "--test-exec") == 0) {
       const char* flag = argv[i];
@@ -127,9 +108,7 @@ int main(int argc, char** argv) {
                    "[--queries N] [--max-failures N] [--verbose] "
                    "[--reference-exec row|columnar|parallel] "
                    "[--test-exec row|columnar|parallel] "
-                   "[--threads N] "
-                   "[--table-encoding plain|dict|rle|auto] "
-                   "[--timeout-ms N] [--plan-cache]\n",
+                   "[--threads N] [--timeout-ms N] [--plan-cache]\n",
                    argv[i]);
       return 2;
     }
