@@ -174,6 +174,12 @@ build/tools/bench_compare bench/baselines/BENCH_cache.json \
 build/tools/orq_loadgen --sessions 4 --queries 50 --seed 20260806 \
   --prepared --min-hit-rate 99 >/dev/null
 
+echo "=== Default-mode difftest campaign ==="
+# The naive reference (no optimizer, FROM-list join order, nested loops)
+# against the full pipeline: the only mode whose two sides join in
+# different orders, so a wrong join order shows up here and nowhere else.
+build/tools/difftest --seed 23 --queries 2000
+
 echo "=== Parallel-vs-row difftest campaign ==="
 # The ctest smoke runs 500 queries at one seed; the parallel aggregate
 # merge and the SUM accumulator get a longer campaign at a second seed.

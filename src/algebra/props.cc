@@ -8,25 +8,19 @@ namespace orq {
 ColumnSet FreeVariables(const RelExpr& expr) {
   ColumnSet below;  // columns produced by children (visible to payload)
   ColumnSet free;
-  for (const auto& child : expr.children) {
-    free.AddAll(FreeVariables(*child));
-    below.AddAll(child->OutputSet());
-  }
-  // Apply/SegmentApply: the right child's free variables may be bound by
-  // the left child (that *is* correlation). They are bound, not free, at
-  // this node.
-  if (expr.kind == RelKind::kApply) {
-    ColumnSet left_out = expr.children[0]->OutputSet();
-    free = FreeVariables(*expr.children[0])
-               .Union(FreeVariables(*expr.children[1]).Minus(left_out));
-    below = left_out.Union(expr.children[1]->OutputSet());
-  } else if (expr.kind == RelKind::kSegmentApply) {
-    // Inner refers to the segment through its own SegmentRef ids; the
-    // outer's columns are not visible inside.
-    free = FreeVariables(*expr.children[0])
-               .Union(FreeVariables(*expr.children[1]));
-    below = expr.children[0]->OutputSet().Union(
-        expr.children[1]->OutputSet());
+  for (size_t i = 0; i < expr.children.size(); ++i) {
+    const RelExpr& child = *expr.children[i];
+    ColumnSet child_free = FreeVariables(child);
+    ColumnSet child_out = child.OutputSet();
+    // Apply: the right child's free variables may be bound by the left
+    // child (that *is* correlation). They are bound, not free, at this
+    // node. (SegmentApply's inner refers to the segment through its own
+    // SegmentRef ids; the outer's columns are not visible inside.)
+    if (expr.kind == RelKind::kApply && i == 1) {
+      child_free = child_free.Minus(below);
+    }
+    free.AddAll(child_free);
+    below.AddAll(child_out);
   }
   ColumnSet payload = NodeScalarRefs(expr);
   free.AddAll(payload.Minus(below));

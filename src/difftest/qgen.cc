@@ -15,27 +15,31 @@ struct TblDef {
   const char* name;
   std::vector<ColDef> cols;
   const char* key;  // single-column integer key ("" = composite/none)
+  int rows;         // approximate row count
 };
 
 const std::vector<TblDef>& Tables() {
   static const std::vector<TblDef> kTables = {
       {"nation",
        {{"n_nationkey", 'i'}, {"n_name", 's'}, {"n_regionkey", 'i'}},
-       "n_nationkey"},
+       "n_nationkey",
+       6},
       {"customer",
        {{"c_custkey", 'i'},
         {"c_name", 's'},
         {"c_nationkey", 'i'},
         {"c_acctbal", 'f'},
         {"c_mktsegment", 's'}},
-       "c_custkey"},
+       "c_custkey",
+       15},
       {"orders",
        {{"o_orderkey", 'i'},
         {"o_custkey", 'i'},
         {"o_totalprice", 'f'},
         {"o_orderdate", 'd'},
         {"o_shippriority", 'i'}},
-       "o_orderkey"},
+       "o_orderkey",
+       40},
       {"lineitem",
        {{"l_orderkey", 'i'},
         {"l_linenumber", 'i'},
@@ -44,10 +48,12 @@ const std::vector<TblDef>& Tables() {
         {"l_extendedprice", 'f'},
         {"l_shipdate", 'd'},
         {"l_returnflag", 's'}},
-       ""},
+       "",
+       100},
       {"part",
        {{"p_partkey", 'i'}, {"p_brand", 's'}, {"p_size", 'i'}, {"p_retailprice", 'f'}},
-       "p_partkey"},
+       "p_partkey",
+       12},
   };
   return kTables;
 }
@@ -122,6 +128,12 @@ bool QueryGenerator::Chance(int num, int den) { return Uniform(den) < num; }
 // ---- generation ------------------------------------------------------
 
 namespace {
+
+/// Bounds on a join graph's cross product (the naive reference nests over
+/// all of it): overall, and when WHERE may hold subqueries, which that
+/// reference evaluates once per cross-product row.
+constexpr double kMaxCrossRows = 100000;
+constexpr double kMaxCrossRowsWithSubqueries = 5000;
 
 /// Everything below is stateless helpers taking the generator through a
 /// tiny interface so they stay free functions.
@@ -383,6 +395,129 @@ struct Gen {
     return sub + " " + CmpOp() + " " + kLits[U(5)];
   }
 
+  /// Tables joinable to `e`: fk edges in both directions plus the
+  /// self-correlation columns. `new_col` belongs to the joined table.
+  struct Link {
+    const TblDef* table;
+    const char* new_col;
+    std::string old_col;  // rendered, qualified by `e`'s alias
+  };
+  std::vector<Link> Links(const ScopeEntry& e) const {
+    std::vector<Link> out;
+    std::string t = e.table->name;
+    for (const Edge& edge : Edges()) {
+      if (t == edge.parent_tbl) {
+        out.push_back({FindTable(edge.child_tbl), edge.child_col,
+                       Q(e, edge.parent_col)});
+      }
+      if (t == edge.child_tbl) {
+        out.push_back({FindTable(edge.parent_tbl), edge.parent_col,
+                       Q(e, edge.child_col)});
+      }
+    }
+    for (const SelfEdge& self : SelfEdges()) {
+      if (t == self.tbl) out.push_back({e.table, self.col, Q(e, self.col)});
+    }
+    return out;
+  }
+
+  /// Appends a FROM table joined to `to` along a random link whose table
+  /// keeps the cross product of all FROM tables within kMaxCrossRows (the
+  /// naive reference nests over that product): as a comma item with its
+  /// equality in WHERE, or (`join_kind` "join" / "left outer join") as an
+  /// explicit join whose ON reads `to` only. False when no link fits.
+  bool AddLinked(const ScopeEntry& to, int join_kind, QuerySpec* spec,
+                 std::vector<ScopeEntry>* scope, double* cross_rows) const {
+    std::vector<Link> links;
+    for (Link& link : Links(to)) {
+      if (*cross_rows * link.table->rows <= kMaxCrossRows) {
+        links.push_back(std::move(link));
+      }
+    }
+    if (links.empty()) return false;
+    const Link& link = links[U(static_cast<int>(links.size()))];
+    QuerySpec::Join join;
+    join.table = link.table->name;
+    join.alias = "t" + std::to_string(scope->size());
+    std::string predicate = join.alias + "." + link.new_col + " = " +
+                            link.old_col;
+    join.comma = join_kind == 0;
+    join.left_outer = join_kind == 2;
+    if (join.comma) {
+      spec->where.push_back({std::move(predicate), true});
+    } else {
+      join.on = std::move(predicate);
+    }
+    spec->joins.push_back(std::move(join));
+    scope->push_back({spec->joins.back().alias, link.table});
+    *cross_rows *= link.table->rows;
+    return true;
+  }
+
+  /// Appends an unlinked comma item over a small table.
+  void AddUnlinked(QuerySpec* spec, std::vector<ScopeEntry>* scope,
+                   double* cross_rows) const {
+    static const char* kSmall[] = {"nation", "part", "customer"};
+    QuerySpec::Join join;
+    join.comma = true;
+    join.table = kSmall[U(3)];
+    join.alias = "t" + std::to_string(scope->size());
+    scope->push_back({join.alias, FindTable(join.table)});
+    *cross_rows *= scope->back().table->rows;
+    spec->joins.push_back(std::move(join));
+  }
+
+  /// Join graphs for join enumeration, starting from the base table in
+  /// `scope`: a chain, star or cycle of 3-5 comma items; a disconnected
+  /// pair, which needs a real cross product; or a comma item carrying a
+  /// LEFT JOIN (and an inner join above it), which enumeration must keep
+  /// whole. Returns the cross product of the FROM tables' sizes.
+  double AddJoinGraph(QuerySpec* spec, std::vector<ScopeEntry>* scope) const {
+    double cross_rows = (*scope)[0].table->rows;
+    const size_t tables = 3 + U(3);
+    auto grow = [&](bool star) {
+      while (scope->size() < tables &&
+             AddLinked(ScopeEntry(star ? (*scope)[0] : scope->back()), 0,
+                       spec, scope, &cross_rows)) {
+      }
+    };
+    switch (U(5)) {
+      case 0:
+        grow(/*star=*/false);
+        break;
+      case 1:
+        grow(/*star=*/true);
+        break;
+      case 2: {  // cycle: a chain closed by an integer equality
+        grow(/*star=*/false);
+        const ScopeEntry& first = (*scope)[0];
+        const ScopeEntry& last = scope->back();
+        spec->where.push_back(
+            {Q(last, PickCol(*last.table, "i")->name) + " = " +
+                 Q(first, PickCol(*first.table, "i")->name),
+             true});
+        break;
+      }
+      case 3:  // disconnected: nothing links the base to a small table
+        AddUnlinked(spec, scope, &cross_rows);
+        if (C(1, 2)) {
+          AddLinked(ScopeEntry((*scope)[0]), 0, spec, scope, &cross_rows);
+        }
+        break;
+      default: {  // comma item beside a LEFT JOIN
+        if (!AddLinked(ScopeEntry((*scope)[0]), 0, spec, scope,
+                       &cross_rows)) {
+          break;
+        }
+        const ScopeEntry item = scope->back();
+        AddLinked(item, 2, spec, scope, &cross_rows);
+        if (C(1, 2)) AddLinked(item, 1, spec, scope, &cross_rows);
+        break;
+      }
+    }
+    return cross_rows;
+  }
+
   std::string ScalarSubquery(const std::vector<ScopeEntry>& scope) const {
     std::string alias = NewAlias();
     SubLink link = PickLink(scope, alias);
@@ -429,8 +564,11 @@ QuerySpec QueryGenerator::Generate() {
   spec.base_alias = "t0";
   std::vector<ScopeEntry> scope = {{spec.base_alias, FindTable(spec.base_table)}};
 
-  // 0-2 joins along fk edges touching the scope.
-  int num_joins = Uniform(3);
+  // A comma-FROM join graph, or 0-2 joins along fk edges touching the
+  // scope.
+  const bool join_graph = Chance(1, 4);
+  const double cross_rows = join_graph ? gen.AddJoinGraph(&spec, &scope) : 0;
+  int num_joins = join_graph ? 0 : Uniform(3);
   for (int j = 0; j < num_joins; ++j) {
     struct Option {
       const TblDef* table;
@@ -512,8 +650,10 @@ QuerySpec QueryGenerator::Generate() {
   // WHERE: a mix of plain and subquery conjuncts.
   int num_conjuncts = Uniform(4);
   for (int c = 0; c < num_conjuncts; ++c) {
-    std::string conjunct = Chance(11, 20) ? gen.SubqueryPred(scope)
-                                          : gen.SimplePred(scope);
+    const bool subquery = Chance(11, 20) &&
+                          cross_rows <= kMaxCrossRowsWithSubqueries;
+    std::string conjunct =
+        subquery ? gen.SubqueryPred(scope) : gen.SimplePred(scope);
     spec.where.push_back({std::move(conjunct), true});
   }
 
@@ -552,6 +692,10 @@ std::string RenderSql(const QuerySpec& spec) {
   sql += " from " + spec.base_table + " " + spec.base_alias;
   for (const QuerySpec::Join& join : spec.joins) {
     if (!join.enabled) continue;
+    if (join.comma) {
+      sql += ", " + join.table + " " + join.alias;
+      continue;
+    }
     sql += join.left_outer ? " left outer join " : " join ";
     sql += join.table + " " + join.alias + " on " + join.on;
   }

@@ -16,12 +16,16 @@ struct QuerySpec {
     std::string sql;
     bool enabled = true;
   };
+  /// One FROM-clause table after the base: `JOIN ... ON`, `LEFT OUTER
+  /// JOIN ... ON`, or (`comma`) a new comma-separated FROM item whose join
+  /// predicates, if any, are WHERE conjuncts.
   struct Join {
     bool left_outer = false;
     std::string table;
     std::string alias;
-    std::string on;  // rendered ON condition
+    std::string on;  // rendered ON condition; empty for a comma item
     bool enabled = true;
+    bool comma = false;
   };
 
   bool distinct = false;
@@ -46,7 +50,11 @@ std::string RenderSql(const QuerySpec& spec);
 /// (difftest/dataset.h). Covers the paper's subquery taxonomy: correlated
 /// scalar subqueries (SELECT list and WHERE), EXISTS/NOT EXISTS, IN/NOT IN,
 /// quantified ANY/ALL, outer joins, scalar and vector GroupBy with HAVING,
-/// and SegmentApply-eligible self-correlations. Deterministic per seed.
+/// and SegmentApply-eligible self-correlations. A quarter of the queries
+/// list 3-5 tables in a comma FROM clause whose WHERE predicates form a
+/// chain, a star or a cycle, a disconnected pair, or inner joins beside a
+/// LEFT JOIN: the join graphs join enumeration reorders. Deterministic per
+/// seed.
 class QueryGenerator {
  public:
   explicit QueryGenerator(uint64_t seed) : state_(seed * 2 + 1) {}

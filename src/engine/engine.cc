@@ -191,7 +191,7 @@ std::string PlanOptionsKey(const EngineOptions& options) {
       n.remove_correlations, n.decorrelate_class2, n.simplify_outerjoins,
       n.pushdown_predicates, o.enable, o.reorder_groupby,
       o.reorder_groupby_outerjoin, o.local_aggregates, o.segment_apply,
-      o.correlated_reintroduction, o.join_commute,
+      o.correlated_reintroduction,
   };
   std::string key;
   key.reserve(sizeof(flags) + 4);

@@ -42,11 +42,13 @@ Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
   // The phases interact: pushdown exposes identity-(2) shapes to Apply
   // removal; Apply removal produces outerjoins for simplification, which in
   // turn unlocks further pushdown. Three rounds reach fixpoint on all the
-  // plan shapes this library generates.
+  // plan shapes this library generates; a round that returns the same root
+  // is the fixpoint (each pass returns an untouched tree as itself).
   RelExprPtr current = std::move(root);
   RelExprPtr before;
   int64_t start = 0;
   for (int round = 0; round < 3; ++round) {
+    const RelExprPtr round_start = current;
     if (options.pushdown_predicates) {
       before = current;
       start = PassStart(options);
@@ -66,6 +68,7 @@ Result<RelExprPtr> Normalize(RelExprPtr root, ColumnManager* columns,
       current = SimplifyOuterJoins(current);
       TracePhase(options, "oj_simplify", before, current, start);
     }
+    if (current == round_start) break;
   }
   if (options.pushdown_predicates) {
     before = current;

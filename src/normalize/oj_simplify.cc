@@ -32,12 +32,20 @@ struct Rejection {
   }
 };
 
+/// `node` over `children`: the node itself when every child came back
+/// unchanged, so an untouched tree returns as the same root.
+RelExprPtr WithChildren(const RelExprPtr& node,
+                        std::vector<RelExprPtr> children) {
+  if (children == node->children) return node;
+  return CloneWithChildren(*node, std::move(children));
+}
+
 RelExprPtr Simplify(const RelExprPtr& node, Rejection rejected) {
   switch (node->kind) {
     case RelKind::kSelect: {
       Rejection down = rejected;
       down.plain.AddAll(NullRejectedColumns(node->predicate));
-      return CloneWithChildren(*node, {Simplify(node->children[0], down)});
+      return WithChildren(node, {Simplify(node->children[0], down)});
     }
     case RelKind::kProject: {
       // Translate rejection on computed outputs to their strict inputs.
@@ -61,7 +69,7 @@ RelExprPtr Simplify(const RelExprPtr& node, Rejection rejected) {
           }
         }
       }
-      return CloneWithChildren(*node, {Simplify(node->children[0], down)});
+      return WithChildren(node, {Simplify(node->children[0], down)});
     }
     case RelKind::kGroupBy:
     case RelKind::kLocalGroupBy: {
@@ -88,7 +96,7 @@ RelExprPtr Simplify(const RelExprPtr& node, Rejection rejected) {
         }
       }
       down.guard = node->group_cols;
-      return CloneWithChildren(*node, {Simplify(node->children[0], down)});
+      return WithChildren(node, {Simplify(node->children[0], down)});
     }
     case RelKind::kJoin: {
       const RelExprPtr& left = node->children[0];
@@ -120,9 +128,12 @@ RelExprPtr Simplify(const RelExprPtr& node, Rejection rejected) {
       }
       // kLeftSemi/kLeftAnti: right side is not produced; kLeftOuter that
       // stayed outer: rejection does not pass into the null-supplying side.
-      RelExprPtr out =
-          CloneWithChildren(*node, {Simplify(left, left_down),
-                                    Simplify(node->children[1], right_down)});
+      std::vector<RelExprPtr> children = {
+          Simplify(left, left_down), Simplify(node->children[1], right_down)};
+      if (kind == node->join_kind) {
+        return WithChildren(node, std::move(children));
+      }
+      RelExprPtr out = CloneWithChildren(*node, std::move(children));
       out->join_kind = kind;
       return out;
     }
@@ -142,16 +153,19 @@ RelExprPtr Simplify(const RelExprPtr& node, Rejection rejected) {
       left_down.plain = rejected.plain.Intersect(left_cols);
       left_down.via_agg = rejected.via_agg.Intersect(left_cols);
       left_down.guard = rejected.guard;
-      RelExprPtr out = CloneWithChildren(
-          *node, {Simplify(left, left_down),
-                  Simplify(node->children[1], Rejection{})});
+      std::vector<RelExprPtr> children = {
+          Simplify(left, left_down),
+          Simplify(node->children[1], Rejection{})};
+      if (kind == node->apply_kind) {
+        return WithChildren(node, std::move(children));
+      }
+      RelExprPtr out = CloneWithChildren(*node, std::move(children));
       out->apply_kind = kind;
       return out;
     }
     case RelKind::kSort:
     case RelKind::kMax1row:
-      return CloneWithChildren(*node,
-                               {Simplify(node->children[0], rejected)});
+      return WithChildren(node, {Simplify(node->children[0], rejected)});
     case RelKind::kUnionAll: {
       std::vector<RelExprPtr> children;
       for (size_t i = 0; i < node->children.size(); ++i) {
@@ -166,14 +180,14 @@ RelExprPtr Simplify(const RelExprPtr& node, Rejection rejected) {
         }
         children.push_back(Simplify(node->children[i], down));
       }
-      return CloneWithChildren(*node, std::move(children));
+      return WithChildren(node, std::move(children));
     }
     default: {
       std::vector<RelExprPtr> children;
       for (const RelExprPtr& child : node->children) {
         children.push_back(Simplify(child, Rejection{}));
       }
-      return CloneWithChildren(*node, std::move(children));
+      return WithChildren(node, std::move(children));
     }
   }
 }

@@ -16,6 +16,30 @@ struct PlanEstimate {
   double cost = 0.0;
 };
 
+/// Selectivity the model gives a join conjunct other than a
+/// column = column equality.
+inline constexpr double kJoinResidualSelectivity = 0.4;
+
+/// Selectivity of a column = column join conjunct: one over the larger
+/// side's distinct count, each side's count capped by its estimated rows.
+double EquiJoinSelectivity(double left_distinct, double left_rows,
+                           double right_distinct, double right_rows);
+
+/// Work of one join operator over its inputs' estimates. With an equi key
+/// (`hash`) it probes the left input and builds the right; without one it
+/// nests over every pair. Both pay for every output row.
+double JoinOperatorCost(const PlanEstimate& left, const PlanEstimate& right,
+                        double out_rows, bool hash);
+
+/// The conjuncts of `predicate` that equate a column of the Get `get` to
+/// an expression over other columns: the key an index probe of `get`'s
+/// table would use (table ordinals), and how many other conjuncts remain.
+struct ProbeKeys {
+  std::vector<int> ordinals;
+  int residual = 0;
+};
+ProbeKeys MatchProbeKeys(const RelExpr& get, const ScalarExprPtr& predicate);
+
 /// Cardinality estimation + costing over logical trees. The model assumes
 /// the physical mapping of physical.cc: equi-joins hash, other joins nest,
 /// correlated applies re-execute their inner per outer row with index

@@ -6,6 +6,7 @@
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "opt/cost.h"
+#include "opt/join_order.h"
 #include "opt/rules.h"
 
 namespace orq {
@@ -20,6 +21,12 @@ class GreedyOptimizer {
         options_(options),
         cost_(catalog),
         rules_(BuildRuleSet(options)) {}
+
+  /// Join enumeration; shares the cost model (and its estimate cache)
+  /// with the rule search that follows.
+  RelExprPtr OrderJoins(const RelExprPtr& root) {
+    return orq::OrderJoins(root, columns_, &cost_, options_.trace);
+  }
 
   RelExprPtr Optimize(const RelExprPtr& node, int depth) {
     auto memo = memo_.find(node);
@@ -108,7 +115,7 @@ Result<RelExprPtr> OptimizeTree(RelExprPtr root, Catalog* catalog,
                                 const OptimizerOptions& options) {
   if (!options.enable) return root;
   GreedyOptimizer optimizer(catalog, columns, options);
-  return optimizer.Optimize(root, 0);
+  return optimizer.Optimize(optimizer.OrderJoins(root), 0);
 }
 
 }  // namespace orq

@@ -24,8 +24,6 @@ struct OptimizerOptions {
   bool segment_apply = true;
   /// Re-introduction of correlated execution (index-lookup-join, section 4).
   bool correlated_reintroduction = true;
-  /// Inner-join commutativity (hash build-side choice).
-  bool join_commute = true;
   /// Cap on greedy improvement recursion.
   int max_depth = 8;
   /// Optional rule-firing trace (obs/trace.h), not owned. Records each
@@ -33,12 +31,13 @@ struct OptimizerOptions {
   TraceLog* trace = nullptr;
 };
 
-/// Cost-guided transformation search: bottom-up greedy application of the
-/// paper's rules, keeping an alternative only when the cost model ranks it
-/// strictly cheaper. (A full Volcano/Cascades memo would explore the same
-/// rule set exhaustively; the greedy search finds the paper's plans on all
-/// evaluated queries at a fraction of the implementation and search cost —
-/// see DESIGN.md.)
+/// Cost-guided optimization: join enumeration over every inner-join
+/// cluster (opt/join_order.h), then bottom-up greedy application of the
+/// paper's rules on the reordered tree, keeping an alternative only when
+/// the cost model ranks it strictly cheaper. (A full Volcano/Cascades memo
+/// would explore the same rule set exhaustively; the greedy search finds
+/// the paper's plans on all evaluated queries at a fraction of the
+/// implementation and search cost — see DESIGN.md.)
 Result<RelExprPtr> OptimizeTree(RelExprPtr root, Catalog* catalog,
                                 ColumnManager* columns,
                                 const OptimizerOptions& options);

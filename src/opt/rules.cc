@@ -8,60 +8,76 @@ namespace orq {
 
 namespace {
 
-/// Inner-join commutativity: affects which side the hash join builds on.
-class JoinCommuteRule : public Rule {
- public:
-  const char* name() const override { return "JoinCommute"; }
-
-  std::vector<RelExprPtr> Apply(const RelExprPtr& node, ColumnManager*,
-                                CostModel*) const override {
-    if (node->kind != RelKind::kJoin ||
-        (node->join_kind != JoinKind::kInner &&
-         node->join_kind != JoinKind::kCross)) {
-      return {};
-    }
-    return {MakeJoin(node->join_kind, node->children[1], node->children[0],
-                     node->predicate)};
-  }
-};
-
 /// Re-introduction of correlated execution (paper section 4: "the simplest
 /// and most common being index-lookup-join"). Joins whose right side is a
 /// base-table access become Apply with the join predicate as a
 /// parameterized selection — profitable when the outer is small and an
-/// index serves the selection.
+/// index serves the selection. An inner join commutes, so its left side
+/// may become the parameterized one too: join enumeration orients each
+/// join for a hash build, and the index-lookup form may want the other
+/// side. That commuted form is offered only where an index serves it and
+/// the join keeps under half of that side's rows: a lookup that fetches
+/// most of a table reads it at random where the hash join scans it (2x
+/// slower on a whole-table fetch from TPC-H lineitem at SF 0.05-0.2).
 class CorrelatedReintroductionRule : public Rule {
  public:
   const char* name() const override { return "CorrelatedReintroduction"; }
 
   std::vector<RelExprPtr> Apply(const RelExprPtr& node, ColumnManager*,
-                                CostModel*) const override {
+                                CostModel* cost) const override {
+    if (node->kind != RelKind::kJoin || IsTrueLiteral(node->predicate)) {
+      return {};
+    }
+    ApplyKind kind = ApplyKind::kCross;
+    switch (node->join_kind) {
+      case JoinKind::kInner: break;
+      case JoinKind::kLeftOuter: kind = ApplyKind::kOuter; break;
+      case JoinKind::kLeftSemi: kind = ApplyKind::kSemi; break;
+      case JoinKind::kLeftAnti: kind = ApplyKind::kAnti; break;
+      default: return {};
+    }
     std::vector<RelExprPtr> out;
-    if (node->kind == RelKind::kJoin) {
-      const RelExprPtr& right = node->children[1];
-      if (!SimpleInner(right)) return {};
-      if (IsTrueLiteral(node->predicate)) return {};
-      ApplyKind kind;
-      switch (node->join_kind) {
-        case JoinKind::kInner: kind = ApplyKind::kCross; break;
-        case JoinKind::kLeftOuter: kind = ApplyKind::kOuter; break;
-        case JoinKind::kLeftSemi: kind = ApplyKind::kSemi; break;
-        case JoinKind::kLeftAnti: kind = ApplyKind::kAnti; break;
-        default: return {};
+    if (SimpleInner(node->children[1])) {
+      out.push_back(MakeApply(kind, node->children[0],
+                              Parameterize(node->children[1],
+                                           node->predicate)));
+    }
+    if (node->join_kind == JoinKind::kInner &&
+        SimpleInner(node->children[0]) &&
+        cost->Estimate(node).rows <
+            0.5 * cost->Estimate(node->children[0]).rows) {
+      RelExprPtr inner = Parameterize(node->children[0], node->predicate);
+      if (IndexServes(inner)) {
+        out.push_back(
+            MakeApply(kind, node->children[1], std::move(inner)));
       }
-      // Merge into an existing selection so index detection (which looks
-      // for Select-over-Get) sees a single predicate.
-      RelExprPtr inner =
-          right->kind == RelKind::kSelect
-              ? MakeSelect(right->children[0],
-                           MakeAnd2(node->predicate, right->predicate))
-              : MakeSelect(right, node->predicate);
-      out.push_back(MakeApply(kind, node->children[0], std::move(inner)));
     }
     return out;
   }
 
  private:
+  /// The join predicate as a selection on `side`, merged into an existing
+  /// selection so index detection (which looks for Select-over-Get) sees
+  /// a single predicate.
+  static RelExprPtr Parameterize(const RelExprPtr& side,
+                                 const ScalarExprPtr& predicate) {
+    return side->kind == RelKind::kSelect
+               ? MakeSelect(side->children[0],
+                            MakeAnd2(predicate, side->predicate))
+               : MakeSelect(side, predicate);
+  }
+
+  /// True when an index of the table under `select` matches exactly the
+  /// columns its predicate equates to outer expressions — the shape the
+  /// cost model prices as an index probe.
+  static bool IndexServes(const RelExprPtr& select) {
+    const RelExprPtr& get = select->children[0];
+    if (get->kind != RelKind::kGet) return false;
+    const ProbeKeys keys = MatchProbeKeys(*get, select->predicate);
+    return !keys.ordinals.empty() &&
+           get->table->FindIndex(keys.ordinals) != nullptr;
+  }
+
   /// Base table, possibly filtered — the shapes IndexSeek can serve.
   static bool SimpleInner(const RelExprPtr& node) {
     if (node->kind == RelKind::kGet) return true;
@@ -124,10 +140,6 @@ class CorrelatedAggregateRule : public Rule {
 
 }  // namespace
 
-std::unique_ptr<Rule> MakeJoinCommuteRule() {
-  return std::make_unique<JoinCommuteRule>();
-}
-
 std::unique_ptr<Rule> MakeCorrelatedReintroductionRule() {
   return std::make_unique<CorrelatedReintroductionRule>();
 }
@@ -135,9 +147,6 @@ std::unique_ptr<Rule> MakeCorrelatedReintroductionRule() {
 std::vector<std::unique_ptr<Rule>> BuildRuleSet(
     const OptimizerOptions& options) {
   std::vector<std::unique_ptr<Rule>> rules;
-  if (options.join_commute) {
-    rules.push_back(MakeJoinCommuteRule());
-  }
   if (options.reorder_groupby) {
     rules.push_back(MakeGroupByPushBelowJoinRule());
     rules.push_back(MakeGroupByPullAboveJoinRule());

@@ -23,13 +23,12 @@ class Rule {
 };
 
 /// Instantiates the rule set enabled by `options`. Rules defined across
-/// rules.cc (commutativity, correlated re-introduction),
+/// rules.cc (correlated re-introduction),
 /// groupby_rules.cc (sections 3.1-3.3) and segment_rules.cc (section 3.4).
 std::vector<std::unique_ptr<Rule>> BuildRuleSet(
     const OptimizerOptions& options);
 
 // Individual factories (exposed for targeted tests).
-std::unique_ptr<Rule> MakeJoinCommuteRule();
 std::unique_ptr<Rule> MakeCorrelatedReintroductionRule();
 std::unique_ptr<Rule> MakeGroupByPushBelowJoinRule();
 std::unique_ptr<Rule> MakeGroupByPullAboveJoinRule();

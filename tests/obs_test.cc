@@ -16,6 +16,7 @@
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "tpch/tpch_gen.h"
+#include "tpch/tpch_queries.h"
 
 namespace orq {
 namespace {
@@ -148,6 +149,19 @@ TEST_F(ObsTest, TraceRecordsApplyRemovalSequence) {
     }
   }
   EXPECT_TRUE(saw_apply_removal);
+}
+
+// A pass that leaves the tree alone returns it as the same root, so it
+// records no phase event: Q1 has no outer join, and outer-join
+// simplification must not show up in its trace.
+TEST_F(ObsTest, TraceOmitsPassesThatChangeNothing) {
+  QueryEngine engine(&catalog_);
+  Result<AnalyzedQuery> analyzed =
+      engine.ExecuteAnalyzed(GetTpchQuery("Q1").sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  for (const TraceEvent& event : analyzed->trace.events()) {
+    EXPECT_NE(event.rule, "oj_simplify");
+  }
 }
 
 // Optimizer firings carry cost-before/cost-after; accepted rules must

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/expr_util.h"
+#include "algebra/printer.h"
 #include "engine/engine.h"
 #include "tests/test_util.h"
 #include "tpch/tpch_gen.h"
@@ -202,6 +203,79 @@ TEST(TpchShapes, Q16NotInRunsAsNullAwareHashJoin) {
   EXPECT_NE(explain->find("HashJoin(null-aware-anti)"), std::string::npos)
       << *explain;
   EXPECT_EQ(explain->find("NestedLoopsJoin"), std::string::npos) << *explain;
+}
+
+RelExprPtr OptimizedTpch(const std::string& query_id) {
+  QueryEngine engine(SharedTpch(), EngineOptions::Full());
+  Result<QueryEngine::Compiled> compiled =
+      engine.Compile(GetTpchQuery(query_id).sql);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  return compiled.ok() ? compiled->optimized : nullptr;
+}
+
+int CountTable(const RelExprPtr& node, const std::string& table) {
+  int n = node->kind == RelKind::kGet && node->table->name() == table;
+  for (const RelExprPtr& child : node->children) {
+    n += CountTable(child, table);
+  }
+  return n;
+}
+
+bool HoldsGroupBy(const RelExprPtr& node) {
+  if (node->kind == RelKind::kGroupBy) return true;
+  for (const RelExprPtr& child : node->children) {
+    if (HoldsGroupBy(child)) return true;
+  }
+  return false;
+}
+
+/// The deepest node of `node`'s subtree for which `holds` is true, given
+/// that it holds at `node`.
+template <typename Pred>
+RelExprPtr Deepest(const RelExprPtr& node, Pred holds) {
+  for (const RelExprPtr& child : node->children) {
+    if (holds(child)) return Deepest(child, holds);
+  }
+  return node;
+}
+
+// Join order comes from the enumerator, not the FROM list (part, supplier,
+// partsupp, ...): Q2 never cross-joins part with supplier.
+TEST(TpchShapes, Q2HasNoInnerNestedLoopsJoin) {
+  QueryEngine engine(SharedTpch(), EngineOptions::Full());
+  Result<std::string> explain = engine.Explain(GetTpchQuery("Q2").sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->find("NestedLoopsJoin(inner)"), std::string::npos)
+      << *explain;
+}
+
+// Q21 lists nation last; its one-row filter joins supplier before any
+// lineitem rows are read.
+TEST(TpchShapes, Q21JoinsNationBeforeLineitem) {
+  RelExprPtr q21 = OptimizedTpch("Q21");
+  ASSERT_NE(q21, nullptr);
+  RelExprPtr joined = Deepest(q21, [](const RelExprPtr& n) {
+    return CountTable(n, "nation") > 0 && CountTable(n, "supplier") > 0;
+  });
+  EXPECT_EQ(CountTable(joined, "lineitem"), 0)
+      << PrintRelTree(*q21, nullptr);
+}
+
+// Q18's IN (... HAVING ...) filter runs on orders, below the join that
+// brings in the outer lineitem rows: the smallest subtree holding orders
+// and the HAVING aggregate reads lineitem only inside that aggregate.
+TEST(TpchShapes, Q18SemiJoinRunsOnOrdersBelowLineitemJoin) {
+  RelExprPtr q18 = OptimizedTpch("Q18");
+  ASSERT_NE(q18, nullptr);
+  // Below the query's own GroupBy, the topmost one.
+  RelExprPtr body = q18;
+  while (body->kind != RelKind::kGroupBy) body = body->children[0];
+  body = body->children[0];
+  RelExprPtr filtered = Deepest(body, [](const RelExprPtr& n) {
+    return CountTable(n, "orders") > 0 && HoldsGroupBy(n);
+  });
+  EXPECT_EQ(CountTable(filtered, "lineitem"), 1)
+      << PrintRelTree(*q18, nullptr);
 }
 
 TEST(TpchData, GeneratorIsDeterministic) {
