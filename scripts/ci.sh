@@ -202,6 +202,11 @@ echo "=== ASan+UBSan build + tests ==="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "${JOBS}"
 ctest --preset asan -j "${JOBS}"
+# The typed string scatter and Table::Append's row check under ASan, over
+# the generator's CASE, UNION ALL and mixed-arithmetic shapes.
+ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
+UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
+  build-asan/tools/difftest --seed 11 --queries 500 --reference-exec row
 
 if [ "${ORQ_CI_TSAN:-0}" = "1" ]; then
   echo "=== TSan build + parallel-execution tests ==="

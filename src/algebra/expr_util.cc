@@ -339,6 +339,8 @@ std::string ScalarToString(const ScalarExprPtr& expr,
              ScalarToString(expr->children[1], mgr) + ")";
     case ScalarKind::kNegate:
       return "(-" + ScalarToString(expr->children[0], mgr) + ")";
+    case ScalarKind::kCast:
+      return "double(" + ScalarToString(expr->children[0], mgr) + ")";
     case ScalarKind::kIsNull:
       return ScalarToString(expr->children[0], mgr) + " IS NULL";
     case ScalarKind::kIsNotNull:

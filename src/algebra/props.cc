@@ -340,6 +340,7 @@ bool ExprNullOnNull(const ScalarExprPtr& expr, const ColumnSet& null_cols) {
       }
       return false;
     case ScalarKind::kNegate:
+    case ScalarKind::kCast:
     case ScalarKind::kNot:
       return ExprNullOnNull(expr->children[0], null_cols);
     case ScalarKind::kInList:

@@ -75,7 +75,10 @@ DataType ArithResultType(ArithOp op, DataType l, DataType r) {
     if (l == DataType::kInt64 && r == DataType::kInt64) return DataType::kInt64;
     return DataType::kDouble;
   }
-  // date +/- int -> date
+  // date - date -> int64 days; date +/- int -> date
+  if (op == ArithOp::kSub && l == DataType::kDate && r == DataType::kDate) {
+    return DataType::kInt64;
+  }
   if (l == DataType::kDate || r == DataType::kDate) return DataType::kDate;
   if (l == DataType::kDouble || r == DataType::kDouble) {
     return DataType::kDouble;
@@ -151,6 +154,15 @@ ScalarExprPtr MakeIsNotNull(ScalarExprPtr e) {
 ScalarExprPtr MakeNegate(ScalarExprPtr e) {
   DataType type = e->type;
   return NewNode(ScalarKind::kNegate, {std::move(e)}, type);
+}
+
+ScalarExprPtr MakeCast(ScalarExprPtr e) {
+  if (e->kind == ScalarKind::kLiteral) {
+    return e->literal.is_null()
+               ? LitNull(DataType::kDouble)
+               : LitDouble(static_cast<double>(e->literal.int64_value()));
+  }
+  return NewNode(ScalarKind::kCast, {std::move(e)}, DataType::kDouble);
 }
 
 ScalarExprPtr MakeLike(ScalarExprPtr value, ScalarExprPtr pattern) {

@@ -26,6 +26,7 @@ enum class ScalarKind {
   kCompare,      // binary, with CompareOp
   kArith,        // binary, with ArithOp
   kNegate,       // unary minus
+  kCast,         // int64 -> double widening; `type` is kDouble
   kIsNull,
   kIsNotNull,
   kLike,         // children: value, pattern
@@ -92,6 +93,9 @@ ScalarExprPtr MakeNot(ScalarExprPtr e);
 ScalarExprPtr MakeIsNull(ScalarExprPtr e);
 ScalarExprPtr MakeIsNotNull(ScalarExprPtr e);
 ScalarExprPtr MakeNegate(ScalarExprPtr e);
+/// Widens an int64 expression to double; a literal folds to a double
+/// literal.
+ScalarExprPtr MakeCast(ScalarExprPtr e);
 ScalarExprPtr MakeLike(ScalarExprPtr value, ScalarExprPtr pattern);
 /// n-ary AND; returns TRUE literal when empty, the sole child when unary.
 ScalarExprPtr MakeAnd(std::vector<ScalarExprPtr> conjuncts);

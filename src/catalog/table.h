@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "catalog/index.h"
+#include "common/key_table.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/value.h"
@@ -36,7 +37,11 @@ class Table {
   /// Ordinal of a column by (case-insensitive) name, or -1.
   int ColumnOrdinal(const std::string& name) const;
 
-  /// Appends a row; the row must match the schema arity.
+  /// Appends a row; the row must match the schema arity, and every
+  /// non-NULL value the column's declared type. An int64 in a double
+  /// column widens to double. Any other mismatch, or a string that would
+  /// take its column's arena past uint32 offsets, is InvalidArgument, and
+  /// the table is left unchanged.
   Status Append(Row row);
 
   /// Declares the primary key (column ordinals). Keys feed the optimizer's
@@ -55,37 +60,14 @@ class Table {
     return unique_keys_;
   }
 
-  /// One table column as a contiguous typed array, the storage behind
-  /// every reader: zero-copy columnar scans view it, row readers decode
-  /// cells from it with GetValue. Dates/bools/int64s share the
-  /// int64 array; strings are an arena plus absolute offsets. A column
-  /// whose values ever disagree with the declared type — or whose string
-  /// arena would outgrow uint32 offsets — falls back to boxed `vals`
-  /// (mixed = true); correctness never depends on the typed form. Every
-  /// array holds one entry per row (offsets one more).
-  struct ColumnChunk {
-    DataType type = DataType::kInt64;
-    bool mixed = false;
-    bool any_null = false;
-    std::vector<int64_t> ints;
-    std::vector<double> doubles;
-    std::string chars;
-    std::vector<uint32_t> offsets;  // rows + 1, absolute into chars
-    std::vector<Value> vals;        // boxed fallback when mixed
-    std::vector<uint8_t> nulls;     // non-zero = NULL
+  /// The columns' storage, one TypedColumn per column (entry i is row i),
+  /// behind every reader: zero-copy columnar scans view it, row readers
+  /// decode cells from it. References stay valid until the next Append.
+  const std::vector<TypedColumn>& ColumnarChunks() const { return chunks_; }
 
-    /// Decodes the cell at `row`. A NULL reads back as Value::Null(type);
-    /// any other boxed value reads back as appended.
-    Value GetValue(size_t row) const;
-  };
-
-  /// The column chunks, one per column. References stay valid until the
-  /// next Append.
-  const std::vector<ColumnChunk>& ColumnarChunks() const { return chunks_; }
-
-  /// Decodes one cell (ColumnChunk::GetValue).
+  /// Decodes one cell; a NULL reads back as Value::Null(declared type).
   Value CellAt(size_t row, size_t col) const {
-    return chunks_[col].GetValue(row);
+    return chunks_[col].Get(static_cast<uint32_t>(row));
   }
 
   /// Builds (or rebuilds) a hash index over the given ordinals. Indexes
@@ -102,7 +84,7 @@ class Table {
  private:
   std::string name_;
   std::vector<ColumnSpec> columns_;
-  std::vector<ColumnChunk> chunks_;
+  std::vector<TypedColumn> chunks_;
   size_t num_rows_ = 0;
   std::vector<int> primary_key_;
   std::vector<std::vector<int>> unique_keys_;

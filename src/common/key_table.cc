@@ -12,14 +12,6 @@ namespace {
 constexpr size_t kMinSlots = 16;
 constexpr size_t kKeepSlots = 4096;
 
-Value IntValue(DataType type, int64_t v) {
-  switch (type) {
-    case DataType::kBool: return Value::Bool(v != 0);
-    case DataType::kDate: return Value::Date(static_cast<int32_t>(v));
-    default: return Value::Int64(v);
-  }
-}
-
 /// Double group equality: -0.0 == 0.0 and every NaN equals every NaN.
 bool SameDouble(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
@@ -27,19 +19,17 @@ bool SameDouble(double a, double b) {
 
 }  // namespace
 
-Value KeyColumn::Get(uint32_t id) const {
-  if (rep_ == ColumnRep::kValues) return vals_[id];
+Value TypedColumn::Get(uint32_t id) const {
   if (nulls_[id] != 0) return Value::Null(type_);
   switch (rep_) {
     case ColumnRep::kInts: return IntValue(type_, ints_[id]);
     case ColumnRep::kDoubles: return Value::Double(doubles_[id]);
     case ColumnRep::kStrings: return Value::String(std::string(StrAt(id)));
-    default: return vals_[id];
   }
+  return Value::Null(type_);
 }
 
-bool KeyColumn::EqualsValue(uint32_t id, const Value& v) const {
-  if (rep_ == ColumnRep::kValues) return vals_[id].GroupEquals(v);
+bool TypedColumn::EqualsValue(uint32_t id, const Value& v) const {
   const bool null = nulls_[id] != 0;
   if (null || v.is_null()) return null == v.is_null();
   if (v.type() == type_) {
@@ -48,17 +38,16 @@ bool KeyColumn::EqualsValue(uint32_t id, const Value& v) const {
       case ColumnRep::kDoubles:
         return SameDouble(doubles_[id], v.double_value());
       case ColumnRep::kStrings: return StrAt(id) == v.string_value();
-      default: break;
     }
   }
   return Get(id).GroupEquals(v);
 }
 
-bool KeyColumn::Accept(DataType type) {
-  if (rep_ == ColumnRep::kValues) return false;
+bool TypedColumn::Accept(DataType type) {
   if (typed_) {
     if (type == type_) return true;
-    Box();
+    Fail(Status::Internal("a value of type " + DataTypeName(type) +
+                          " in a " + DataTypeName(type_) + " column"));
     return false;
   }
   // The first non-NULL value: retype the all-NULL prefix.
@@ -80,62 +69,46 @@ bool KeyColumn::Accept(DataType type) {
   return true;
 }
 
-void KeyColumn::Box() {
-  vals_.clear();
-  vals_.reserve(nulls_.size());
-  for (uint32_t id = 0; id < size(); ++id) vals_.push_back(Get(id));
-  rep_ = ColumnRep::kValues;
-  ints_.clear();
-  doubles_.clear();
-  chars_.clear();
-  offsets_.assign(1, 0);
+void TypedColumn::Fail(Status status) {
+  if (status_.ok()) status_ = std::move(status);
+  AppendNull();
 }
 
-void KeyColumn::AppendNull() {
+void TypedColumn::AppendNull() {
   any_null_ = true;
   nulls_.push_back(1);
   switch (rep_) {
     case ColumnRep::kInts: ints_.push_back(0); break;
     case ColumnRep::kDoubles: doubles_.push_back(0.0); break;
     case ColumnRep::kStrings: offsets_.push_back(offsets_.back()); break;
-    case ColumnRep::kValues: vals_.push_back(Value::Null(type_)); break;
   }
 }
 
-void KeyColumn::AppendInt(DataType type, int64_t v) {
-  if (Accept(type)) {
-    ints_.push_back(v);
-  } else {
-    vals_.push_back(IntValue(type, v));
-  }
+void TypedColumn::AppendInt(DataType type, int64_t v) {
+  if (!Accept(type)) return;
+  ints_.push_back(v);
   nulls_.push_back(0);
 }
 
-void KeyColumn::AppendDouble(double v) {
-  if (Accept(DataType::kDouble)) {
-    doubles_.push_back(v);
-  } else {
-    vals_.push_back(Value::Double(v));
-  }
+void TypedColumn::AppendDouble(double v) {
+  if (!Accept(DataType::kDouble)) return;
+  doubles_.push_back(v);
   nulls_.push_back(0);
 }
 
-void KeyColumn::AppendStr(std::string_view s) {
-  // Offsets are uint32 (zero-copy string views need them so); an arena
-  // that would pass UINT32_MAX continues boxed.
-  if (Accept(DataType::kString) && chars_.size() + s.size() > UINT32_MAX) {
-    Box();
+void TypedColumn::AppendStr(std::string_view s) {
+  if (!Accept(DataType::kString)) return;
+  // Offsets are uint32 (zero-copy string views need them so).
+  if (chars_.size() + s.size() > UINT32_MAX) {
+    return Fail(
+        Status::RuntimeError("a string column outgrew its 4 GiB arena"));
   }
-  if (rep_ == ColumnRep::kStrings) {
-    chars_.append(s.data(), s.size());
-    offsets_.push_back(static_cast<uint32_t>(chars_.size()));
-  } else {
-    vals_.push_back(Value::String(std::string(s)));
-  }
+  chars_.append(s.data(), s.size());
+  offsets_.push_back(static_cast<uint32_t>(chars_.size()));
   nulls_.push_back(0);
 }
 
-void KeyColumn::AppendValue(const Value& v) {
+void TypedColumn::AppendValue(const Value& v) {
   if (v.is_null()) return AppendNull();
   switch (v.type()) {
     case DataType::kDouble: return AppendDouble(v.double_value());
@@ -144,11 +117,10 @@ void KeyColumn::AppendValue(const Value& v) {
   }
 }
 
-void KeyColumn::AppendFrom(const KeyColumn& src) {
+void TypedColumn::AppendFrom(const TypedColumn& src) {
+  if (!src.status_.ok() && status_.ok()) status_ = src.status_;
   for (uint32_t id = 0; id < src.size(); ++id) {
-    if (src.rep_ == ColumnRep::kValues) {
-      AppendValue(src.vals_[id]);
-    } else if (src.IsNull(id)) {
+    if (src.IsNull(id)) {
       AppendNull();
     } else if (src.rep_ == ColumnRep::kInts) {
       AppendInt(src.type_, src.ints_[id]);
@@ -160,7 +132,7 @@ void KeyColumn::AppendFrom(const KeyColumn& src) {
   }
 }
 
-void KeyColumn::Clear(DataType type) {
+void TypedColumn::Clear(DataType type) {
   type_ = type;
   rep_ = RepForType(type);
   typed_ = false;
@@ -169,15 +141,19 @@ void KeyColumn::Clear(DataType type) {
   doubles_.clear();
   chars_.clear();
   offsets_.assign(1, 0);
-  vals_.clear();
   nulls_.clear();
+  status_ = Status::OK();
 }
 
-size_t KeyColumn::MemoryBytes() const {
+size_t TypedColumn::MemoryBytes() const {
   return ints_.capacity() * sizeof(int64_t) +
          doubles_.capacity() * sizeof(double) + chars_.capacity() +
-         offsets_.capacity() * sizeof(uint32_t) +
-         vals_.capacity() * sizeof(Value) + nulls_.capacity();
+         offsets_.capacity() * sizeof(uint32_t) + nulls_.capacity();
+}
+
+Status KeyTable::status() const {
+  for (const TypedColumn& col : cols_) ORQ_RETURN_IF_ERROR(col.status());
+  return Status::OK();
 }
 
 void KeyTable::Reset(size_t width) {
@@ -187,7 +163,7 @@ void KeyTable::Reset(size_t width) {
     cols_.clear();
   }
   cols_.resize(width);
-  for (KeyColumn& col : cols_) col.Clear();
+  for (TypedColumn& col : cols_) col.Clear();
   hashes_.clear();
   InitSlots(kMinSlots);
 }
@@ -239,7 +215,7 @@ uint32_t KeyTable::InsertFrom(const KeyTable& src, uint32_t src_id,
 size_t KeyTable::MemoryBytes() const {
   size_t bytes = slots_.capacity() * sizeof(Slot) +
                  hashes_.capacity() * sizeof(size_t);
-  for (const KeyColumn& col : cols_) bytes += col.MemoryBytes();
+  for (const TypedColumn& col : cols_) bytes += col.MemoryBytes();
   return bytes;
 }
 

@@ -7,16 +7,22 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
 
 namespace orq {
 
-/// One key column of a KeyTable: entry `id`'s value, stored densely and
-/// typed. The first non-NULL value fixes the column's type; a later value
-/// of another tag boxes the column into kValues (exact tags preserved), so
-/// a wrong guess costs speed, never correctness. NULL entries live in the
-/// per-entry null bytes; the typed array holds a zero there.
-class KeyColumn {
+/// One column of values, stored densely and typed: a table column, a
+/// KeyTable key column, a hash-join build's payload column. Entry `id` is
+/// the id-th value appended. The first non-NULL value fixes the column's
+/// type. NULL entries live in the per-entry null bytes; the typed array
+/// holds a zero there.
+///
+/// An append the typed form cannot hold — a value of another type, or a
+/// string that would take the arena past uint32 offsets — stores a NULL
+/// in its place and fails the column: status() reports it, and the
+/// operator filling the column fails the query at its batch boundary.
+class TypedColumn {
  public:
   DataType type() const { return type_; }
   ColumnRep rep() const { return rep_; }
@@ -30,15 +36,14 @@ class KeyColumn {
     return std::string_view(chars_.data() + offsets_[id],
                             offsets_[id + 1] - offsets_[id]);
   }
-  const Value& ValAt(uint32_t id) const { return vals_[id]; }
 
   /// Raw arrays, for zero-copy column views. Offsets are absolute into
   /// chars() (size() + 1 of them).
   const int64_t* ints() const { return ints_.data(); }
   const double* doubles() const { return doubles_.data(); }
   const char* chars() const { return chars_.data(); }
+  size_t ArenaBytes() const { return chars_.size(); }
   const uint32_t* offsets() const { return offsets_.data(); }
-  const Value* vals() const { return vals_.data(); }
   const uint8_t* nulls() const { return nulls_.data(); }
 
   /// Entry `id` as a Value (NULLs come back as Value::Null(type())).
@@ -53,19 +58,21 @@ class KeyColumn {
   void AppendStr(std::string_view s);
   void AppendValue(const Value& v);
   /// Appends every entry of `src`, in order.
-  void AppendFrom(const KeyColumn& src);
+  void AppendFrom(const TypedColumn& src);
 
   /// Empties the column. `type` is what an all-NULL column reports (a
   /// declared type); the first non-NULL value still fixes the real one.
   void Clear(DataType type = DataType::kInt64);
   size_t MemoryBytes() const;
+  /// OK, or why an append failed since the last Clear.
+  const Status& status() const { return status_; }
 
  private:
   /// Prepares a typed append of a non-NULL `type` value: adopts the type
-  /// on the first one, and boxes the column on a mismatch. True when the
-  /// caller appends to the typed array, false when it must append a Value.
+  /// on the first one. False on a mismatch, after failing the column and
+  /// storing a NULL in the entry's place.
   bool Accept(DataType type);
-  void Box();
+  void Fail(Status status);
 
   DataType type_ = DataType::kInt64;
   ColumnRep rep_ = ColumnRep::kInts;
@@ -75,8 +82,8 @@ class KeyColumn {
   std::vector<double> doubles_;
   std::string chars_;
   std::vector<uint32_t> offsets_{0};
-  std::vector<Value> vals_;
   std::vector<uint8_t> nulls_;
+  Status status_;
 };
 
 /// The one keyed hash table: a flat open-addressing table over composite
@@ -85,7 +92,7 @@ class KeyColumn {
 /// insertion order. Hash aggregation uses the ids as group ids, KeyBuckets
 /// as bucket ids.
 ///
-/// Keys are stored column-major and typed (KeyColumn), with each entry's
+/// Keys are stored column-major and typed (TypedColumn), with each entry's
 /// precomputed hash, which must be RowHash-compatible: RowHash{}(key row),
 /// or its column-wise equal (InitKeyHashes/HashCombineColumn), so a key
 /// inserted from a Row and a probe read from columns meet. Each
@@ -107,8 +114,8 @@ class KeyTable {
   size_t width() const { return cols_.size(); }
   /// Number of distinct keys; ids run 0..size()-1.
   uint32_t size() const { return static_cast<uint32_t>(hashes_.size()); }
-  const KeyColumn& col(size_t k) const { return cols_[k]; }
-  KeyColumn& mutable_col(size_t k) { return cols_[k]; }
+  const TypedColumn& col(size_t k) const { return cols_[k]; }
+  TypedColumn& mutable_col(size_t k) { return cols_[k]; }
   size_t hash(uint32_t id) const { return hashes_[id]; }
 
   /// The id of the key hashing to `hash` for which `eq(id)` holds, or
@@ -154,6 +161,8 @@ class KeyTable {
   uint32_t InsertFrom(const KeyTable& src, uint32_t id, bool* inserted);
 
   Value KeyAt(uint32_t id, size_t k) const { return cols_[k].Get(id); }
+  /// OK, or the first failed key column's status (TypedColumn::status).
+  Status status() const;
 
   /// Calls f(probe length) for every entry: the number of slots a lookup
   /// of that key inspects (1 = found in its home slot).
@@ -182,7 +191,7 @@ class KeyTable {
   void Grow();
   void InitSlots(size_t capacity);
 
-  std::vector<KeyColumn> cols_;
+  std::vector<TypedColumn> cols_;
   std::vector<size_t> hashes_;  // by id
   std::vector<Slot> slots_;
   size_t mask_ = 0;

@@ -59,9 +59,9 @@ inline int CompareDoubles(double a, double b) {
 }
 
 /// Element hashes behind Value::Hash, inline so that column-wise hashing
-/// (HashRef, HashCombineColumn's typed loops) and Value::Hash are one
-/// definition. Consistent with GroupEquals: Int64(3) and Double(3.0)
-/// hash alike, -0.0 like 0.0, every NaN alike, every NULL alike.
+/// (HashCombineColumn's typed loops) and Value::Hash are one definition.
+/// Consistent with GroupEquals: Int64(3) and Double(3.0) hash alike,
+/// -0.0 like 0.0, every NaN alike, every NULL alike.
 inline constexpr size_t kNullHash = 0x6e756c6cull;
 inline constexpr size_t kNanHash = 0x7fff8e8eull;
 
@@ -110,17 +110,15 @@ inline bool IsNumeric(DataType type) {
 }
 
 /// Physical representation of a column of values (a ColumnBatch column,
-/// a KeyTable key column).
+/// a KeyTable key column). Every non-NULL value of a column carries the
+/// column's declared type, so the type alone picks the representation.
 ///
 ///   kInts     — bool / int64 / date, one int64 per row.
 ///   kDoubles  — double, one double per row.
 ///   kStrings  — offset + arena: offsets[i]..offsets[i+1] into `chars`
 ///               (n + 1 offsets, monotone; absolute, so a view may start
 ///               at any row of a larger arena).
-///   kValues   — boxed fallback: one Value per row. Used for columns with
-///               mixed tags (a CASE that yields int64 on one branch and
-///               double on another) and for per-row-evaluated results.
-enum class ColumnRep : uint8_t { kInts, kDoubles, kStrings, kValues };
+enum class ColumnRep : uint8_t { kInts, kDoubles, kStrings };
 
 /// The typed representation a column of `type` uses.
 inline ColumnRep RepForType(DataType type) {
@@ -225,6 +223,16 @@ class Value {
   double double_ = 0.0;   // kDouble payload
   std::string string_;    // kString payload
 };
+
+/// The bool, int64 or date `type` value whose int64 payload is `v` (the
+/// kInts representation's decode).
+inline Value IntValue(DataType type, int64_t v) {
+  switch (type) {
+    case DataType::kBool: return Value::Bool(v != 0);
+    case DataType::kDate: return Value::Date(static_cast<int32_t>(v));
+    default: return Value::Int64(v);
+  }
+}
 
 /// Rows are flat vectors of values; operators address them positionally.
 using Row = std::vector<Value>;

@@ -83,9 +83,9 @@ void CheckPlanCache(QueryEngine& engine, const std::string& sql,
   }
   const QueryResult& a = cold.value();
   const QueryResult& b = hot->result;
-  if (a.column_names != b.column_names) {
+  if (a.column_names != b.column_names || a.column_types != b.column_types) {
     report->plan_cache_divergences.push_back(
-        tag + ": cached column names differ  sql: " + sql);
+        tag + ": cached column names or types differ  sql: " + sql);
     return;
   }
   if (a.rows.size() != b.rows.size()) {
@@ -207,7 +207,8 @@ Result<HarnessReport> RunDifftest(const HarnessOptions& options) {
         ++report.timeout_tolerated;
         break;
       case Verdict::kResultMismatch:
-      case Verdict::kErrorMismatch: {
+      case Verdict::kErrorMismatch:
+      case Verdict::kTypeMismatch: {
         HarnessReport::Failure failure;
         failure.query_index = i;
         failure.original_sql = sql;

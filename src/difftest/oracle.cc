@@ -25,6 +25,7 @@ const char* VerdictName(Verdict v) {
     case Verdict::kTimeoutTolerated: return "timeout-tolerated";
     case Verdict::kResultMismatch: return "RESULT-MISMATCH";
     case Verdict::kErrorMismatch: return "ERROR-MISMATCH";
+    case Verdict::kTypeMismatch: return "TYPE-MISMATCH";
   }
   return "?";
 }
@@ -71,6 +72,18 @@ std::string CanonicalRow(const Row& row) {
     AppendCanonicalValue(row[i], &out);
   }
   return out;
+}
+
+std::string CheckColumnTypes(const QueryResult& result) {
+  for (const Row& row : result.rows) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (row[c].is_null() || row[c].type() == result.column_types[c]) continue;
+      return "column " + std::to_string(c) + " (" +
+             DataTypeName(result.column_types[c]) + ") holds " +
+             DataTypeName(row[c].type()) + " " + CanonicalRow({row[c]});
+    }
+  }
+  return "";
 }
 
 std::vector<std::string> CanonicalBag(const QueryResult& result) {
@@ -150,6 +163,15 @@ DualOutcome DualOracle::Run(const std::string& sql) {
     return out;
   }
 
+  for (const auto& [side, result] :
+       {std::pair{"naive", &*naive}, std::pair{"full", &*full}}) {
+    std::string mismatch = CheckColumnTypes(*result);
+    if (!mismatch.empty()) {
+      out.verdict = Verdict::kTypeMismatch;
+      out.detail = std::string(side) + ": " + mismatch;
+      return out;
+    }
+  }
   out.naive_bag = CanonicalBag(*naive);
   out.full_bag = CanonicalBag(*full);
   if (out.naive_bag == out.full_bag) {

@@ -33,11 +33,19 @@ enum class Verdict {
   kResultMismatch,
   /// One side succeeded and the other failed (non-cardinality error).
   kErrorMismatch,
+  /// A side returned a non-NULL value whose type is not its column's
+  /// bound type (QueryResult::column_types).
+  kTypeMismatch,
 };
 
 inline bool IsDivergence(Verdict v) {
-  return v == Verdict::kResultMismatch || v == Verdict::kErrorMismatch;
+  return v == Verdict::kResultMismatch || v == Verdict::kErrorMismatch ||
+         v == Verdict::kTypeMismatch;
 }
+
+/// The first non-NULL cell of `result` whose type is not its column's,
+/// described; empty when every cell has its column's type.
+std::string CheckColumnTypes(const QueryResult& result);
 
 const char* VerdictName(Verdict v);
 

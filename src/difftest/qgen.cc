@@ -257,6 +257,63 @@ struct Gen {
     return Q(e, col->name) + " " + CmpOp() + " " + Literal(*col);
   }
 
+  /// An int64 (`kind` 'i') or double ('f') operand over `scope`: a column
+  /// of that kind when one is in scope, else a literal.
+  std::string NumOperand(const std::vector<ScopeEntry>& scope,
+                         char kind) const {
+    const ScopeEntry& e = scope[U(static_cast<int>(scope.size()))];
+    const ColDef* col = PickCol(*e.table, std::string(1, kind).c_str());
+    if (col != nullptr && C(2, 3)) return Q(e, col->name);
+    static const char* kInts[] = {"2", "7", "-3", "0"};
+    static const char* kDoubles[] = {"2.5", "0.5", "-1.25", "100.0"};
+    return kind == 'i' ? kInts[U(4)] : kDoubles[U(4)];
+  }
+
+  /// int64 with double arithmetic (no division), e.g. `t0.p_size * 1.5`.
+  std::string MixedArith(const std::vector<ScopeEntry>& scope) const {
+    static const char* kOps[] = {" + ", " - ", " * "};
+    std::string a = NumOperand(scope, 'i');
+    std::string b = NumOperand(scope, 'f');
+    if (C(1, 2)) std::swap(a, b);
+    return "(" + a + kOps[U(3)] + b + ")";
+  }
+
+  /// A CASE whose branches are int64 and double, or one of them and NULL
+  /// (a NULL first branch, or no ELSE): the result type is their common
+  /// type, double or the one typed branch's.
+  std::string MixedCase(const std::vector<ScopeEntry>& scope) const {
+    std::string a = C(1, 3) ? MixedArith(scope) : NumOperand(scope, 'i');
+    std::string b = NumOperand(scope, 'f');
+    if (C(1, 2)) std::swap(a, b);
+    const std::string when = "case when " + SimplePred(scope) + " then ";
+    switch (U(4)) {
+      case 0: return when + "null else " + b + " end";
+      case 1: return when + a + " end";
+      case 2:
+        return when + a + " when " + SimplePred(scope) + " then null else " +
+               b + " end";
+      default: return when + a + " else " + b + " end";
+    }
+  }
+
+  /// A derived table `(select x as v from ... union all select y from
+  /// ...)` over an int64 and a double column (uncorrelated), which the set
+  /// operation widens to double; joined on `v` to a numeric column of `to`.
+  QuerySpec::Join DerivedUnion(const ScopeEntry& to,
+                               const std::string& alias) const {
+    const bool int_first = C(1, 2);
+    std::string col;
+    std::string sides = SubSelectBody({}, int_first ? 'i' : 'f', &col);
+    sides.insert(std::string("select ").size() + col.size(), " as v");
+    sides += " union all " + SubSelectBody({}, int_first ? 'f' : 'i', &col);
+    QuerySpec::Join join;
+    join.left_outer = C(1, 3);
+    join.table = "(" + sides + ")";
+    join.alias = alias;
+    join.on = alias + ".v = " + Q(to, PickCol(*to.table, "if")->name);
+    return join;
+  }
+
   /// An optional extra predicate inside a subquery body (may nest further
   /// subqueries while depth allows).
   std::string SubqueryBodyPred(const std::vector<ScopeEntry>& scope) const {
@@ -599,6 +656,14 @@ QuerySpec QueryGenerator::Generate() {
     scope.push_back({join.alias, opt.table});
     spec.joins.push_back(std::move(join));
   }
+  // The UNION ALL derived table's one column `v` is a double.
+  static const TblDef kDerived = {"derived", {{"v", 'f'}}, "", 40};
+  const ScopeEntry& to = scope[Uniform(static_cast<int>(scope.size()))];
+  if (!join_graph && Chance(1, 6) && gen.PickCol(*to.table, "if")) {
+    spec.joins.push_back(
+        gen.DerivedUnion(to, "t" + std::to_string(scope.size())));
+    scope.push_back({spec.joins.back().alias, &kDerived});
+  }
 
   // GROUP BY (vector aggregation) or a plain select list.
   bool grouped = Chance(3, 10);
@@ -616,6 +681,12 @@ QuerySpec QueryGenerator::Generate() {
       if (duplicate) continue;
       spec.group_by.push_back({rendered, true});
       spec.select_items.push_back({rendered, true});
+    }
+    if (Chance(1, 5)) {
+      // A CASE grouping key, selected as the same expression.
+      const std::string key = gen.MixedCase(scope);
+      spec.group_by.push_back({key, true});
+      spec.select_items.push_back({key, true});
     }
     int num_aggs = 1 + Uniform(2);
     for (int a = 0; a < num_aggs; ++a) {
@@ -637,6 +708,10 @@ QuerySpec QueryGenerator::Generate() {
       const ColDef* col =
           &e.table->cols[Uniform(static_cast<int>(e.table->cols.size()))];
       spec.select_items.push_back({Q(e, col->name), true});
+    }
+    if (Chance(1, 4)) spec.select_items.push_back({gen.MixedCase(scope), true});
+    if (Chance(1, 5)) {
+      spec.select_items.push_back({gen.MixedArith(scope), true});
     }
     if (!spec.distinct && Chance(1, 4)) {
       // Correlated scalar subquery in the SELECT list.

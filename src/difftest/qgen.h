@@ -53,8 +53,10 @@ std::string RenderSql(const QuerySpec& spec);
 /// and SegmentApply-eligible self-correlations. A quarter of the queries
 /// list 3-5 tables in a comma FROM clause whose WHERE predicates form a
 /// chain, a star or a cycle, a disconnected pair, or inner joins beside a
-/// LEFT JOIN: the join graphs join enumeration reorders. Deterministic per
-/// seed.
+/// LEFT JOIN: the join graphs join enumeration reorders. Select lists and
+/// GROUP BY keys mix int64 and double in CASE branches (some NULL) and in
+/// arithmetic, and a UNION ALL derived table has an int64 and a double
+/// side: the binder's result-type rules. Deterministic per seed.
 class QueryGenerator {
  public:
   explicit QueryGenerator(uint64_t seed) : state_(seed * 2 + 1) {}

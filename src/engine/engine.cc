@@ -43,6 +43,9 @@ Result<QueryResult> RunAndProject(PhysicalOp* plan,
   }
   QueryResult result;
   result.column_names = compiled.output_names;
+  for (ColumnId id : compiled.output_cols) {
+    result.column_types.push_back(compiled.columns->type(id));
+  }
   result.rows_produced = ctx->rows_produced;
   result.rows.reserve(raw.size());
   for (Row& row : raw) {

@@ -26,6 +26,9 @@ namespace orq {
 /// A complete query result: column names plus rows.
 struct QueryResult {
   std::vector<std::string> column_names;
+  /// Each output column's bound type: every non-NULL value of column i
+  /// carries column_types[i].
+  std::vector<DataType> column_types;
   std::vector<Row> rows;
   /// Total rows produced by all operators while executing (a deterministic
   /// work measure used to compare strategies).

@@ -146,7 +146,10 @@ class SharedAggState final : public SharedRegionState {
     if (!drain.ok() && status_.ok()) status_ = drain;
     partials_[static_cast<size_t>(worker)] = std::move(partial);
     if (++deposited_ == workers_) {
-      if (status_.ok()) Merge(aggs);
+      if (status_.ok()) {
+        Merge(aggs);
+        status_ = merged_.keys.status();
+      }
       merge_done_ = true;
       cv_.notify_all();
     } else {
@@ -193,7 +196,7 @@ template <typename F>
 inline void ForEachNonNull(const ColumnBatch& batch, const ColumnVec& col,
                            F&& f) {
   const uint32_t m = batch.selected();
-  if (col.rep() != ColumnRep::kValues && !col.has_nulls()) {
+  if (!col.has_nulls()) {
     for (uint32_t j = 0; j < m; ++j) f(j, batch.RowAt(j));
     return;
   }
@@ -233,17 +236,6 @@ void Scatter(const AggItem& agg, AggSlots* s, const ColumnBatch& batch,
         case ColumnRep::kDoubles:
           ForEachNonNull(batch, *col, [&](uint32_t j, uint32_t r) {
             sum[gid[j]].AddDouble(col->DoubleAt(r));
-            ++non_null[gid[j]];
-          });
-          break;
-        case ColumnRep::kValues:
-          ForEachNonNull(batch, *col, [&](uint32_t j, uint32_t r) {
-            const Value& v = col->ValAt(r);
-            if (v.type() == DataType::kDouble) {
-              sum[gid[j]].AddDouble(v.double_value());
-            } else {
-              sum[gid[j]].AddInt(v.int64_value());
-            }
             ++non_null[gid[j]];
           });
           break;
@@ -386,7 +378,7 @@ class HashAggregateOp : public PhysicalOp {
     const size_t num_keys = group_slots_.size();
     out->ResizeCols(layout_.size());
     for (size_t k = 0; k < num_keys; ++k) {
-      ViewKeyColumn(emit_->keys.col(k), begin, n, &out->col(k));
+      ViewTypedColumn(emit_->keys.col(k), begin, n, &out->col(k));
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
       finals_.clear();
@@ -399,7 +391,7 @@ class HashAggregateOp : public PhysicalOp {
       ColumnVec& col = out->col(num_keys + i);
       col.StartBuild(first == finals_.end() ? DataType::kInt64 : first->type(),
                      n);
-      for (const Value& v : finals_) col.AppendValue(v);
+      for (const Value& v : finals_) ORQ_RETURN_IF_ERROR(col.AppendValue(v));
       col.Seal();
     }
     out->set_num_rows(n);
@@ -426,7 +418,8 @@ class HashAggregateOp : public PhysicalOp {
     ORQ_RETURN_IF_ERROR(children_[0]->Open(ctx));
     Status status = ctx->batched ? DrainColumnar(ctx) : DrainRowwise(ctx);
     children_[0]->Close();
-    if (!status.ok()) return status;
+    ORQ_RETURN_IF_ERROR(status);
+    ORQ_RETURN_IF_ERROR(table_.keys.status());
     if (MetricsRegistry* m = metrics()) {
       table_.keys.ForEachProbeLength([m](int64_t probes) {
         m->Observe(MetricHistogram::kHashAggBucketChain, probes);
@@ -497,6 +490,7 @@ class HashAggregateOp : public PhysicalOp {
         }
       }
       GroupIds(&table_.keys, batch, key_cols.data(), hashes, &gids);
+      ORQ_RETURN_IF_ERROR(table_.keys.status());
       table_.Resize(aggs_);
       for (size_t i = 0; i < aggs_.size(); ++i) {
         if (scatter_[i]) {

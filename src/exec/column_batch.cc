@@ -1,32 +1,30 @@
 #include "exec/column_batch.h"
 
-#include <cmath>
-#include <functional>
-
 namespace orq {
 
+namespace {
+
+Status TagMismatch(DataType column, const Value& v) {
+  return Status::Internal("a value of type " + DataTypeName(v.type()) +
+                          " in a " + DataTypeName(column) + " column");
+}
+
+}  // namespace
+
 Value ColumnVec::GetValue(uint32_t i) const {
-  if (rep_ == ColumnRep::kValues) return vals_[i];
   if (IsNull(i)) return Value::Null(type_);
   switch (rep_) {
-    case ColumnRep::kInts:
-      switch (type_) {
-        case DataType::kBool: return Value::Bool(IntAt(i) != 0);
-        case DataType::kDate:
-          return Value::Date(static_cast<int32_t>(IntAt(i)));
-        default: return Value::Int64(IntAt(i));
-      }
+    case ColumnRep::kInts: return IntValue(type_, IntAt(i));
     case ColumnRep::kDoubles:
       return Value::Double(DoubleAt(i));
     case ColumnRep::kStrings:
       return Value::String(std::string(StrAt(i)));
-    default:
-      return vals_[i];
   }
+  return Value::Null(type_);
 }
 
 void ColumnVec::StartBuild(DataType type, uint32_t reserve) {
-  ReleaseOwned();
+  ClearOwned();
   type_ = type;
   rep_ = RepForType(type);
   switch (rep_) {
@@ -36,7 +34,6 @@ void ColumnVec::StartBuild(DataType type, uint32_t reserve) {
       own_offsets_.reserve(reserve + 1);
       own_offsets_.push_back(0);
       break;
-    default: break;
   }
   own_nulls_.reserve(reserve);
 }
@@ -49,83 +46,22 @@ void ColumnVec::AppendNull() {
     case ColumnRep::kStrings:
       own_offsets_.push_back(static_cast<uint32_t>(own_chars_.size()));
       break;
-    case ColumnRep::kValues:
-      own_vals_.push_back(Value::Null(type_));
-      return;
   }
   own_nulls_.push_back(1);
 }
 
-void ColumnVec::AppendValue(const Value& v) {
-  if (rep_ == ColumnRep::kValues) {
-    own_vals_.push_back(v);
-    return;
-  }
+Status ColumnVec::AppendValue(const Value& v) {
   if (v.is_null()) {
     AppendNull();
-    return;
+    return Status::OK();
   }
-  if (v.type() != type_) {
-    // First off-type tag: box everything appended so far and continue as
-    // kValues, preserving exact tags (Int64(3) stays distinguishable from
-    // Double(3.0) the way the row engine sees them).
-    DegradeToValues();
-    own_vals_.push_back(v);
-    return;
-  }
+  if (v.type() != type_) return TagMismatch(type_, v);
   switch (rep_) {
     case ColumnRep::kInts: AppendInt(v.int64_value()); break;
     case ColumnRep::kDoubles: AppendDouble(v.double_value()); break;
     case ColumnRep::kStrings: AppendStr(v.string_value()); break;
-    default: break;
   }
-}
-
-void ColumnVec::DegradeToValues() {
-  const uint32_t n = rep_ == ColumnRep::kStrings
-                         ? static_cast<uint32_t>(own_offsets_.size()) - 1
-                         : static_cast<uint32_t>(
-                               rep_ == ColumnRep::kInts ? own_ints_.size()
-                                                        : own_doubles_.size());
-  own_vals_.clear();
-  own_vals_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (own_nulls_[i] != 0) {
-      own_vals_.push_back(Value::Null(type_));
-      continue;
-    }
-    switch (rep_) {
-      case ColumnRep::kInts:
-        switch (type_) {
-          case DataType::kBool:
-            own_vals_.push_back(Value::Bool(own_ints_[i] != 0));
-            break;
-          case DataType::kDate:
-            own_vals_.push_back(
-                Value::Date(static_cast<int32_t>(own_ints_[i])));
-            break;
-          default:
-            own_vals_.push_back(Value::Int64(own_ints_[i]));
-        }
-        break;
-      case ColumnRep::kDoubles:
-        own_vals_.push_back(Value::Double(own_doubles_[i]));
-        break;
-      case ColumnRep::kStrings: {
-        const char* base = own_chars_.data();
-        own_vals_.push_back(Value::String(std::string(
-            base + own_offsets_[i], own_offsets_[i + 1] - own_offsets_[i])));
-        break;
-      }
-      default: break;
-    }
-  }
-  own_ints_.clear();
-  own_doubles_.clear();
-  own_chars_.clear();
-  own_offsets_.clear();
-  own_nulls_.clear();
-  rep_ = ColumnRep::kValues;
+  return Status::OK();
 }
 
 void ColumnVec::Seal() {
@@ -143,10 +79,6 @@ void ColumnVec::Seal() {
       chars_ = own_chars_.data();
       offsets_ = own_offsets_.data();
       break;
-    case ColumnRep::kValues:
-      size_ = static_cast<uint32_t>(own_vals_.size());
-      vals_ = own_vals_.data();
-      return;  // kValues carries nulls inline
   }
   nulls_ = any_null_ ? own_nulls_.data() : nullptr;
 }
@@ -203,66 +135,80 @@ void ColumnVec::GatherFrom(const ColumnVec& src, const uint32_t* rows,
         }
       }
       break;
-    case ColumnRep::kValues:
-      for (uint32_t k = 0; k < n; ++k) {
-        if (rows[k] == kNullRow) {
-          AppendNull();
-        } else {
-          AppendValue(src.ValAt(rows[k]));
-        }
-      }
-      break;
   }
   Seal();
 }
 
 void ColumnVec::PrepareScatter(DataType type, uint32_t n) {
-  if (type == DataType::kString) {
-    // No random-access arena writes; string results scatter as boxed Values.
-    PrepareScatterVals(type, n);
-    return;
-  }
-  ReleaseOwned();
+  ClearOwned();
   type_ = type;
   rep_ = RepForType(type);
   size_ = n;
-  if (rep_ == ColumnRep::kDoubles) {
-    own_doubles_.assign(n, 0.0);
-    doubles_ = own_doubles_.data();
-  } else {
-    own_ints_.assign(n, 0);
-    ints_ = own_ints_.data();
+  switch (rep_) {
+    case ColumnRep::kInts:
+      own_ints_.assign(n, 0);
+      ints_ = own_ints_.data();
+      break;
+    case ColumnRep::kDoubles:
+      own_doubles_.assign(n, 0.0);
+      doubles_ = own_doubles_.data();
+      break;
+    case ColumnRep::kStrings:
+      own_offsets_.assign(n + 1, 0);
+      offsets_ = own_offsets_.data();
+      chars_ = own_chars_.data();
+      break;
   }
   own_nulls_.assign(n, 0);
   nulls_ = own_nulls_.data();
 }
 
-void ColumnVec::PrepareScatterVals(DataType type, uint32_t n) {
-  ReleaseOwned();
-  type_ = type;
-  rep_ = ColumnRep::kValues;
-  size_ = n;
-  own_vals_.assign(n, Value());
-  vals_ = own_vals_.data();
+void ColumnVec::ScatterStr(uint32_t i, std::string_view s) {
+  uint32_t* offsets = own_offsets_.data();
+  const uint32_t start = static_cast<uint32_t>(own_chars_.size());
+  // Rows skipped since the last write are empty strings.
+  for (uint32_t k = scattered_; k < i; ++k) offsets[k + 1] = start;
+  own_chars_.append(s.data(), s.size());
+  offsets[i + 1] = static_cast<uint32_t>(own_chars_.size());
+  scattered_ = i + 1;
+  chars_ = own_chars_.data();
+}
+
+Status ColumnVec::ScatterValue(uint32_t i, const Value& v) {
+  if (v.is_null()) {
+    own_nulls_[i] = 1;
+    return Status::OK();
+  }
+  if (v.type() != type_) return TagMismatch(type_, v);
+  switch (rep_) {
+    case ColumnRep::kInts: own_ints_[i] = v.int64_value(); break;
+    case ColumnRep::kDoubles: own_doubles_[i] = v.double_value(); break;
+    case ColumnRep::kStrings: ScatterStr(i, v.string_value()); break;
+  }
+  return Status::OK();
+}
+
+void ColumnVec::SetAnyNull(bool any_null) {
+  if (rep_ == ColumnRep::kStrings) {
+    const uint32_t end = static_cast<uint32_t>(own_chars_.size());
+    for (uint32_t k = scattered_; k < size_; ++k) own_offsets_[k + 1] = end;
+    scattered_ = size_;
+  }
+  if (!any_null) nulls_ = nullptr;
 }
 
 void ColumnVec::ClearOwned() {
-  ReleaseOwned();
-}
-
-void ColumnVec::ReleaseOwned() {
   own_ints_.clear();
   own_doubles_.clear();
   own_chars_.clear();
   own_offsets_.clear();
-  own_vals_.clear();
   own_nulls_.clear();
   any_null_ = false;
+  scattered_ = 0;
   ints_ = nullptr;
   doubles_ = nullptr;
   chars_ = nullptr;
   offsets_ = nullptr;
-  vals_ = nullptr;
   nulls_ = nullptr;
   size_ = 0;
 }
@@ -304,22 +250,6 @@ int TotalCompareRefs(const ElemRef& a, const ElemRef& b) {
   return static_cast<int>(a.type) < static_cast<int>(b.type) ? -1 : 1;
 }
 
-size_t HashRef(const ElemRef& r) {
-  if (r.null) return kNullHash;
-  switch (r.type) {
-    case DataType::kBool:
-    case DataType::kDate:
-      return HashDateOrBool(r.i);
-    case DataType::kInt64:
-      return HashInt64(r.i);
-    case DataType::kDouble:
-      return HashDouble(r.d);
-    case DataType::kString:
-      return std::hash<std::string_view>()(r.s);
-  }
-  return 0;
-}
-
 void ColumnBatch::DecodeRow(uint32_t i, Row* out) const {
   out->resize(cols_.size());
   for (size_t c = 0; c < cols_.size(); ++c) {
@@ -327,16 +257,26 @@ void ColumnBatch::DecodeRow(uint32_t i, Row* out) const {
   }
 }
 
-void ColumnBatch::SetRows(const Row* rows, uint32_t n, size_t width) {
+Status ColumnBatch::SetRows(const Row* rows, uint32_t n, size_t width) {
   ResizeCols(width);
   for (size_t c = 0; c < width; ++c) {
+    DataType type = n > 0 ? rows[0][c].type() : DataType::kInt64;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (!rows[i][c].is_null()) {
+        type = rows[i][c].type();
+        break;
+      }
+    }
     ColumnVec& col = cols_[c];
-    col.StartBuild(n > 0 ? rows[0][c].type() : DataType::kInt64, n);
-    for (uint32_t i = 0; i < n; ++i) col.AppendValue(rows[i][c]);
+    col.StartBuild(type, n);
+    for (uint32_t i = 0; i < n; ++i) {
+      ORQ_RETURN_IF_ERROR(col.AppendValue(rows[i][c]));
+    }
     col.Seal();
   }
   ClearSelection();
   num_rows_ = n;
+  return Status::OK();
 }
 
 }  // namespace orq

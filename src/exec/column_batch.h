@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
 
 namespace orq {
@@ -23,23 +24,21 @@ namespace orq {
 /// Owned columns are built one of two ways:
 ///   * sequentially — StartBuild() then Append*() per row, Seal() last.
 ///     Used by the row→column transpose adapter and join output gather.
-///     AppendValue() degrades the column to kValues on the first value
-///     whose tag does not match the declared type, preserving exact tags.
 ///   * scattered — PrepareScatter() sizes typed storage up front (sealed
 ///     immediately) and kernels write through MutableInts()/
-///     MutableDoubles()/MutableNulls() at selected positions only.
-///     Unselected slots hold garbage; they are unreachable through the
-///     selection vector.
+///     MutableDoubles()/MutableNulls() or ScatterStr()/ScatterValue() at
+///     selected positions only. Unselected fixed-width slots hold
+///     garbage; they are unreachable through the selection vector.
+///
+/// Every non-NULL value of a column has the column's type: a value of
+/// another type is an error (AppendValue/ScatterValue).
 class ColumnVec {
  public:
   DataType type() const { return type_; }
   ColumnRep rep() const { return rep_; }
   uint32_t size() const { return size_; }
 
-  bool IsNull(uint32_t i) const {
-    if (rep_ == ColumnRep::kValues) return vals_[i].is_null();
-    return nulls_ != nullptr && nulls_[i] != 0;
-  }
+  bool IsNull(uint32_t i) const { return nulls_ != nullptr && nulls_[i] != 0; }
   bool has_nulls() const { return nulls_ != nullptr; }
   /// Per-row null mask, or nullptr when the column has no NULLs.
   const uint8_t* nulls() const { return nulls_; }
@@ -49,7 +48,6 @@ class ColumnVec {
   std::string_view StrAt(uint32_t i) const {
     return std::string_view(chars_ + offsets_[i], offsets_[i + 1] - offsets_[i]);
   }
-  const Value& ValAt(uint32_t i) const { return vals_[i]; }
 
   const int64_t* ints() const { return ints_; }
   const double* doubles() const { return doubles_; }
@@ -65,7 +63,7 @@ class ColumnVec {
 
   void SetIntView(DataType type, const int64_t* data, const uint8_t* nulls,
                   uint32_t n) {
-    ReleaseOwned();
+    ClearOwned();
     type_ = type;
     rep_ = ColumnRep::kInts;
     ints_ = data;
@@ -73,7 +71,7 @@ class ColumnVec {
     size_ = n;
   }
   void SetDoubleView(const double* data, const uint8_t* nulls, uint32_t n) {
-    ReleaseOwned();
+    ClearOwned();
     type_ = DataType::kDouble;
     rep_ = ColumnRep::kDoubles;
     doubles_ = data;
@@ -82,7 +80,7 @@ class ColumnVec {
   }
   void SetStringView(const char* chars, const uint32_t* offsets,
                      const uint8_t* nulls, uint32_t n) {
-    ReleaseOwned();
+    ClearOwned();
     type_ = DataType::kString;
     rep_ = ColumnRep::kStrings;
     chars_ = chars;
@@ -90,25 +88,17 @@ class ColumnVec {
     nulls_ = nulls;
     size_ = n;
   }
-  void SetValuesView(DataType type, const Value* vals, uint32_t n) {
-    ReleaseOwned();
-    type_ = type;
-    rep_ = ColumnRep::kValues;
-    vals_ = vals;
-    size_ = n;
-  }
   /// Copies `other`'s view pointers (not its owned storage); `other` must
   /// outlive this column's consumers. This is how projection passes
   /// columns through without touching data.
   void AssignView(const ColumnVec& other) {
-    ReleaseOwned();
+    ClearOwned();
     type_ = other.type_;
     rep_ = other.rep_;
     ints_ = other.ints_;
     doubles_ = other.doubles_;
     chars_ = other.chars_;
     offsets_ = other.offsets_;
-    vals_ = other.vals_;
     nulls_ = other.nulls_;
     size_ = other.size_;
   }
@@ -130,43 +120,46 @@ class ColumnVec {
     own_nulls_.push_back(0);
   }
   void AppendNull();
-  /// Appends preserving the value's exact tag; a tag that does not match
-  /// the declared type degrades the whole column to kValues.
-  void AppendValue(const Value& v);
+  /// Appends `v`: a NULL, or a value of the column's type. A value of
+  /// another type appends nothing and returns Internal.
+  Status AppendValue(const Value& v);
   /// Points the views at the owned storage. Call once, after the last
   /// append; the column then reads like any other.
   void Seal();
-  /// Owned, dense copy of `src` at physical rows rows[0, n), staying in
-  /// src's representation (no boxing unless src itself is boxed). A kNullRow entry gathers a NULL of src's type (join
+  /// Owned, dense copy of `src` at physical rows rows[0, n), in src's
+  /// representation. A kNullRow entry gathers a NULL of src's type (join
   /// padding). `src` must not be this column.
   void GatherFrom(const ColumnVec& src, const uint32_t* rows, uint32_t n);
   static constexpr uint32_t kNullRow = UINT32_MAX;
 
   // ---- owned, scattered build (typed kernels) ----
 
-  /// Sizes typed owned storage for n rows (type must not be kString) with
-  /// all-zero nulls, and seals immediately: kernels write results through
-  /// the Mutable* pointers at whatever positions they like.
+  /// Sizes owned storage for n rows with all-zero nulls, and seals
+  /// immediately: kernels write fixed-width results through the Mutable*
+  /// pointers at whatever positions they like. A string column's arena
+  /// grows in selection order instead: ScatterStr writes rows in strictly
+  /// increasing position, and the rows it skips read as empty strings.
   void PrepareScatter(DataType type, uint32_t n);
-  /// kValues variant: n default (NULL int64) values, writable in place.
-  void PrepareScatterVals(DataType type, uint32_t n);
   int64_t* MutableInts() { return own_ints_.data(); }
   double* MutableDoubles() { return own_doubles_.data(); }
   uint8_t* MutableNulls() { return own_nulls_.data(); }
-  Value* MutableVals() { return own_vals_.data(); }
-  /// Drops the null mask when the build saw no NULLs (cheap fast path for
-  /// downstream kernels). Callers that wrote through MutableNulls() pass
+  /// Writes string row i of a string scatter; i is past every row written
+  /// before.
+  void ScatterStr(uint32_t i, std::string_view s);
+  /// Writes `v` at row i of a scatter: a NULL sets the null byte, any
+  /// other value must carry the column's type (Internal otherwise).
+  /// String rows go in increasing position, as for ScatterStr.
+  Status ScatterValue(uint32_t i, const Value& v);
+  /// Ends a scatter: drops the null mask when the build saw no NULLs
+  /// (cheap fast path for downstream kernels), and closes a string
+  /// column's arena. Callers that wrote through MutableNulls() pass
   /// any_null = true; an all-zero mask is correct, just not free.
-  void SetAnyNull(bool any_null) {
-    if (!any_null && rep_ != ColumnRep::kValues) nulls_ = nullptr;
-  }
+  void SetAnyNull(bool any_null);
 
   /// Resets to an empty owned column, keeping storage capacity.
   void ClearOwned();
 
  private:
-  void ReleaseOwned();
-  void DegradeToValues();
 
   DataType type_ = DataType::kInt64;
   ColumnRep rep_ = ColumnRep::kInts;
@@ -176,16 +169,15 @@ class ColumnVec {
   const double* doubles_ = nullptr;
   const char* chars_ = nullptr;
   const uint32_t* offsets_ = nullptr;
-  const Value* vals_ = nullptr;
   const uint8_t* nulls_ = nullptr;
 
   std::vector<int64_t> own_ints_;
   std::vector<double> own_doubles_;
   std::string own_chars_;
   std::vector<uint32_t> own_offsets_;  // n + 1 once sealed
-  std::vector<Value> own_vals_;
   std::vector<uint8_t> own_nulls_;
   bool any_null_ = false;
+  uint32_t scattered_ = 0;  // string scatter: rows whose end offset is set
 };
 
 /// A column-major (SoA) batch: one ColumnVec per output column, a physical
@@ -243,10 +235,10 @@ class ColumnBatch {
   /// Materializes physical row i into `out` (resized to num_cols()).
   void DecodeRow(uint32_t i, Row* out) const;
   /// The inverse of DecodeRow over a run of rows: refills the batch with
-  /// `width` owned columns holding rows[0, n), dense. Column types follow
-  /// the first row's value tags; a later tag mismatch degrades that column
-  /// to boxed values, so a wrong guess costs speed, never correctness.
-  void SetRows(const Row* rows, uint32_t n, size_t width);
+  /// `width` owned columns holding rows[0, n), dense. A column's type is
+  /// the tag of its first non-NULL value; a later value of another tag is
+  /// an Internal error (the binder gives every column one type).
+  Status SetRows(const Row* rows, uint32_t n, size_t width);
 
  private:
   int capacity_;
@@ -258,9 +250,7 @@ class ColumnBatch {
 
 /// A decoded element: the tag/payload of one column entry (or one Value)
 /// without boxing — strings stay views. The Ref helpers below reproduce
-/// Value::SqlCompare / TotalCompare / GroupEquals / Hash exactly, so
-/// columnar kernels and row-engine hash tables interoperate: a key hashed
-/// column-wise finds the KeyTable entry a Row-keyed insert made.
+/// Value::SqlCompare / TotalCompare exactly (aggregation's MIN/MAX).
 struct ElemRef {
   DataType type;
   bool null;
@@ -268,8 +258,6 @@ struct ElemRef {
   double d = 0.0;
   std::string_view s;
 };
-
-inline ElemRef LoadElem(const ColumnVec& c, uint32_t idx);
 
 inline ElemRef LoadValue(const Value& v) {
   ElemRef r;
@@ -285,7 +273,6 @@ inline ElemRef LoadValue(const Value& v) {
 }
 
 inline ElemRef LoadElem(const ColumnVec& c, uint32_t idx) {
-  if (c.rep() == ColumnRep::kValues) return LoadValue(c.ValAt(idx));
   ElemRef r;
   r.type = c.type();
   r.null = c.IsNull(idx);
@@ -294,7 +281,6 @@ inline ElemRef LoadElem(const ColumnVec& c, uint32_t idx) {
     case ColumnRep::kInts: r.i = c.IntAt(idx); break;
     case ColumnRep::kDoubles: r.d = c.DoubleAt(idx); break;
     case ColumnRep::kStrings: r.s = c.StrAt(idx); break;
-    default: break;
   }
   return r;
 }
@@ -303,12 +289,6 @@ inline ElemRef LoadElem(const ColumnVec& c, uint32_t idx) {
 std::optional<int> SqlCompareRefs(const ElemRef& a, const ElemRef& b);
 /// Value::TotalCompare over refs: NULL first, mixed types by type tag.
 int TotalCompareRefs(const ElemRef& a, const ElemRef& b);
-inline bool GroupEqualsRefs(const ElemRef& a, const ElemRef& b) {
-  return TotalCompareRefs(a, b) == 0;
-}
-/// Value::Hash over refs (string_view hashes like std::string by the
-/// [string.view.hash] guarantee).
-size_t HashRef(const ElemRef& r);
 
 }  // namespace orq
 

@@ -141,6 +141,11 @@ Result<Value> Evaluator::EvalNode(const ScalarExpr& node, const Row& row,
       }
       return Status::RuntimeError("negation of non-numeric value");
     }
+    case ScalarKind::kCast: {
+      ORQ_ASSIGN_OR_RETURN(Value v, EvalNode(*node.children[0], row, ctx));
+      if (v.is_null()) return Value::Null(DataType::kDouble);
+      return Value::Double(static_cast<double>(v.int64_value()));
+    }
     case ScalarKind::kIsNull: {
       ORQ_ASSIGN_OR_RETURN(Value v, EvalNode(*node.children[0], row, ctx));
       return Value::Bool(v.is_null());

@@ -12,7 +12,7 @@ namespace orq {
 /// Binary arithmetic with SQL semantics: NULL propagation, date ± days and
 /// date − date, int64 arithmetic with division-by-zero errors, and
 /// int64→double promotion. Shared by the row evaluator and the columnar
-/// kernels' boxed fallback path so the two cannot drift.
+/// kernels' constant folding so the two cannot drift.
 Result<Value> EvalArith(ArithOp op, const Value& l, const Value& r,
                         DataType out_type);
 

@@ -302,8 +302,8 @@ class ExchangeOp : public PhysicalOp {
       }
       if (n > 0) {
         ColumnBatch owned(wctx->batch_size);
-        owned.SetRows(rows.data(), static_cast<uint32_t>(n),
-                      op->layout().size());
+        ORQ_RETURN_IF_ERROR(owned.SetRows(
+            rows.data(), static_cast<uint32_t>(n), op->layout().size()));
         if (!queue_.Push(std::move(owned))) return Status::OK();  // cancelled
       }
       if (!more) return Status::OK();

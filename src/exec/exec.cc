@@ -77,9 +77,8 @@ Status PhysicalOp::FillColumnsFromRows(ExecContext* ctx, ColumnBatch* batch) {
     if (!more) break;
     ++n;
   }
-  batch->SetRows(adapter_rows_.data(), static_cast<uint32_t>(n),
-                 layout_.size());
-  return Status::OK();
+  return batch->SetRows(adapter_rows_.data(), static_cast<uint32_t>(n),
+                        layout_.size());
 }
 
 void PhysicalOp::CloseInstrumented() {

@@ -274,12 +274,11 @@ struct BuildTable {
   /// columns give their memory back.
   static constexpr size_t kKeepPayloadBytes = size_t{1} << 20;
 
-  KeyBuckets buckets;                // slots are build row positions
-  std::vector<KeyColumn> payload;    // right-layout columns, by build row
-  std::vector<uint32_t> row_bucket;  // bucket id by build row, until Finish
-  uint32_t rows = 0;                 // build rows stored
-  bool null_key = false;             // some drained row had a NULL key
-  uint8_t key_classes = 0;           // CompareClass bits of the stored keys
+  KeyBuckets buckets;                 // slots are build row positions
+  std::vector<TypedColumn> payload;   // right-layout columns, by build row
+  std::vector<uint32_t> row_bucket;   // bucket id by build row, until Finish
+  uint32_t rows = 0;                  // build rows stored
+  bool null_key = false;              // some drained row had a NULL key
 
   /// Empties the table for keys of `key_width` columns and payload columns
   /// declared `types` (an all-NULL payload column reports its declared
@@ -287,14 +286,13 @@ struct BuildTable {
   void Reset(size_t key_width, const std::vector<DataType>& types) {
     buckets.Reset(key_width);
     size_t bytes = 0;
-    for (const KeyColumn& col : payload) bytes += col.MemoryBytes();
-    if (bytes > kKeepPayloadBytes) std::vector<KeyColumn>().swap(payload);
+    for (const TypedColumn& col : payload) bytes += col.MemoryBytes();
+    if (bytes > kKeepPayloadBytes) std::vector<TypedColumn>().swap(payload);
     payload.resize(types.size());
     for (size_t k = 0; k < types.size(); ++k) payload[k].Clear(types[k]);
     row_bucket.clear();
     rows = 0;
     null_key = false;
-    key_classes = 0;
   }
 
   /// Row path: one build row and its (non-NULL) key.
@@ -318,6 +316,13 @@ struct BuildTable {
     }
   }
 
+  /// OK, or why a key or payload append failed (TypedColumn::status).
+  Status status() const {
+    ORQ_RETURN_IF_ERROR(buckets.keys.status());
+    for (const TypedColumn& col : payload) ORQ_RETURN_IF_ERROR(col.status());
+    return Status::OK();
+  }
+
   /// Appends the rows of `part` (same widths) after this table's.
   void Absorb(const BuildTable& part) {
     std::vector<uint32_t> id_map(part.buckets.keys.size());
@@ -337,22 +342,11 @@ struct BuildTable {
     null_key = null_key || part.null_key;
   }
 
-  /// Lays the buckets out over the build rows and notes the key classes;
-  /// the table is read-only afterwards.
+  /// Lays the buckets out over the build rows; the table is read-only
+  /// afterwards.
   void Finish() {
     buckets.Scatter(row_bucket);
     std::vector<uint32_t>().swap(row_bucket);
-    for (size_t k = 0; k < buckets.keys.width(); ++k) {
-      const KeyColumn& col = buckets.keys.col(k);
-      if (col.size() == 0) continue;
-      if (col.rep() != ColumnRep::kValues) {
-        key_classes |= CompareClass(col.type());
-        continue;
-      }
-      for (uint32_t id = 0; id < col.size(); ++id) {
-        key_classes |= CompareClass(col.ValAt(id).type());
-      }
-    }
   }
 
   /// Resident bytes: the slots permutation, the bucket ranges, the key
@@ -361,7 +355,7 @@ struct BuildTable {
     size_t bytes = buckets.slots.capacity() * sizeof(uint32_t) +
                    buckets.ranges.capacity() * sizeof(BucketRange) +
                    buckets.keys.MemoryBytes();
-    for (const KeyColumn& col : payload) bytes += col.MemoryBytes();
+    for (const TypedColumn& col : payload) bytes += col.MemoryBytes();
     return bytes;
   }
 };
@@ -401,6 +395,7 @@ class SharedJoinState final : public SharedRegionState {
     if (++deposited_ == workers_) {
       if (status_.ok()) {
         Merge(key_width, types);
+        status_ = table_.status();
         *merged_here = true;
       }
       merge_done_ = true;
@@ -726,9 +721,6 @@ class ProbeJoinOp : public PhysicalOp {
         const ColumnVec& key = *probe_cols_[0];
         NarrowSelection(out, [&](uint32_t j, uint32_t r) {
           if (ids[j] != KeyTable::kNone) return false;
-          if (key.rep() == ColumnRep::kValues) {
-            return NotInPasses(key.ValAt(r));
-          }
           return NotInPasses(key.IsNull(r), key.type());
         });
       }
@@ -1080,10 +1072,14 @@ class HashJoinOp final : public ProbeJoinOp {
     buckets_ = &active_->buckets;
     build_empty_ = active_->rows == 0 && !active_->null_key;
     build_null_key_ = active_->null_key;
-    build_key_classes_ = active_->key_classes;
+    build_key_classes_ = 0;
+    for (size_t k = 0; k < buckets_->keys.width(); ++k) {
+      const TypedColumn& col = buckets_->keys.col(k);
+      if (col.size() > 0) build_key_classes_ |= CompareClass(col.type());
+    }
     views_.resize(active_->payload.size());
     for (size_t k = 0; k < views_.size(); ++k) {
-      ViewKeyColumn(active_->payload[k], 0, active_->rows, &views_[k]);
+      ViewTypedColumn(active_->payload[k], 0, active_->rows, &views_[k]);
     }
     return Status::OK();
   }
@@ -1158,10 +1154,11 @@ class HashJoinOp final : public ProbeJoinOp {
           }
           table->AddBatch(batch, build_cols_.data(), build_hashes_,
                           &build_ids_);
-          return Status::OK();
+          return table->status();
         });
     children_[1]->Close();
     ORQ_RETURN_IF_ERROR(drain);
+    ORQ_RETURN_IF_ERROR(table->status());
     if (MetricsRegistry* m = metrics()) {
       m->Add(MetricCounter::kHashJoinBuildRows,
              static_cast<int64_t>(table->rows));
@@ -1239,11 +1236,11 @@ class IndexJoinOp final : public ProbeJoinOp {
   void GatherRight(size_t k, const uint32_t* slots, uint32_t n,
                    ColumnVec* dst) override {
     if (views_.empty()) {
-      const std::vector<Table::ColumnChunk>& chunks = table_->ColumnarChunks();
+      const std::vector<TypedColumn>& chunks = table_->ColumnarChunks();
       const uint32_t rows = static_cast<uint32_t>(table_->num_rows());
       views_.resize(ordinals_.size());
       for (size_t i = 0; i < ordinals_.size(); ++i) {
-        ViewChunkRows(chunks[ordinals_[i]], 0, rows, &views_[i]);
+        ViewTypedColumn(chunks[ordinals_[i]], 0, rows, &views_[i]);
       }
     }
     dst->GatherFrom(views_[k], slots, n);

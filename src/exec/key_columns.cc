@@ -7,12 +7,11 @@ namespace orq {
 namespace {
 
 /// Group equality of one probe element and one stored key element: a raw
-/// compare when both sides share a typed representation and type, the
-/// boxed Value comparison otherwise (cross-type numerics, mixed tags).
-inline bool ElemEqualsKey(const ColumnVec& c, uint32_t r, const KeyColumn& k,
+/// compare when both sides share a type, the Value comparison otherwise
+/// (an int64 probe of a double key, or the reverse).
+inline bool ElemEqualsKey(const ColumnVec& c, uint32_t r, const TypedColumn& k,
                           uint32_t id) {
-  if (c.rep() == k.rep() && c.type() == k.type() &&
-      c.rep() != ColumnRep::kValues) {
+  if (c.type() == k.type()) {
     const bool c_null = c.IsNull(r);
     const bool k_null = k.IsNull(id);
     if (c_null || k_null) return c_null == k_null;
@@ -24,17 +23,14 @@ inline bool ElemEqualsKey(const ColumnVec& c, uint32_t r, const KeyColumn& k,
         return a == b || (std::isnan(a) && std::isnan(b));
       }
       case ColumnRep::kStrings: return c.StrAt(r) == k.StrAt(id);
-      default: break;
     }
   }
   return k.EqualsValue(id, c.GetValue(r));
 }
 
-/// Appends element `r` of `c` to `key`, typed when `c` is.
-inline void AppendElem(const ColumnVec& c, uint32_t r, KeyColumn* key) {
-  if (c.rep() == ColumnRep::kValues) {
-    key->AppendValue(c.ValAt(r));
-  } else if (c.IsNull(r)) {
+/// Appends element `r` of `c` to `key`.
+inline void AppendElem(const ColumnVec& c, uint32_t r, TypedColumn* key) {
+  if (c.IsNull(r)) {
     key->AppendNull();
   } else if (c.rep() == ColumnRep::kInts) {
     key->AppendInt(c.type(), c.IntAt(r));
@@ -93,12 +89,12 @@ void GroupIds(KeyTable* table, const ColumnBatch& batch,
 }
 
 void AppendLiveRows(const ColumnBatch& batch, const ColumnVec& col,
-                    KeyColumn* dst) {
+                    TypedColumn* dst) {
   const uint32_t m = batch.selected();
   for (uint32_t j = 0; j < m; ++j) AppendElem(col, batch.RowAt(j), dst);
 }
 
-void ViewKeyColumn(const KeyColumn& col, uint32_t begin, uint32_t n,
+void ViewTypedColumn(const TypedColumn& col, uint32_t begin, uint32_t n,
                    ColumnVec* out) {
   const uint8_t* nulls = col.any_null() ? col.nulls() + begin : nullptr;
   switch (col.rep()) {
@@ -110,9 +106,6 @@ void ViewKeyColumn(const KeyColumn& col, uint32_t begin, uint32_t n,
       break;
     case ColumnRep::kStrings:
       out->SetStringView(col.chars(), col.offsets() + begin, nulls, n);
-      break;
-    case ColumnRep::kValues:
-      out->SetValuesView(col.type(), col.vals() + begin, n);
       break;
   }
 }

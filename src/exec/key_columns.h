@@ -28,13 +28,14 @@ void GroupIds(KeyTable* table, const ColumnBatch& batch,
               std::vector<uint32_t>* ids);
 
 /// Appends `col`'s value at every live row of `batch`, in selection
-/// order, to `dst` (typed when `col` is).
+/// order, to `dst`.
 void AppendLiveRows(const ColumnBatch& batch, const ColumnVec& col,
-                    KeyColumn* dst);
+                    TypedColumn* dst);
 
-/// Points `out` at entries [begin, begin + n) of a key column, zero-copy;
-/// the view lives as long as the table is neither reset nor grown.
-void ViewKeyColumn(const KeyColumn& col, uint32_t begin, uint32_t n,
+/// Points `out` at entries [begin, begin + n) of a typed column (a table
+/// column, a key or payload column), zero-copy; the view lives as long as
+/// the column is neither cleared nor grown.
+void ViewTypedColumn(const TypedColumn& col, uint32_t begin, uint32_t n,
                    ColumnVec* out);
 
 }  // namespace orq

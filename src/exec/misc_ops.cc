@@ -80,11 +80,7 @@ class FilterOp : public PhysicalOp {
             int t = PredTruthElem(*r, i);
             if (single_conjunct_) {
               // EvalPredicate: non-NULL boolean true keeps, all else drops.
-              return t == 1 && r->type() == DataType::kBool &&
-                             (r->rep() != ColumnRep::kValues ||
-                              r->ValAt(i).type() == DataType::kBool)
-                         ? 1
-                         : 0;
+              return t == 1 && r->type() == DataType::kBool ? 1 : 0;
             }
             return t;
           });
@@ -321,7 +317,8 @@ class SortOp : public PhysicalOp {
   Status NextColumnsImpl(ExecContext*, ColumnBatch* batch) override {
     const uint32_t n = static_cast<uint32_t>(std::min(
         rows_.size() - pos_, static_cast<size_t>(batch->capacity())));
-    batch->SetRows(rows_.data() + pos_, n, layout_.size());
+    ORQ_RETURN_IF_ERROR(
+        batch->SetRows(rows_.data() + pos_, n, layout_.size()));
     pos_ += n;
     return Status::OK();
   }
@@ -461,10 +458,11 @@ class ExceptAllOp : public PhysicalOp {
           HashRows(batch);
           GroupIds(&keys_, batch, cols_.data(), hashes_, &ids_);
           for (uint32_t id : ids_) Count(id);
-          return Status::OK();
+          return keys_.status();
         });
     children_[1]->Close();
     ORQ_RETURN_IF_ERROR(drain);
+    ORQ_RETURN_IF_ERROR(keys_.status());
     RecordPeak(static_cast<int64_t>(keys_.size()));
     if (MetricsRegistry* m = metrics()) {
       m->Add(MetricCounter::kSpoolRows, static_cast<int64_t>(keys_.size()));

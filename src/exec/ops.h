@@ -14,11 +14,6 @@ namespace orq {
 /// Physical join variants (cross joins are inner joins with TRUE).
 enum class PhysJoinKind { kInner, kLeftOuter, kLeftSemi, kLeftAnti };
 
-/// Points `col` at rows [pos, pos + n) of a table column chunk, zero copy,
-/// typed arrays or, for a mixed column, the boxed fallback. Shared by the table scans and the index
-/// join's right-side gather.
-void ViewChunkRows(const Table::ColumnChunk& chunk, size_t pos, uint32_t n,
-                   ColumnVec* col);
 
 /// Full scan emitting `ordinals` of each row as columns `layout`.
 PhysicalOpPtr MakeTableScan(const Table* table, std::vector<int> ordinals,

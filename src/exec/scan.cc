@@ -3,32 +3,12 @@
 #include <span>
 
 #include "exec/evaluator.h"
+#include "exec/key_columns.h"
 #include "exec/ops.h"
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 
 namespace orq {
-
-void ViewChunkRows(const Table::ColumnChunk& chunk, size_t pos, uint32_t n,
-                   ColumnVec* col) {
-  if (chunk.mixed) {
-    col->SetValuesView(chunk.type, chunk.vals.data() + pos, n);
-    return;
-  }
-  const uint8_t* nulls = chunk.any_null ? chunk.nulls.data() + pos : nullptr;
-  switch (chunk.type) {
-    case DataType::kDouble:
-      col->SetDoubleView(chunk.doubles.data() + pos, nulls, n);
-      break;
-    case DataType::kString:
-      col->SetStringView(chunk.chars.data(), chunk.offsets.data() + pos, nulls,
-                         n);
-      break;
-    default:
-      col->SetIntView(chunk.type, chunk.ints.data() + pos, nulls, n);
-      break;
-  }
-}
 
 namespace {
 
@@ -59,10 +39,11 @@ class TableScanBase : public PhysicalOp {
   /// table's column chunks, one view per ordinal, and advances. No per-row
   /// work at all — the batch is pointers plus a row count.
   void ViewRows(uint32_t n, ColumnBatch* batch) {
-    const std::vector<Table::ColumnChunk>& chunks = table_->ColumnarChunks();
+    const std::vector<TypedColumn>& chunks = table_->ColumnarChunks();
     batch->ResizeCols(ordinals_.size());
     for (size_t i = 0; i < ordinals_.size(); ++i) {
-      ViewChunkRows(chunks[ordinals_[i]], pos_, n, &batch->col(i));
+      ViewTypedColumn(chunks[ordinals_[i]], static_cast<uint32_t>(pos_), n,
+                      &batch->col(i));
     }
     batch->set_num_rows(n);
     pos_ += n;
@@ -293,7 +274,8 @@ class SegmentScanOp : public PhysicalOp {
   Status NextColumnsImpl(ExecContext*, ColumnBatch* batch) override {
     const uint32_t n = static_cast<uint32_t>(std::min(
         segment_->size() - pos_, static_cast<size_t>(batch->capacity())));
-    batch->SetRows(segment_->data() + pos_, n, layout_.size());
+    ORQ_RETURN_IF_ERROR(
+        batch->SetRows(segment_->data() + pos_, n, layout_.size()));
     pos_ += n;
     return Status::OK();
   }

@@ -101,7 +101,9 @@ class SegmentApplyOp : public PhysicalOp {
       for (size_t k = 0; k < key.size(); ++k) {
         ColumnVec& col = out->col(k);
         col.StartBuild(key[k].type(), n);
-        for (uint32_t i = 0; i < n; ++i) col.AppendValue(key[k]);
+        for (uint32_t i = 0; i < n; ++i) {
+          ORQ_RETURN_IF_ERROR(col.AppendValue(key[k]));
+        }
         col.Seal();
       }
       for (size_t c = 0; c < in.num_cols(); ++c) {

@@ -62,10 +62,6 @@ void HashCombineColumn(const ColumnBatch& batch, const ColumnVec& col,
         return std::hash<std::string_view>()(col.StrAt(i));
       });
       return;
-    case ColumnRep::kValues:
-      CombineLive(batch, nullptr, h,
-                  [&](uint32_t i) { return col.ValAt(i).Hash(); });
-      return;
   }
 }
 
@@ -80,18 +76,6 @@ inline int ThreeWayInt(int64_t a, int64_t b) {
 /// above everything. Branch-free enough to auto-vectorize.
 inline int ThreeWayDoubleVsNonNan(double a, double b) {
   return a < b ? -1 : (a > b ? 1 : (a == b ? 0 : 1));
-}
-
-inline bool CmpHolds(CompareOp op, int c) {
-  switch (op) {
-    case CompareOp::kEq: return c == 0;
-    case CompareOp::kNe: return c != 0;
-    case CompareOp::kLt: return c < 0;
-    case CompareOp::kLe: return c <= 0;
-    case CompareOp::kGt: return c > 0;
-    case CompareOp::kGe: return c >= 0;
-  }
-  return false;
 }
 
 /// Runs `f(i)` over every live row of the batch.
@@ -156,6 +140,25 @@ void EmitLanes(const ColumnBatch& b, const uint8_t* ln, const uint8_t* rn,
       o[i] = f(i);
     }
   });
+}
+
+/// o[i] = a(i) op c(i) over EmitLanes for add, sub and mul (division
+/// never vectorizes).
+template <typename Out, typename A, typename C>
+void EmitArith(ArithOp op, const ColumnBatch& b, const uint8_t* ln,
+               const uint8_t* rn, Out* o, uint8_t* on, bool* any_null, A a,
+               C c) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return EmitLanes(b, ln, rn, o, on, any_null,
+                       [a, c](uint32_t i) { return a(i) + c(i); });
+    case ArithOp::kSub:
+      return EmitLanes(b, ln, rn, o, on, any_null,
+                       [a, c](uint32_t i) { return a(i) - c(i); });
+    default:
+      return EmitLanes(b, ln, rn, o, on, any_null,
+                       [a, c](uint32_t i) { return a(i) * c(i); });
+  }
 }
 
 /// An int64 lane: either a column's array or a constant.
@@ -245,17 +248,10 @@ void CompareColConst(CompareOp op, const ColumnVec& col, const Value& cv,
     done = true;
   }
   if (!done) {
-    // Boxed reps and statically incomparable pairs (SqlCompare -> NULL).
-    const ElemRef cr = LoadValue(cv);
-    ForEachLive(b, [&](uint32_t i) {
-      std::optional<int> c = SqlCompareRefs(LoadElem(col, i), cr);
-      if (c.has_value()) {
-        o[i] = CmpHolds(op, *c) ? 1 : 0;
-      } else {
-        on[i] = 1;
-        any_null = true;
-      }
-    });
+    // The pairs without a typed loop are the incomparable ones (SqlCompare
+    // says NULL): a column holds only its declared type, or only NULLs.
+    ForEachLive(b, [&](uint32_t i) { on[i] = 1; });
+    any_null = true;
   }
   out->SetAnyNull(any_null);
 }
@@ -307,17 +303,32 @@ void CompareColCol(CompareOp op, const ColumnVec& l, const ColumnVec& r,
     done = true;
   }
   if (!done) {
-    ForEachLive(b, [&](uint32_t i) {
-      std::optional<int> c = SqlCompareRefs(LoadElem(l, i), LoadElem(r, i));
-      if (c.has_value()) {
-        o[i] = CmpHolds(op, *c) ? 1 : 0;
-      } else {
-        on[i] = 1;
-        any_null = true;
-      }
-    });
+    // Incomparable, as in CompareColConst.
+    ForEachLive(b, [&](uint32_t i) { on[i] = 1; });
+    any_null = true;
   }
   out->SetAnyNull(any_null);
+}
+
+/// Makes `out` a column of `type` that is NULL at every live row.
+void SetAllNull(DataType type, const ColumnBatch& batch, ColumnVec* out) {
+  out->PrepareScatter(type, batch.num_rows());
+  uint8_t* on = out->MutableNulls();
+  ForEachLive(batch, [&](uint32_t i) { on[i] = 1; });
+  out->SetAnyNull(true);
+}
+
+/// Whether ArithNode has a kernel for `e`'s declared operand types:
+/// numeric pairs, date +/- int64 and date - date.
+bool ArithKernel(const ScalarExpr& e) {
+  const DataType l = e.children[0]->type;
+  const DataType r = e.children[1]->type;
+  if (IsNumeric(l) && IsNumeric(r)) return true;
+  if (l == DataType::kDate && r == DataType::kInt64) {
+    return e.arith == ArithOp::kAdd || e.arith == ArithOp::kSub;
+  }
+  return l == DataType::kDate && r == DataType::kDate &&
+         e.arith == ArithOp::kSub;
 }
 
 }  // namespace
@@ -342,15 +353,21 @@ bool ColumnarEvaluator::CheckVectorizable(const ScalarExpr& e) const {
     case ScalarKind::kOr:
     case ScalarKind::kNot:
     case ScalarKind::kCompare:
-    case ScalarKind::kNegate:
     case ScalarKind::kIsNull:
     case ScalarKind::kIsNotNull:
+      break;
+    case ScalarKind::kCast:
+      if (e.children[0]->type != DataType::kInt64) return false;
+      break;
+    case ScalarKind::kNegate:
+      if (!IsNumeric(e.children[0]->type)) return false;
       break;
     case ScalarKind::kArith:
       // Division is the one runtime-error site reachable from a bound,
       // typed tree; keep it on the per-row path so errors surface on
-      // exactly the rows the row engine would evaluate.
-      if (e.arith == ArithOp::kDiv) return false;
+      // exactly the rows the row engine would evaluate. Operand types
+      // EvalArith rejects go there too.
+      if (e.arith == ArithOp::kDiv || !ArithKernel(e)) return false;
       break;
     default:
       return false;  // LIKE / CASE / IN / params / subquery remnants
@@ -379,12 +396,23 @@ const Value* ColumnarEvaluator::ConstOf(const ScalarExpr& e,
   return nullptr;
 }
 
-const ColumnVec* ColumnarEvaluator::Broadcast(const Value& v,
-                                              const ColumnBatch& batch) {
+Result<const ColumnVec*> ColumnarEvaluator::Broadcast(
+    const Value& v, DataType type, const ColumnBatch& batch) {
   ColumnVec* out = NewScratch();
-  out->PrepareScatterVals(v.type(), batch.num_rows());
-  Value* vals = out->MutableVals();
-  ForEachLive(batch, [&](uint32_t i) { vals[i] = v; });
+  out->PrepareScatter(type, batch.num_rows());
+  Status status;
+  ForEachLive(batch, [&](uint32_t i) {
+    if (status.ok()) status = out->ScatterValue(i, v);
+  });
+  ORQ_RETURN_IF_ERROR(status);
+  out->SetAnyNull(v.is_null());
+  return out;
+}
+
+const ColumnVec* ColumnarEvaluator::AllNull(DataType type,
+                                            const ColumnBatch& batch) {
+  ColumnVec* out = NewScratch();
+  SetAllNull(type, batch, out);
   return out;
 }
 
@@ -397,13 +425,16 @@ Result<const ColumnVec*> ColumnarEvaluator::Eval(const ColumnBatch& batch,
 Result<const ColumnVec*> ColumnarEvaluator::EvalOrFallback(
     const ColumnBatch& batch, const Evaluator& row_eval, ExecContext* ctx) {
   if (vectorizable_) return Eval(batch, ctx);
-  fallback_.PrepareScatterVals(expr_->type, batch.num_rows());
-  Value* vals = fallback_.MutableVals();
+  fallback_.PrepareScatter(expr_->type, batch.num_rows());
+  bool any_null = false;
   for (uint32_t j = 0; j < batch.selected(); ++j) {
     const uint32_t i = batch.RowAt(j);
     batch.DecodeRow(i, &decode_);
-    ORQ_ASSIGN_OR_RETURN(vals[i], row_eval.Eval(decode_, ctx));
+    ORQ_ASSIGN_OR_RETURN(Value v, row_eval.Eval(decode_, ctx));
+    any_null |= v.is_null();
+    ORQ_RETURN_IF_ERROR(fallback_.ScatterValue(i, v));
   }
+  fallback_.SetAnyNull(any_null);
   return &fallback_;
 }
 
@@ -447,29 +478,24 @@ Status ColumnarEvaluator::ArithNode(const ScalarExpr& e,
 
   const uint32_t n = batch.num_rows();
   const ArithOp op = e.arith;
+  const DataType lt = le.type;
+  const DataType rt = re.type;
   // A NULL constant annihilates the whole column (EvalArith's NULL
-  // propagation), regardless of the other side.
-  if ((lc != nullptr && lc->is_null()) || (rc != nullptr && rc->is_null())) {
-    out->PrepareScatter(e.type, n);
-    uint8_t* on = out->MutableNulls();
-    if (out->rep() == ColumnRep::kValues) return Status::OK();  // all NULL
-    ForEachLive(batch, [&](uint32_t i) { on[i] = 1; });
-    out->SetAnyNull(true);
+  // propagation), regardless of the other side. So does a column whose
+  // type is not its declared one: it holds only NULLs (a row batch typed
+  // by the tag of a NULL).
+  if ((lc != nullptr && lc->is_null()) || (rc != nullptr && rc->is_null()) ||
+      (L != nullptr && L->type() != lt) || (R != nullptr && R->type() != rt)) {
+    SetAllNull(e.type, batch, out);
     return Status::OK();
   }
 
-  // Boxed inputs leave the lane fast paths (which index raw payload arrays
-  // per row) for the element-wise tail.
-  const bool boxed = (L != nullptr && L->rep() == ColumnRep::kValues) ||
-                     (R != nullptr && R->rep() == ColumnRep::kValues);
-  const DataType lt = lc != nullptr ? lc->type() : L->type();
-  const DataType rt = rc != nullptr ? rc->type() : R->type();
   const uint8_t* ln = L != nullptr ? L->nulls() : nullptr;
   const uint8_t* rn = R != nullptr ? R->nulls() : nullptr;
   bool any_null = false;
 
-  if (!boxed && lt == DataType::kDate && rt == DataType::kInt64 &&
-      (op == ArithOp::kAdd || op == ArithOp::kSub)) {
+  // CheckVectorizable admitted only ArithKernel's type pairs.
+  if (lt == DataType::kDate && rt == DataType::kInt64) {
     out->PrepareScatter(DataType::kDate, n);
     I64Lane days{L != nullptr ? L->ints() : nullptr,
                  lc != nullptr ? static_cast<int64_t>(lc->date_value()) : 0};
@@ -483,11 +509,7 @@ Status ColumnarEvaluator::ArithNode(const ScalarExpr& e,
                                 : static_cast<int32_t>(days(i)) - delta(i);
                 return static_cast<int64_t>(static_cast<int32_t>(d));
               });
-    out->SetAnyNull(any_null);
-    return Status::OK();
-  }
-  if (!boxed && lt == DataType::kDate && rt == DataType::kDate &&
-      op == ArithOp::kSub) {
+  } else if (lt == DataType::kDate) {  // date - date
     out->PrepareScatter(DataType::kInt64, n);
     I64Lane a{L != nullptr ? L->ints() : nullptr,
               lc != nullptr ? static_cast<int64_t>(lc->date_value()) : 0};
@@ -498,88 +520,27 @@ Status ColumnarEvaluator::ArithNode(const ScalarExpr& e,
                 return static_cast<int64_t>(static_cast<int32_t>(a(i))) -
                        static_cast<int64_t>(static_cast<int32_t>(c(i)));
               });
-    out->SetAnyNull(any_null);
-    return Status::OK();
-  }
-  if (!boxed && IsNumeric(lt) && IsNumeric(rt)) {
-    if (lt == DataType::kInt64 && rt == DataType::kInt64) {
-      out->PrepareScatter(DataType::kInt64, n);
-      I64Lane a{L != nullptr ? L->ints() : nullptr,
-                lc != nullptr ? lc->int64_value() : 0};
-      I64Lane c{R != nullptr ? R->ints() : nullptr,
-                rc != nullptr ? rc->int64_value() : 0};
-      int64_t* o = out->MutableInts();
-      uint8_t* on = out->MutableNulls();
-      switch (op) {
-        case ArithOp::kAdd:
-          EmitLanes(batch, ln, rn, o, on, &any_null,
-                    [a, c](uint32_t i) { return a(i) + c(i); });
-          break;
-        case ArithOp::kSub:
-          EmitLanes(batch, ln, rn, o, on, &any_null,
-                    [a, c](uint32_t i) { return a(i) - c(i); });
-          break;
-        case ArithOp::kMul:
-          EmitLanes(batch, ln, rn, o, on, &any_null,
-                    [a, c](uint32_t i) { return a(i) * c(i); });
-          break;
-        case ArithOp::kDiv:
-          return Status::Internal("division reached the vectorized path");
-      }
-      out->SetAnyNull(any_null);
-      return Status::OK();
-    }
-    out->PrepareScatter(DataType::kDouble, n);
+  } else if (lt == DataType::kInt64 && rt == DataType::kInt64) {
+    out->PrepareScatter(DataType::kInt64, n);
+    EmitArith(op, batch, ln, rn, out->MutableInts(), out->MutableNulls(),
+              &any_null,
+              I64Lane{L != nullptr ? L->ints() : nullptr,
+                      lc != nullptr ? lc->int64_value() : 0},
+              I64Lane{R != nullptr ? R->ints() : nullptr,
+                      rc != nullptr ? rc->int64_value() : 0});
+  } else {
     auto dbl_lane = [](const ColumnVec* col, const Value* cv) {
-      DblLane lane;
-      if (col != nullptr) {
-        if (col->rep() == ColumnRep::kDoubles) {
-          lane.darr = col->doubles();
-        } else {
-          lane.iarr = col->ints();
-        }
-      } else {
-        lane.c = cv->AsDouble();
+      if (col == nullptr) return DblLane{nullptr, nullptr, cv->AsDouble()};
+      if (col->rep() == ColumnRep::kDoubles) {
+        return DblLane{col->doubles(), nullptr, 0.0};
       }
-      return lane;
+      return DblLane{nullptr, col->ints(), 0.0};
     };
-    DblLane a = dbl_lane(L, lc);
-    DblLane c = dbl_lane(R, rc);
-    double* o = out->MutableDoubles();
-    uint8_t* on = out->MutableNulls();
-    switch (op) {
-      case ArithOp::kAdd:
-        EmitLanes(batch, ln, rn, o, on, &any_null,
-                  [a, c](uint32_t i) { return a(i) + c(i); });
-        break;
-      case ArithOp::kSub:
-        EmitLanes(batch, ln, rn, o, on, &any_null,
-                  [a, c](uint32_t i) { return a(i) - c(i); });
-        break;
-      case ArithOp::kMul:
-        EmitLanes(batch, ln, rn, o, on, &any_null,
-                  [a, c](uint32_t i) { return a(i) * c(i); });
-        break;
-      case ArithOp::kDiv:
-        return Status::Internal("division reached the vectorized path");
-    }
-    out->SetAnyNull(any_null);
-    return Status::OK();
+    out->PrepareScatter(DataType::kDouble, n);
+    EmitArith(op, batch, ln, rn, out->MutableDoubles(), out->MutableNulls(),
+              &any_null, dbl_lane(L, lc), dbl_lane(R, rc));
   }
-
-  // Boxed inputs or type combinations EvalArith rejects per element
-  // (bool/string operands, date products): run the shared row semantics
-  // element-wise so NULL-skips and errors land on exactly the same rows.
-  out->PrepareScatterVals(e.type, n);
-  Value* vals = out->MutableVals();
-  const uint32_t m = batch.selected();
-  for (uint32_t j = 0; j < m; ++j) {
-    const uint32_t i = batch.RowAt(j);
-    Value lv = lc != nullptr ? *lc : L->GetValue(i);
-    Value rv = rc != nullptr ? *rc : R->GetValue(i);
-    ORQ_ASSIGN_OR_RETURN(Value v, EvalArith(op, lv, rv, e.type));
-    vals[i] = std::move(v);
-  }
+  out->SetAnyNull(any_null);
   return Status::OK();
 }
 
@@ -592,13 +553,15 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
       if (it != slots_.end()) return &batch.col(it->second);
       if (ctx != nullptr) {
         auto pit = ctx->params.find(e.column);
-        if (pit != ctx->params.end()) return Broadcast(pit->second, batch);
+        if (pit != ctx->params.end()) {
+          return Broadcast(pit->second, e.type, batch);
+        }
       }
       return Status::Internal("unresolved column #" +
                               std::to_string(e.column));
     }
     case ScalarKind::kLiteral:
-      return Broadcast(e.literal, batch);
+      return Broadcast(e.literal, e.type, batch);
     case ScalarKind::kCompare: {
       const Value* lc = ConstOf(*e.children[0], ctx);
       const Value* rc = ConstOf(*e.children[1], ctx);
@@ -606,7 +569,7 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
         std::optional<int> cmp = lc->SqlCompare(*rc);
         return Broadcast(cmp.has_value() ? CompareResult(e.cmp, *cmp)
                                          : Value::Null(DataType::kBool),
-                         batch);
+                         DataType::kBool, batch);
       }
       ColumnVec* out = NewScratch();
       ORQ_RETURN_IF_ERROR(CompareNode(e, batch, ctx, out));
@@ -617,7 +580,7 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
       const Value* rc = ConstOf(*e.children[1], ctx);
       if (lc != nullptr && rc != nullptr) {
         ORQ_ASSIGN_OR_RETURN(Value v, EvalArith(e.arith, *lc, *rc, e.type));
-        return Broadcast(v, batch);
+        return Broadcast(v, e.type, batch);
       }
       ColumnVec* out = NewScratch();
       ORQ_RETURN_IF_ERROR(ArithNode(e, batch, ctx, out));
@@ -666,7 +629,7 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
       if (cv != nullptr) {
         return Broadcast(cv->is_null() ? Value::Null(DataType::kBool)
                                        : Value::Bool(!cv->bool_value()),
-                         batch);
+                         DataType::kBool, batch);
       }
       ORQ_ASSIGN_OR_RETURN(const ColumnVec* c,
                            EvalNode(*e.children[0], batch, ctx));
@@ -692,7 +655,8 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
       const bool want_null = e.kind == ScalarKind::kIsNull;
       const Value* cv = ConstOf(*e.children[0], ctx);
       if (cv != nullptr) {
-        return Broadcast(Value::Bool(cv->is_null() == want_null), batch);
+        return Broadcast(Value::Bool(cv->is_null() == want_null),
+                         DataType::kBool, batch);
       }
       ORQ_ASSIGN_OR_RETURN(const ColumnVec* c,
                            EvalNode(*e.children[0], batch, ctx));
@@ -708,53 +672,51 @@ Result<const ColumnVec*> ColumnarEvaluator::EvalNode(const ScalarExpr& e,
     case ScalarKind::kNegate: {
       const Value* cv = ConstOf(*e.children[0], ctx);
       if (cv != nullptr) {
-        if (cv->is_null()) return Broadcast(Value::Null(cv->type()), batch);
-        if (cv->type() == DataType::kInt64) {
-          return Broadcast(Value::Int64(-cv->int64_value()), batch);
-        }
-        if (cv->type() == DataType::kDouble) {
-          return Broadcast(Value::Double(-cv->double_value()), batch);
-        }
-        return Status::RuntimeError("negation of non-numeric value");
+        if (cv->is_null()) return AllNull(e.type, batch);
+        return Broadcast(e.type == DataType::kInt64
+                             ? Value::Int64(-cv->int64_value())
+                             : Value::Double(-cv->double_value()),
+                         e.type, batch);
       }
       ORQ_ASSIGN_OR_RETURN(const ColumnVec* c,
                            EvalNode(*e.children[0], batch, ctx));
+      // A column not of its declared type holds only NULLs (see ArithNode).
+      if (c->type() != e.type) return AllNull(e.type, batch);
       ColumnVec* out = NewScratch();
+      out->PrepareScatter(e.type, batch.num_rows());
       bool any_null = false;
-      if (c->rep() == ColumnRep::kInts && c->type() == DataType::kInt64) {
-        out->PrepareScatter(DataType::kInt64, batch.num_rows());
+      if (e.type == DataType::kInt64) {
         const int64_t* a = c->ints();
         EmitLanes(batch, c->nulls(), nullptr, out->MutableInts(),
                   out->MutableNulls(), &any_null,
                   [a](uint32_t i) { return -a[i]; });
-        out->SetAnyNull(any_null);
-        return out;
-      }
-      if (c->rep() == ColumnRep::kDoubles) {
-        out->PrepareScatter(DataType::kDouble, batch.num_rows());
+      } else {
         const double* a = c->doubles();
         EmitLanes(batch, c->nulls(), nullptr, out->MutableDoubles(),
                   out->MutableNulls(), &any_null,
                   [a](uint32_t i) { return -a[i]; });
-        out->SetAnyNull(any_null);
-        return out;
       }
-      out->PrepareScatterVals(e.type, batch.num_rows());
-      Value* vals = out->MutableVals();
-      const uint32_t m = batch.selected();
-      for (uint32_t j = 0; j < m; ++j) {
-        const uint32_t i = batch.RowAt(j);
-        Value v = c->GetValue(i);
-        if (v.is_null()) {
-          vals[i] = Value::Null(v.type());
-        } else if (v.type() == DataType::kInt64) {
-          vals[i] = Value::Int64(-v.int64_value());
-        } else if (v.type() == DataType::kDouble) {
-          vals[i] = Value::Double(-v.double_value());
-        } else {
-          return Status::RuntimeError("negation of non-numeric value");
-        }
+      out->SetAnyNull(any_null);
+      return out;
+    }
+    case ScalarKind::kCast: {
+      const Value* cv = ConstOf(*e.children[0], ctx);
+      if (cv != nullptr) {
+        if (cv->is_null()) return AllNull(e.type, batch);
+        return Broadcast(Value::Double(static_cast<double>(cv->int64_value())),
+                         e.type, batch);
       }
+      ORQ_ASSIGN_OR_RETURN(const ColumnVec* c,
+                           EvalNode(*e.children[0], batch, ctx));
+      if (c->type() != DataType::kInt64) return AllNull(e.type, batch);
+      ColumnVec* out = NewScratch();
+      out->PrepareScatter(DataType::kDouble, batch.num_rows());
+      bool any_null = false;
+      const int64_t* a = c->ints();
+      EmitLanes(batch, c->nulls(), nullptr, out->MutableDoubles(),
+                out->MutableNulls(), &any_null,
+                [a](uint32_t i) { return static_cast<double>(a[i]); });
+      out->SetAnyNull(any_null);
       return out;
     }
     default:

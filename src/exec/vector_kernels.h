@@ -27,10 +27,6 @@ void HashCombineColumn(const ColumnBatch& batch, const ColumnVec& col,
 /// -1 = NULL, 0 = not-true, 1 = true. This is exactly how the row
 /// engine's kAnd/kOr treat operand values.
 inline int PredTruthElem(const ColumnVec& c, uint32_t i) {
-  if (c.rep() == ColumnRep::kValues) {
-    const Value& v = c.ValAt(i);
-    return v.is_null() ? -1 : (v.bool_value() ? 1 : 0);
-  }
   if (c.IsNull(i)) return -1;
   return c.rep() == ColumnRep::kInts ? (c.IntAt(i) != 0 ? 1 : 0) : 0;
 }
@@ -41,15 +37,14 @@ inline int PredTruthElem(const ColumnVec& c, uint32_t i) {
 /// reach a runtime error the row engine wouldn't also reach per element:
 /// column refs, literals, AND/OR/NOT, comparisons, arithmetic except
 /// division (the one error site — division by zero — in an otherwise
-/// statically-typed tree), negate, IS [NOT] NULL. Everything else (LIKE,
-/// CASE, IN-lists, subquery remnants) stays on the row evaluator, which
-/// EvalOrFallback runs per decoded row.
+/// statically-typed tree) over operand types it has a kernel for, numeric
+/// negation, the int64 -> double cast, IS [NOT] NULL. Everything else
+/// (LIKE, CASE, IN-lists, subquery remnants) stays on the row evaluator,
+/// which EvalOrFallback runs per decoded row.
 ///
-/// Eval runs over the batch's selected rows and returns a column indexed
-/// by physical row position (unselected slots hold garbage), valid until
-/// the next Eval call on this instance. Mixed-tag (kValues) inputs take a
-/// per-element boxed path through the same EvalArith/SqlCompare the row
-/// engine uses, so results match to the bit.
+/// Eval runs over the batch's selected rows and returns a column of the
+/// expression's type indexed by physical row position (unselected slots
+/// hold garbage), valid until the next Eval call on this instance.
 class ColumnarEvaluator {
  public:
   ColumnarEvaluator() = default;
@@ -61,8 +56,9 @@ class ColumnarEvaluator {
   Result<const ColumnVec*> Eval(const ColumnBatch& batch, ExecContext* ctx);
 
   /// Eval when vectorizable(); otherwise runs `row_eval` (the row
-  /// Evaluator of the same expression) over each decoded selected row
-  /// into a boxed column. Either result lives until the next call.
+  /// Evaluator of the same expression) over each decoded selected row and
+  /// scatters the values into a column of the expression's type. Either
+  /// result lives until the next call.
   Result<const ColumnVec*> EvalOrFallback(const ColumnBatch& batch,
                                           const Evaluator& row_eval,
                                           ExecContext* ctx);
@@ -72,7 +68,10 @@ class ColumnarEvaluator {
                                     const ColumnBatch& batch,
                                     ExecContext* ctx);
   const Value* ConstOf(const ScalarExpr& e, ExecContext* ctx) const;
-  const ColumnVec* Broadcast(const Value& v, const ColumnBatch& batch);
+  /// `v` at every live row, in a column of `type`.
+  Result<const ColumnVec*> Broadcast(const Value& v, DataType type,
+                                     const ColumnBatch& batch);
+  const ColumnVec* AllNull(DataType type, const ColumnBatch& batch);
   ColumnVec* NewScratch();
 
   Status CompareNode(const ScalarExpr& e, const ColumnBatch& batch,

@@ -16,6 +16,48 @@ bool IsAggregateName(const std::string& name) {
          EqualsIgnoreCase(name, "avg");
 }
 
+bool IsNullLiteral(const ScalarExprPtr& e) {
+  return e->kind == ScalarKind::kLiteral && e->literal.is_null();
+}
+
+/// Folds type `t` into `*common`, the result type of CASE branches or of
+/// a set operation's column under SQL's rules: the first type fixes it,
+/// the same type keeps it, int64 with double gives double, and any other
+/// pair is an error. Untyped NULL literals take no part.
+Status Unify(DataType t, const char* what, DataType* common, bool* typed) {
+  if (!*typed || t == *common) {
+    *common = t;
+    *typed = true;
+    return Status::OK();
+  }
+  if (IsNumeric(t) && IsNumeric(*common)) {
+    *common = DataType::kDouble;
+    return Status::OK();
+  }
+  return Status::InvalidArgument(std::string(what) + " mixes " +
+                                 DataTypeName(*common) + " and " +
+                                 DataTypeName(t));
+}
+
+/// `e` as a value of `type`, which Unify made its common type: itself, a
+/// NULL literal of `type`, or widened from int64 to double.
+ScalarExprPtr Coerce(ScalarExprPtr e, DataType type) {
+  if (e->type == type) return e;
+  if (IsNullLiteral(e)) return LitNull(type);
+  return MakeCast(std::move(e));
+}
+
+/// Whether a Project in `rel` computes column `col` as a bare NULL.
+bool IsNullColumn(const RelExpr& rel, ColumnId col) {
+  for (const ProjectItem& item : rel.proj_items) {
+    if (item.output == col) return IsNullLiteral(item.expr);
+  }
+  for (const RelExprPtr& child : rel.children) {
+    if (IsNullColumn(*child, col)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 /// Name-resolution scope: the columns visible at one query level, chained to
@@ -142,22 +184,30 @@ class ExprBinder {
           if (IsParam(*ast.children[i])) continue;
           ORQ_ASSIGN_OR_RETURN(children[i], Bind(*ast.children[i]));
         }
-        // Result type: type of the first bound THEN/ELSE branch.
+        // Result type: the common type of the THEN/ELSE branches (Unify);
+        // with only NULL literals bound, their type.
+        auto is_when = [&](size_t i) {
+          return i % 2 == 0 && i + 1 < children.size();
+        };
         DataType result_type = DataType::kInt64;
         bool typed = false;
-        for (size_t i = 1; i < children.size(); i += (i + 1 < children.size()
-                                                          ? 2
-                                                          : 1)) {
-          if (children[i] != nullptr) {
+        for (size_t i = 0; i < children.size(); ++i) {
+          if (is_when(i) || children[i] == nullptr ||
+              IsNullLiteral(children[i])) {
+            continue;
+          }
+          ORQ_RETURN_IF_ERROR(
+              Unify(children[i]->type, "CASE", &result_type, &typed));
+        }
+        for (size_t i = 0; i < children.size() && !typed; ++i) {
+          if (!is_when(i) && children[i] != nullptr) {
             result_type = children[i]->type;
             typed = true;
-            break;
           }
         }
         for (size_t i = 0; i < ast.children.size(); ++i) {
           if (children[i] != nullptr) continue;
-          const bool is_when = i % 2 == 0 && i + 1 < ast.children.size();
-          if (!is_when && !typed) {
+          if (!is_when(i) && !typed) {
             return Status::InvalidArgument(
                 "cannot infer the type of a CASE branch parameter (no typed "
                 "THEN/ELSE branch)");
@@ -165,7 +215,10 @@ class ExprBinder {
           ORQ_ASSIGN_OR_RETURN(
               children[i],
               BindParam(*ast.children[i],
-                        is_when ? DataType::kBool : result_type));
+                        is_when(i) ? DataType::kBool : result_type));
+        }
+        for (size_t i = 0; i < children.size(); ++i) {
+          if (!is_when(i)) children[i] = Coerce(children[i], result_type);
         }
         return MakeCase(std::move(children), result_type);
       }
@@ -506,10 +559,41 @@ Result<BoundQuery> Binder::BindSelect(const SelectStmt& stmt, Scope* outer) {
   if (left.output_cols.size() != right.output_cols.size()) {
     return Status::InvalidArgument("set operands have different arity");
   }
+  // Each column takes the common type of its two sides (Unify); a side
+  // whose column is a bare NULL takes the other side's type.
   std::vector<ColumnId> out_cols;
+  std::vector<DataType> types;
   for (size_t i = 0; i < left.output_cols.size(); ++i) {
-    out_cols.push_back(columns_->NewColumn(
-        left.output_names[i], columns_->type(left.output_cols[i]), true));
+    DataType type = columns_->type(left.output_cols[i]);
+    bool typed = false;
+    for (const BoundQuery* side : {&left, &right}) {
+      const ColumnId col = side->output_cols[i];
+      if (IsNullColumn(*side->root, col)) continue;
+      ORQ_RETURN_IF_ERROR(Unify(columns_->type(col), "set operation column",
+                                &type, &typed));
+    }
+    types.push_back(type);
+    out_cols.push_back(columns_->NewColumn(left.output_names[i], type, true));
+  }
+  // A side with a column of another type computes it anew, coerced.
+  for (BoundQuery* side : {&left, &right}) {
+    std::vector<ProjectItem> items;
+    ColumnSet pass;
+    for (size_t i = 0; i < types.size(); ++i) {
+      ColumnId& col = side->output_cols[i];
+      if (columns_->type(col) == types[i]) {
+        pass.Add(col);
+        continue;
+      }
+      ScalarExprPtr value = IsNullColumn(*side->root, col)
+                                ? LitNull(types[i])
+                                : Coerce(CRef(*columns_, col), types[i]);
+      col = columns_->NewColumn(side->output_names[i], types[i], true);
+      items.push_back(ProjectItem{col, std::move(value)});
+    }
+    if (!items.empty()) {
+      side->root = MakeProject(side->root, std::move(items), pass);
+    }
   }
   std::vector<std::vector<ColumnId>> maps = {left.output_cols,
                                              right.output_cols};

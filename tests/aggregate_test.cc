@@ -246,26 +246,6 @@ TEST(SumContractTest, PricesAreBitIdenticalAcrossOrdersAndModes) {
   }
 }
 
-TEST(SumContractTest, MixedIntegerAndDoubleColumnFinalizesExactly) {
-  // An int64 column holding a double is stored boxed (kValues): SUM adds
-  // the int64 above 2^53 exactly, and the total rounds once.
-  for (const std::vector<Row>& rows :
-       {std::vector<Row>{{Value::Int64(0),
-                          Value::Int64((int64_t{1} << 53) + 1)},
-                         {Value::Int64(0), Value::Double(0.5)}},
-        std::vector<Row>{{Value::Int64(0), Value::Double(0.5)},
-                         {Value::Int64(0),
-                          Value::Int64((int64_t{1} << 53) + 1)}}}) {
-    for (const auto& mode_rows :
-         RunAllModes(rows, DataType::kInt64,
-                     "SELECT g, SUM(x) FROM t GROUP BY g")) {
-      ASSERT_EQ(mode_rows.size(), 1u);
-      ASSERT_EQ(mode_rows[0][1].type(), DataType::kDouble);
-      EXPECT_EQ(mode_rows[0][1].double_value(), 9007199254740994.0);
-    }
-  }
-}
-
 TEST(AggregateEmissionTest, DoubleColumnStaysTypedAfterNullFirstGroup) {
   // The first group's SUM is NULL; the emitted column must still be a
   // typed double column, not boxed values.

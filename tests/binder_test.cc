@@ -162,5 +162,85 @@ TEST_F(BinderTest, BoundOutputMatchesRootColumns) {
   EXPECT_EQ(bound->root->OutputColumns(), bound->output_cols);
 }
 
+// ---- result types: one static type per column ----
+
+/// The expression computing output column `i` of a non-aggregate query.
+ScalarExprPtr OutputExpr(const BoundQuery& bound, size_t i) {
+  for (const ProjectItem& item : bound.root->proj_items) {
+    if (item.output == bound.output_cols[i]) return item.expr;
+  }
+  return nullptr;
+}
+
+TEST_F(BinderTest, CaseTakesTheCommonSupertype) {
+  // int64 with double gives double; an int64 column branch is widened by
+  // a cast, an int64 literal branch folds to a double literal.
+  auto bound = Bind("select case when a > 2 then a else c end, "
+                    "case when a > 2 then 1 else 2.5 end from t");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(columns_->type(bound->output_cols[i]), DataType::kDouble);
+    ASSERT_NE(OutputExpr(*bound, i), nullptr);
+    EXPECT_EQ(OutputExpr(*bound, i)->type, DataType::kDouble);
+  }
+  const ScalarExprPtr cast = OutputExpr(*bound, 0)->children[1];
+  EXPECT_EQ(cast->kind, ScalarKind::kCast);
+  EXPECT_EQ(cast->children[0]->type, DataType::kInt64);
+  const ScalarExprPtr folded = OutputExpr(*bound, 1)->children[1];
+  ASSERT_EQ(folded->kind, ScalarKind::kLiteral);
+  EXPECT_EQ(folded->literal.type(), DataType::kDouble);
+  EXPECT_EQ(folded->literal.double_value(), 1.0);
+  // The same type stays that type.
+  auto same = Bind("select case when a > 2 then b else 'x' end from t");
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(columns_->type(same->output_cols[0]), DataType::kString);
+}
+
+TEST_F(BinderTest, NullBranchTakesTheOtherBranchesType) {
+  auto bound = Bind("select case when a > 2 then null else b end, "
+                    "case when a > 2 then c end from t");
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  EXPECT_EQ(columns_->type(bound->output_cols[0]), DataType::kString);
+  const ScalarExprPtr null_branch = OutputExpr(*bound, 0)->children[1];
+  ASSERT_EQ(null_branch->kind, ScalarKind::kLiteral);
+  EXPECT_TRUE(null_branch->literal.is_null());
+  EXPECT_EQ(null_branch->type, DataType::kString);
+  EXPECT_EQ(columns_->type(bound->output_cols[1]), DataType::kDouble);
+}
+
+TEST_F(BinderTest, SetOperationsWidenTheirColumns) {
+  for (const char* op : {"union all", "except all"}) {
+    SCOPED_TRACE(op);
+    auto bound = Bind(std::string("select a, c from t ") + op +
+                      " select d, a from u");
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    EXPECT_EQ(columns_->type(bound->output_cols[0]), DataType::kInt64);
+    EXPECT_EQ(columns_->type(bound->output_cols[1]), DataType::kDouble);
+    // The right side computes its int64 `a` anew, as a double.
+    const RelExprPtr& right = bound->root->children[1];
+    ASSERT_EQ(right->kind, RelKind::kProject);
+    ASSERT_EQ(right->proj_items.size(), 1u);
+    EXPECT_EQ(right->proj_items[0].expr->kind, ScalarKind::kCast);
+    EXPECT_EQ(bound->root->children[0]->kind, RelKind::kProject);
+    EXPECT_TRUE(bound->root->children[0]->proj_items.size() == 2u);
+  }
+  // A bare NULL column takes the other side's type.
+  auto nulls = Bind("select null from t union all select b from t");
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  EXPECT_EQ(columns_->type(nulls->output_cols[0]), DataType::kString);
+}
+
+TEST_F(BinderTest, IncompatibleResultTypesFailToBind) {
+  for (const char* sql :
+       {"select case when a > 0 then b else 1 end from t",
+        "select case when a > 0 then a when a < 0 then b end from t",
+        "select a from t union all select b from t",
+        "select b from t except all select d from u"}) {
+    auto bound = Bind(sql);
+    EXPECT_FALSE(bound.ok()) << sql;
+    EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+}
+
 }  // namespace
 }  // namespace orq

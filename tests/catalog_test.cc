@@ -219,35 +219,8 @@ TEST(TableStorageTest, EveryTypeRoundTripsCellByCell) {
        Value::Bool(false), Value::String("")},
   };
   for (const Row& row : rows) ASSERT_TRUE(t->Append(row).ok());
-  for (const Table::ColumnChunk& chunk : t->ColumnarChunks()) {
-    EXPECT_FALSE(chunk.mixed);
-    EXPECT_TRUE(chunk.any_null);
-  }
-  ExpectTableHolds(*t, rows);
-}
-
-TEST(TableStorageTest, ColumnTurningMixedKeepsEarlierRowsExact) {
-  Catalog catalog;
-  Table* t = *catalog.CreateTable("m", {{"x", DataType::kInt64, true},
-                                        {"s", DataType::kString, true}});
-  std::vector<Row> rows;
-  for (int i = 0; i < 17; ++i) {
-    rows.push_back({i == 5 ? Value::Null(DataType::kInt64) : Value::Int64(i),
-                    i == 9 ? Value::Null(DataType::kString)
-                           : Value::String("value number " +
-                                           std::to_string(i))});
-  }
-  // Row 17 disagrees with both declared types.
-  rows.push_back({Value::Double(2.5), Value::Int64(17)});
-  rows.push_back({Value::Int64(18), Value::Null()});
-  rows.push_back({Value::Null(DataType::kDouble), Value::String("s19")});
-  for (const Row& row : rows) ASSERT_TRUE(t->Append(row).ok());
-  for (const Table::ColumnChunk& chunk : t->ColumnarChunks()) {
-    EXPECT_TRUE(chunk.mixed);
-    EXPECT_EQ(chunk.vals.size(), rows.size());
-    EXPECT_TRUE(chunk.ints.empty());
-    EXPECT_TRUE(chunk.chars.empty());
-    EXPECT_TRUE(chunk.nulls.empty());
+  for (const TypedColumn& chunk : t->ColumnarChunks()) {
+    EXPECT_TRUE(chunk.any_null());
   }
   ExpectTableHolds(*t, rows);
 }
@@ -255,15 +228,34 @@ TEST(TableStorageTest, ColumnTurningMixedKeepsEarlierRowsExact) {
 TEST(TableStorageTest, RejectedAppendsLeaveTheTableUnchanged) {
   Catalog catalog;
   Table* t = *catalog.CreateTable("a", {{"k", DataType::kInt64, false},
-                                        {"g", DataType::kString, true}});
+                                        {"g", DataType::kString, true},
+                                        {"x", DataType::kDouble, true}});
   std::vector<Row> rows;
   for (int i = 0; i < 40; ++i) {
-    rows.push_back({Value::Int64(i), Value::String("g" + std::to_string(i / 8))});
+    rows.push_back({Value::Int64(i), Value::String("g" + std::to_string(i / 8)),
+                    Value::Double(i * 0.25)});
     ASSERT_TRUE(t->Append(rows.back()).ok());
   }
   EXPECT_EQ(t->Append({Value::Int64(1)}).code(),
             StatusCode::kInvalidArgument);
+  // A value of another type anywhere in the row rejects all of it: the
+  // columns before the bad cell stay unwritten too.
+  for (const Row& bad :
+       {Row{Value::Int64(40), Value::Int64(7), Value::Double(1.0)},
+        Row{Value::Int64(40), Value::String("g"), Value::String("1.0")},
+        Row{Value::Double(40.0), Value::String("g"), Value::Double(1.0)},
+        Row{Value::Int64(40), Value::Null(), Value::Bool(true)}}) {
+    EXPECT_EQ(t->Append(bad).code(), StatusCode::kInvalidArgument)
+        << RowToString(bad);
+  }
   ExpectTableHolds(*t, rows);
+  // An int64 in a double column widens; a NULL of any tag is a NULL.
+  ASSERT_TRUE(
+      t->Append({Value::Int64(40), Value::Null(), Value::Int64(-3)}).ok());
+  rows.push_back(
+      {Value::Int64(40), Value::Null(DataType::kString), Value::Double(-3.0)});
+  ExpectTableHolds(*t, rows);
+  EXPECT_EQ(t->CellAt(40, 2).type(), DataType::kDouble);
 }
 
 /// Column statistics recomputed straight from the appended rows, by the
@@ -315,8 +307,8 @@ TEST(TableStorageTest, StatsMatchRecomputationFromAppendedRows) {
          i % 5 == 0 ? Value::Null(DataType::kString)
                     : Value::String("a long enough string " +
                                     std::to_string(i % 9)),
-         // Mixed from row 150 on.
-         i < 150 ? Value::Int64(i) : Value::String(std::to_string(i))});
+         // NULL from row 150 on.
+         i < 150 ? Value::Int64(i) : Value::Null(DataType::kInt64)});
   }
   const TableStats want = StatsOf(rows, schema.size());
   Catalog catalog;

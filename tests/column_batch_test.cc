@@ -1,8 +1,9 @@
 // Columnar (SoA) execution unit tests: ColumnVec build/view mechanics and
 // boundary cases (empty batches, all-null columns, string-arena growth,
-// boxed degradation), selection-vector behavior including all-filtered
-// batches, column-wise hashing against RowHash, batch_size validation, and
-// end-to-end row-vs-columnar equivalence at awkward batch boundaries.
+// one type per column, string scatters), selection-vector behavior
+// including all-filtered batches, column-wise hashing against RowHash,
+// batch_size validation, and end-to-end row-vs-columnar equivalence at
+// awkward batch boundaries.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +13,7 @@
 #include "engine/engine.h"
 #include "exec/column_batch.h"
 #include "exec/exec.h"
+#include "exec/key_columns.h"
 #include "exec/ops.h"
 #include "exec/vector_kernels.h"
 #include "obs/report.h"
@@ -58,20 +60,68 @@ TEST(ColumnVecTest, StringArenaGrowthKeepsAllValues) {
   }
 }
 
-TEST(ColumnVecTest, AppendValueDegradesToBoxedOnMixedTags) {
+TEST(ColumnVecTest, AppendValueRejectsAnotherType) {
   ColumnVec col;
   col.StartBuild(DataType::kInt64, 4);
-  col.AppendValue(Value::Int64(3));
-  col.AppendValue(Value::Null(DataType::kInt64));
-  col.AppendValue(Value::Double(3.0));  // first off-type tag
+  EXPECT_TRUE(col.AppendValue(Value::Int64(3)).ok());
+  EXPECT_TRUE(col.AppendValue(Value::Null(DataType::kString)).ok());
+  EXPECT_EQ(col.AppendValue(Value::Double(3.0)).code(), StatusCode::kInternal);
   col.Seal();
-  ASSERT_EQ(col.rep(), ColumnRep::kValues);
-  ASSERT_EQ(col.size(), 3u);
-  // Exact tags survive the degradation — Int64(3) stays distinguishable
-  // from Double(3.0), and the null keeps reading as null.
-  EXPECT_EQ(col.ValAt(0).type(), DataType::kInt64);
+  ASSERT_EQ(col.rep(), ColumnRep::kInts);
+  ASSERT_EQ(col.size(), 2u);
+  EXPECT_EQ(col.IntAt(0), 3);
   EXPECT_TRUE(col.IsNull(1));
-  EXPECT_EQ(col.ValAt(2).type(), DataType::kDouble);
+  // A row batch takes each column's type from its first non-NULL value.
+  ColumnBatch batch(4);
+  const std::vector<Row> rows = {{Value::Null(DataType::kInt64)},
+                                 {Value::Double(1.5)}};
+  ASSERT_TRUE(batch.SetRows(rows.data(), 2, 1).ok());
+  EXPECT_EQ(batch.col(0).rep(), ColumnRep::kDoubles);
+  const std::vector<Row> mixed = {{Value::Int64(1)}, {Value::Double(1.5)}};
+  EXPECT_EQ(batch.SetRows(mixed.data(), 2, 1).code(), StatusCode::kInternal);
+}
+
+TEST(ColumnVecTest, StringScatterFollowsTheSelection) {
+  // A string scatter writes its arena in selection order; rows it skips
+  // read as empty strings, whatever the batch size.
+  for (uint32_t n : {1u, 1023u, 1025u}) {
+    std::vector<uint32_t> sel;
+    for (uint32_t i = 0; i < n; i += 7) sel.push_back(i);
+    if (sel.back() != n - 1) sel.push_back(n - 1);
+    ColumnVec col;
+    col.PrepareScatter(DataType::kString, n);
+    bool any_null = false;
+    for (uint32_t i : sel) {
+      if (i % 3 == 1) {
+        ASSERT_TRUE(col.ScatterValue(i, Value::Null(DataType::kString)).ok());
+        any_null = true;
+      } else {
+        ASSERT_TRUE(
+            col.ScatterValue(i, Value::String(std::string(i % 40, 'x') +
+                                              std::to_string(i)))
+                .ok());
+      }
+    }
+    EXPECT_EQ(col.ScatterValue(0, Value::Int64(1)).code(),
+              StatusCode::kInternal);
+    col.SetAnyNull(any_null);
+    ASSERT_EQ(col.size(), n);
+    size_t next = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const bool selected = next < sel.size() && sel[next] == i;
+      if (selected) ++next;
+      if (selected && i % 3 == 1) {
+        EXPECT_TRUE(col.IsNull(i)) << n << " " << i;
+      } else if (selected) {
+        EXPECT_EQ(std::string(col.StrAt(i)),
+                  std::string(i % 40, 'x') + std::to_string(i))
+            << n << " " << i;
+      } else {
+        EXPECT_FALSE(col.IsNull(i));
+        EXPECT_EQ(col.StrAt(i), "") << n << " " << i;
+      }
+    }
+  }
 }
 
 TEST(ColumnBatchTest, EmptyBatchHasNoSelectedRows) {
@@ -131,8 +181,9 @@ TEST(ColumnBatchTest, AllNullColumnHashesLikeRowHash) {
     EXPECT_TRUE(decoded[0].is_null());
   }
   // Null refs group-compare equal regardless of declared type.
-  EXPECT_TRUE(GroupEqualsRefs(LoadElem(col, 0),
-                              LoadValue(Value::Null(DataType::kString))));
+  EXPECT_EQ(TotalCompareRefs(LoadElem(col, 0),
+                             LoadValue(Value::Null(DataType::kString))),
+            0);
 }
 
 TEST(ColumnBatchTest, MixedTypeHashesMatchRowHash) {
@@ -283,10 +334,10 @@ class ChunkViewTest : public ::testing::Test {
   /// Asserts the windowed view decodes to exactly rows_ [pos, pos + n)
   /// for column `c` — the chunk-boundary resume a scan performs when a
   /// batch ends mid-table.
-  void ExpectWindowRoundTrips(const Table::ColumnChunk& chunk, int c,
+  void ExpectWindowRoundTrips(const TypedColumn& chunk, int c,
                               size_t pos, uint32_t n) {
     ColumnVec col;
-    ViewChunkRows(chunk, pos, n, &col);
+    ViewTypedColumn(chunk, pos, n, &col);
     for (uint32_t i = 0; i < n; ++i) {
       const Value& want = rows_[pos + i][c];
       Value got = col.GetValue(i);
@@ -303,43 +354,24 @@ class ChunkViewTest : public ::testing::Test {
 };
 
 TEST_F(ChunkViewTest, ViewsRoundTripWithWindows) {
-  const std::vector<Table::ColumnChunk>& chunks = Load()->ColumnarChunks();
+  const std::vector<TypedColumn>& chunks = Load()->ColumnarChunks();
   ASSERT_EQ(chunks.size(), 5u);
   for (int c = 0; c < 5; ++c) {
-    EXPECT_FALSE(chunks[c].mixed);
     ExpectWindowRoundTrips(chunks[c], c, 0, 40);
     ExpectWindowRoundTrips(chunks[c], c, 7, 33);  // mid-table resume
     ExpectWindowRoundTrips(chunks[c], c, 39, 1);  // last row
   }
 }
 
-TEST_F(ChunkViewTest, MixedTagColumnStaysBoxed) {
-  Table* m = *catalog_.CreateTable("m", {{"x", DataType::kInt64, true}});
-  for (int i = 0; i < 40; ++i) {
-    // Value tags disagree with the declared type on some rows, so the
-    // chunk must degrade to boxed values.
-    ASSERT_TRUE(
-        m->Append({i % 2 == 0 ? Value::Int64(7) : Value::String("seven")})
-            .ok());
-  }
-  const Table::ColumnChunk& chunk = m->ColumnarChunks()[0];
-  EXPECT_TRUE(chunk.mixed);
-  ASSERT_EQ(chunk.vals.size(), 40u);
-  ColumnVec col;
-  ViewChunkRows(chunk, 0, 40, &col);
-  EXPECT_EQ(col.rep(), ColumnRep::kValues);
-  EXPECT_EQ(col.GetValue(1).string_value(), "seven");
-}
-
 TEST_F(ChunkViewTest, ColumnHashParityWithRowHash) {
   // Column-wise hashing over chunk views must equal RowHash over the
   // decoded rows — the invariant that lets columnar probes share key
   // tables with Row-keyed inserts.
-  const std::vector<Table::ColumnChunk>& chunks = Load()->ColumnarChunks();
+  const std::vector<TypedColumn>& chunks = Load()->ColumnarChunks();
   ColumnBatch batch(64);
   batch.ResizeCols(5);
   for (int c = 0; c < 5; ++c) {
-    ViewChunkRows(chunks[c], 0, 40, &batch.col(c));
+    ViewTypedColumn(chunks[c], 0, 40, &batch.col(c));
   }
   batch.set_num_rows(40);
   std::vector<size_t> hashes;
@@ -434,6 +466,39 @@ TEST_F(ColumnarExecTest, JoinsMatchRowMode) {
       "select k from t where exists (select 1 from u where fk = k)");
   ExpectModesAgree(
       "select k from t where not exists (select 1 from u where fk = k)");
+}
+
+TEST_F(ColumnarExecTest, StringResultsScatterAtAwkwardBatchSizes) {
+  // A row-evaluated string CASE under a sparse selection (the IN list
+  // filters), at batch sizes 1, 1023 and 1025 over 2,100 rows.
+  Table* big = *catalog_.CreateTable("big", {{"k", DataType::kInt64, false},
+                                             {"s", DataType::kString, true}});
+  for (int i = 0; i < 2100; ++i) {
+    ASSERT_TRUE(big->Append({Value::Int64(i),
+                             i % 11 == 0 ? Value::Null(DataType::kString)
+                                         : Value::String("s" +
+                                                         std::to_string(i))})
+                    .ok());
+  }
+  const std::string sql =
+      "select k, case when k > 1000 then s when k > 3 then 'mid' end from "
+      "big where k in (0, 3, 4, 11, 1022, 1023, 1024, 1025, 1100, 2047, "
+      "2048, 2099)";
+  EngineOptions row_options = EngineOptions::Full();
+  row_options.exec.batched = false;
+  QueryEngine row_engine(&catalog_, row_options);
+  Result<QueryResult> expect = row_engine.Execute(sql);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_EQ(expect->rows.size(), 12u);
+  for (int batch_size : {1, 1023, 1025}) {
+    EngineOptions options = EngineOptions::Full();
+    options.exec.batch_size = batch_size;
+    QueryEngine engine(&catalog_, options);
+    Result<QueryResult> actual = engine.Execute(sql);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(CanonicalRows(expect->rows), CanonicalRows(actual->rows))
+        << "batch_size " << batch_size;
+  }
 }
 
 TEST_F(ColumnarExecTest, SubqueryPlansMatchRowMode) {

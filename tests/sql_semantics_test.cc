@@ -257,6 +257,31 @@ TEST_F(SqlSemanticsTest, CaseWhenGuardsEvaluation) {
   EXPECT_EQ(result.rows[1][0].int64_value(), -1);
 }
 
+TEST_F(SqlSemanticsTest, EveryValueCarriesItsColumnType) {
+  // A CASE mixing int64 and double branches, grouped on, and a UNION ALL
+  // of an int64 and a double side: every non-NULL value is a double, in
+  // the row and the columnar engine alike.
+  for (bool batched : {false, true}) {
+    EngineOptions options = EngineOptions::Full();
+    options.exec.batched = batched;
+    QueryEngine engine(&catalog_, options);
+    for (const char* sql :
+         {"select case when k > 2 then 1 else 2.5 end as c, count(*) from t "
+          "group by case when k > 2 then 1 else 2.5 end",
+          "select k from t where k < 3 union all select v * 1.5 from t",
+          "select case when k > 1 then v * 0.5 end from t"}) {
+      Result<QueryResult> result = engine.Execute(sql);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      EXPECT_EQ(result->column_types[0], DataType::kDouble) << sql;
+      for (const Row& row : result->rows) {
+        if (row[0].is_null()) continue;
+        EXPECT_EQ(row[0].type(), DataType::kDouble)
+            << sql << ": " << RowToString(row);
+      }
+    }
+  }
+}
+
 TEST_F(SqlSemanticsTest, OuterJoinPadsAndCounts) {
   QueryResult result = Run(
       "select k, count(w) from t left outer join s on w = v "
