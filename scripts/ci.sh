@@ -62,6 +62,18 @@ echo "=== Columnar speedup gate ==="
 build/tools/bench_compare --speedup bench/baselines/BENCH_columnar.json
 build/tools/bench_compare --speedup "${BENCH_SMOKE_DIR}/bench_columnar.json"
 
+echo "=== Anti-join ratio gate ==="
+# Each correlated quantified subquery of the Fig8Anti pairs (NOT IN, and
+# <> ALL with a filter) must run within 2x of its NOT EXISTS twin, in the
+# checked-in baseline and in the fresh smoke run. Both forms are hash anti
+# joins; a form that falls back to nested loops runs thousands of times
+# slower and fails here.
+for report in bench/baselines/BENCH_fig8.json \
+    "${BENCH_SMOKE_DIR}/bench_fig8_suite.json"; do
+  build/tools/bench_compare --speedup "${report}" \
+    --slow /not_exists/ --fast /quantified/ --min-ratio 0.5
+done
+
 # Parallel gate: the 4-thread Figure 8 run must keep the exact row counts
 # the serial engine produces (any drift is a parallel-correctness bug, not
 # noise) and stay within the wall tolerance of its own parallel baseline.

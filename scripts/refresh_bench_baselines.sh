@@ -49,6 +49,10 @@ done
 # (columnar >= 1.5x over row-at-a-time on >= 2 workloads): fail here at
 # refresh time rather than on the next CI run.
 build/tools/bench_compare --speedup bench/baselines/BENCH_columnar.json
+# Likewise the Fig8Anti ratio gate: each quantified subquery within 2x of
+# its NOT EXISTS twin.
+build/tools/bench_compare --speedup bench/baselines/BENCH_fig8.json \
+  --slow /not_exists/ --fast /quantified/ --min-ratio 0.5
 
 # Morsel-parallel baseline: the Figure 8 suite again, but with every engine
 # running 4 worker threads. Row counts must stay identical to the serial

@@ -31,6 +31,10 @@ Status Table::Append(Row row) {
   for (size_t c = 0; c < row.size(); ++c) {
     Value& v = row[c];
     const DataType type = columns_[c].type;
+    if (v.is_null() && !columns_[c].nullable) {
+      return Status::InvalidArgument("NULL for NOT NULL column " +
+                                     columns_[c].name + " of table " + name_);
+    }
     if (v.is_null() || v.type() == type) {
       if (type == DataType::kString && !v.is_null() &&
           chunks_[c].ArenaBytes() + v.string_value().size() > UINT32_MAX) {

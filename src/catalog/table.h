@@ -39,9 +39,10 @@ class Table {
 
   /// Appends a row; the row must match the schema arity, and every
   /// non-NULL value the column's declared type. An int64 in a double
-  /// column widens to double. Any other mismatch, or a string that would
-  /// take its column's arena past uint32 offsets, is InvalidArgument, and
-  /// the table is left unchanged.
+  /// column widens to double. Any other mismatch, a NULL in a column
+  /// declared NOT NULL (the optimizer's NotNullColumns trusts the
+  /// declaration), or a string that would take its column's arena past
+  /// uint32 offsets, is InvalidArgument, and the table is left unchanged.
   Status Append(Row row);
 
   /// Declares the primary key (column ordinals). Keys feed the optimizer's

@@ -109,6 +109,13 @@ inline bool IsNumeric(DataType type) {
   return type == DataType::kInt64 || type == DataType::kDouble;
 }
 
+/// True when two non-NULL values of these types compare to TRUE or FALSE:
+/// a numeric pair, or two values of one type. Any other pair is in
+/// different comparison classes and compares UNKNOWN (Value::SqlCompare).
+inline bool Comparable(DataType a, DataType b) {
+  return (IsNumeric(a) && IsNumeric(b)) || a == b;
+}
+
 /// Physical representation of a column of values (a ColumnBatch column,
 /// a KeyTable key column). Every non-NULL value of a column carries the
 /// column's declared type, so the type alone picks the representation.

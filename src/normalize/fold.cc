@@ -1,6 +1,7 @@
 #include "normalize/fold.h"
 
 #include "algebra/expr_util.h"
+#include "algebra/props.h"
 #include "exec/evaluator.h"
 
 namespace orq {
@@ -13,9 +14,36 @@ bool IsLiteral(const ScalarExprPtr& e) {
 
 bool IsFalseLike(const ScalarExprPtr& e) { return IsFalseOrNullLiteral(e); }
 
+/// True when `e` cannot be NULL: a column of `not_null`, a non-NULL
+/// literal, or a comparison of two such operands of one comparison class
+/// (an int64 compared with a string is UNKNOWN on every row).
+bool NeverNull(const ScalarExprPtr& e, const ColumnSet& not_null) {
+  switch (e->kind) {
+    case ScalarKind::kColumnRef:
+      return not_null.Contains(e->column);
+    case ScalarKind::kLiteral:
+      return !e->literal.is_null();
+    case ScalarKind::kCompare:
+      return Comparable(e->children[0]->type, e->children[1]->type) &&
+             NeverNull(e->children[0], not_null) &&
+             NeverNull(e->children[1], not_null);
+    default:
+      return false;
+  }
+}
+
+bool ContainsIsNull(const ScalarExprPtr& e) {
+  if (e->kind == ScalarKind::kIsNull) return true;
+  for (const ScalarExprPtr& child : e->children) {
+    if (ContainsIsNull(child)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
-ScalarExprPtr FoldScalar(const ScalarExprPtr& expr) {
+ScalarExprPtr FoldScalar(const ScalarExprPtr& expr,
+                         const ColumnSet* not_null) {
   if (expr == nullptr || expr->kind == ScalarKind::kLiteral ||
       expr->kind == ScalarKind::kColumnRef) {
     return expr;
@@ -25,7 +53,7 @@ ScalarExprPtr FoldScalar(const ScalarExprPtr& expr) {
   std::vector<ScalarExprPtr> children;
   children.reserve(expr->children.size());
   for (const ScalarExprPtr& child : expr->children) {
-    ScalarExprPtr folded = FoldScalar(child);
+    ScalarExprPtr folded = FoldScalar(child, not_null);
     changed |= folded != child;
     children.push_back(std::move(folded));
   }
@@ -61,6 +89,11 @@ ScalarExprPtr FoldScalar(const ScalarExprPtr& expr) {
       if (keep.size() != current->children.size()) return MakeOr(keep);
       break;
     }
+    case ScalarKind::kIsNull:
+      if (not_null != nullptr && NeverNull(current->children[0], *not_null)) {
+        return LitBool(false);
+      }
+      break;
     case ScalarKind::kNot:
       // NOT(NOT(x)) = x (three-valued logic preserves this).
       if (current->children[0]->kind == ScalarKind::kNot) {
@@ -129,7 +162,19 @@ class Folder {
       }
     };
     if (node->predicate != nullptr) {
-      ScalarExprPtr folded = FoldScalar(node->predicate);
+      // A Select's or Join's predicate reads its inputs' rows, so their
+      // non-NULL columns are non-NULL wherever it is evaluated.
+      ColumnSet not_null;
+      const bool knows_nulls =
+          (node->kind == RelKind::kSelect || node->kind == RelKind::kJoin) &&
+          ContainsIsNull(node->predicate);
+      if (knows_nulls) {
+        for (const RelExprPtr& child : node->children) {
+          not_null.AddAll(NotNullColumns(*child));
+        }
+      }
+      ScalarExprPtr folded =
+          FoldScalar(node->predicate, knows_nulls ? &not_null : nullptr);
       if (folded != node->predicate) {
         ensure_copy();
         current->predicate = folded;

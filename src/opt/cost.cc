@@ -6,6 +6,7 @@
 #include "algebra/expr_util.h"
 #include "algebra/props.h"
 #include "catalog/table.h"
+#include "opt/join_choice.h"
 
 namespace orq {
 
@@ -190,31 +191,28 @@ PlanEstimate CostModel::Compute(const RelExprPtr& node) {
     case RelKind::kJoin: {
       PlanEstimate left = Estimate(node->children[0]);
       PlanEstimate right = Estimate(node->children[1]);
-      // Join selectivity from equality conjuncts.
+      // Priced as the operator the physical builder runs it as; a column
+      // pair keying a hash join estimates by distinct counts, every other
+      // conjunct (NOT IN's disjunction included) by the flat residual.
+      const JoinChoice choice = ChooseJoin(*node);
       double sel = 1.0;
-      bool has_equi = false;
-      const RelExprPtr& left_child = node->children[0];
-      const RelExprPtr& right_child = node->children[1];
-      const ColumnSet left_cols = left_child->OutputSet();
-      for (const ScalarExprPtr& c : SplitConjuncts(node->predicate)) {
-        if (c->kind == ScalarKind::kCompare && c->cmp == CompareOp::kEq &&
-            c->children[0]->kind == ScalarKind::kColumnRef &&
-            c->children[1]->kind == ScalarKind::kColumnRef) {
-          ColumnId a = c->children[0]->column;
-          ColumnId b = c->children[1]->column;
-          ColumnId lcol = left_cols.Contains(a) ? a : b;
-          ColumnId rcol = lcol == a ? b : a;
-          sel *= EquiJoinSelectivity(EstimateDistinct(left_child, lcol),
-                                     left.rows,
-                                     EstimateDistinct(right_child, rcol),
-                                     right.rows);
-          has_equi = true;
-        } else if (!IsTrueLiteral(c)) {
+      for (const auto& [l, r] : choice.keys) {
+        if (choice.method == JoinMethod::kHash &&
+            l->kind == ScalarKind::kColumnRef &&
+            r->kind == ScalarKind::kColumnRef) {
+          sel *= EquiJoinSelectivity(
+              EstimateDistinct(node->children[0], l->column), left.rows,
+              EstimateDistinct(node->children[1], r->column), right.rows);
+        } else {
           sel *= kJoinResidualSelectivity;
         }
       }
+      for (const ScalarExprPtr& c : choice.residual) {
+        if (!IsTrueLiteral(c)) sel *= kJoinResidualSelectivity;
+      }
       double out_rows = Clamp1(left.rows * right.rows * sel);
-      double cost = JoinOperatorCost(left, right, out_rows, has_equi);
+      double cost = JoinOperatorCost(
+          left, right, out_rows, choice.method != JoinMethod::kNestedLoops);
       switch (node->join_kind) {
         case JoinKind::kLeftSemi:
           out_rows = Clamp1(std::min(left.rows,

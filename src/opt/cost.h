@@ -41,9 +41,10 @@ struct ProbeKeys {
 ProbeKeys MatchProbeKeys(const RelExpr& get, const ScalarExprPtr& predicate);
 
 /// Cardinality estimation + costing over logical trees. The model assumes
-/// the physical mapping of physical.cc: equi-joins hash, other joins nest,
-/// correlated applies re-execute their inner per outer row with index
-/// lookups priced through the catalog's indexes, aggregations hash.
+/// the physical mapping of physical.cc: each join runs as the operator
+/// ChooseJoin (join_choice.h) picks, correlated applies re-execute their
+/// inner per outer row with index lookups priced through the catalog's
+/// indexes, aggregations hash.
 class CostModel {
  public:
   explicit CostModel(Catalog* catalog) : catalog_(catalog) {}

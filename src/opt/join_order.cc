@@ -7,6 +7,7 @@
 #include "algebra/expr_util.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "opt/join_choice.h"
 
 namespace orq {
 
@@ -238,6 +239,9 @@ class ClusterSolver {
     const Plan& a = plans_.at(l);
     const Plan& b = plans_.at(r);
     double sel = 1.0;
+    // Hash or nested loops by ChooseJoin's key rule: Build's column
+    // equality per class always keys the join, and a placed conjunct does
+    // when EquiKey accepts it (`a + 1 = b`).
     bool hash = false;
     for (const EqClass& cls : classes_) {
       if ((cls.inputs & l) == 0 || (cls.inputs & r) == 0) continue;
@@ -246,13 +250,25 @@ class ClusterSolver {
       hash = true;
     }
     for (const Conjunct& c : conjuncts_) {
-      if (Places(c, l, r)) sel *= kJoinResidualSelectivity;
+      if (!Places(c, l, r)) continue;
+      sel *= kJoinResidualSelectivity;
+      hash = hash ||
+             EquiKey(c.expr, Columns(l), Columns(r)).has_value();
     }
     const double rows = std::max(1.0, a.rows * b.rows * sel);
     return Plan{rows,
                 JoinOperatorCost({a.rows, a.cost}, {b.rows, b.cost}, rows,
                                  hash),
                 l, r};
+  }
+
+  /// The output columns of the inputs in `s`.
+  ColumnSet Columns(RelSet s) const {
+    ColumnSet out;
+    for (RelSet rest = s; rest != 0; rest &= rest - 1) {
+      out.AddAll(leaves_[Lowest(rest)]->OutputSet());
+    }
+    return out;
   }
 
   /// `c` applies at the join of `l` and `r` when neither half covers it.

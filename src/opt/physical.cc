@@ -7,6 +7,7 @@
 #include "algebra/props.h"
 #include "catalog/table.h"
 #include "opt/cost.h"
+#include "opt/join_choice.h"
 
 namespace orq {
 
@@ -96,19 +97,13 @@ class PlanBuilder {
         return EligibleRegion(node->children[0]);
       case RelKind::kProject:
         return EligibleRegion(node->children[0]);
-      case RelKind::kJoin: {
-        if (!options_.use_hash_join) return false;
-        if (!MatchNotIn(node)) {
-          JoinSplit split = SplitJoinPredicate(node);
-          if (split.keys.empty()) return false;
-          if (ToPhysJoinKind(node->join_kind) == PhysJoinKind::kLeftAnti &&
-              !split.residual.empty()) {
-            return false;
-          }
+      case RelKind::kJoin:
+        if (!options_.use_hash_join ||
+            ChooseJoin(*node).method == JoinMethod::kNestedLoops) {
+          return false;
         }
         return EligibleRegion(node->children[0]) &&
                EligibleRegion(node->children[1]);
-      }
       case RelKind::kGroupBy:
       case RelKind::kLocalGroupBy:
         if (HasUnmergeableAgg(*node)) return false;
@@ -378,73 +373,6 @@ class PlanBuilder {
     return types;
   }
 
-  /// Equi-key extraction shared by BuildJoin and region eligibility: each
-  /// top-level equality whose sides reference only one input becomes a
-  /// hash key pair (left expr, right expr); everything else is residual.
-  struct JoinSplit {
-    std::vector<std::pair<ScalarExprPtr, ScalarExprPtr>> keys;
-    std::vector<ScalarExprPtr> residual;
-  };
-
-  /// The (left expr, right expr) key pair of conjunct `c` when it is an
-  /// equality whose sides each reference only one input.
-  static std::optional<std::pair<ScalarExprPtr, ScalarExprPtr>> EquiKey(
-      const ScalarExprPtr& c, const ColumnSet& left_cols,
-      const ColumnSet& right_cols) {
-    if (c->kind != ScalarKind::kCompare || c->cmp != CompareOp::kEq) {
-      return std::nullopt;
-    }
-    ColumnSet lrefs, rrefs;
-    CollectColumnRefs(c->children[0], &lrefs);
-    CollectColumnRefs(c->children[1], &rrefs);
-    if (lrefs.IsSubsetOf(left_cols) && rrefs.IsSubsetOf(right_cols)) {
-      return std::make_pair(c->children[0], c->children[1]);
-    }
-    if (lrefs.IsSubsetOf(right_cols) && rrefs.IsSubsetOf(left_cols)) {
-      return std::make_pair(c->children[1], c->children[0]);
-    }
-    return std::nullopt;
-  }
-
-  static JoinSplit SplitJoinPredicate(const RelExprPtr& node) {
-    JoinSplit split;
-    ColumnSet left_cols = node->children[0]->OutputSet();
-    ColumnSet right_cols = node->children[1]->OutputSet();
-    for (const ScalarExprPtr& c : SplitConjuncts(node->predicate)) {
-      if (auto key = EquiKey(c, left_cols, right_cols)) {
-        split.keys.push_back(std::move(*key));
-      } else {
-        split.residual.push_back(c);
-      }
-    }
-    return split;
-  }
-
-  /// NOT IN's anti join (Apply introduction's `l = r OR (l = r) IS NULL`,
-  /// decorrelated): an anti join whose whole predicate is that
-  /// disjunction, l over the left input and r over the right. Returns the
-  /// key pair (l, r). A correlated NOT IN carries further conjuncts and
-  /// does not match.
-  static std::optional<std::pair<ScalarExprPtr, ScalarExprPtr>> MatchNotIn(
-      const RelExprPtr& node) {
-    const ScalarExprPtr& p = node->predicate;
-    if (node->join_kind != JoinKind::kLeftAnti ||
-        p->kind != ScalarKind::kOr || p->children.size() != 2) {
-      return std::nullopt;
-    }
-    for (size_t e = 0; e < 2; ++e) {
-      const ScalarExprPtr& eq = p->children[e];
-      const ScalarExprPtr& is_null = p->children[1 - e];
-      if (is_null->kind != ScalarKind::kIsNull ||
-          !ScalarEquals(is_null->children[0], eq)) {
-        continue;
-      }
-      return EquiKey(eq, node->children[0]->OutputSet(),
-                     node->children[1]->OutputSet());
-    }
-    return std::nullopt;
-  }
-
   /// An inner/build side whose result cannot change across re-opens: no
   /// free variables (correlated parameters) and no segment reads. Such a
   /// side may be spooled once and replayed.
@@ -455,49 +383,39 @@ class PlanBuilder {
   Result<PhysicalOpPtr> BuildJoin(const RelExprPtr& node) {
     ORQ_ASSIGN_OR_RETURN(PhysicalOpPtr left, Build(node->children[0]));
     ORQ_ASSIGN_OR_RETURN(PhysicalOpPtr right, Build(node->children[1]));
-    PhysJoinKind kind = ToPhysJoinKind(node->join_kind);
-    if (options_.use_hash_join) {
-      // Inside a parallel region the build is shared by the gang;
-      // otherwise a stable build side is cached across re-opens.
-      SharedRegionStatePtr shared;
-      if (region_worker_ >= 0) {
-        shared = SharedForNode(node.get(), [this] {
-          return MakeSharedJoinState(options_.num_threads);
-        });
-      }
-      const bool cache_build =
-          shared == nullptr && SideIsStable(*node->children[1]);
-      const int worker = region_worker_ >= 0 ? region_worker_ : 0;
-      if (auto not_in = MatchNotIn(node)) {
-        std::vector<DataType> right_types = LayoutTypes(right->layout());
-        return MakeNullAwareAntiJoinOp(std::move(left), std::move(right),
-                                       std::move(*not_in),
-                                       std::move(right_types), cache_build,
-                                       std::move(shared), worker);
-      }
-      JoinSplit split = SplitJoinPredicate(node);
-      if (!split.keys.empty()) {
-        // Residuals on anti joins are only correct when they reject the
-        // row strictly; nested loops keeps full generality there.
-        bool anti_with_residual =
-            kind == PhysJoinKind::kLeftAnti && !split.residual.empty();
-        if (!anti_with_residual) {
-          ScalarExprPtr res = split.residual.empty()
-                                  ? nullptr
-                                  : MakeAnd(std::move(split.residual));
-          std::vector<DataType> right_types = LayoutTypes(right->layout());
-          return MakeHashJoinOp(kind, std::move(left), std::move(right),
-                                std::move(split.keys), std::move(res),
-                                std::move(right_types), cache_build,
-                                std::move(shared), worker);
-        }
-      }
-    }
+    const PhysJoinKind kind = ToPhysJoinKind(node->join_kind);
     std::vector<DataType> right_types = LayoutTypes(right->layout());
-    const bool cache_inner = SideIsStable(*node->children[1]);
-    return MakeNLJoinOp(kind, std::move(left), std::move(right),
-                        node->predicate, /*rebind_inner=*/false,
-                        std::move(right_types), cache_inner);
+    JoinChoice choice = ChooseJoin(*node);
+    if (!options_.use_hash_join ||
+        choice.method == JoinMethod::kNestedLoops) {
+      const bool cache_inner = SideIsStable(*node->children[1]);
+      return MakeNLJoinOp(kind, std::move(left), std::move(right),
+                          node->predicate, /*rebind_inner=*/false,
+                          std::move(right_types), cache_inner);
+    }
+    // Inside a parallel region the build is shared by the gang; otherwise
+    // a stable build side is cached across re-opens.
+    SharedRegionStatePtr shared;
+    if (region_worker_ >= 0) {
+      shared = SharedForNode(node.get(), [this] {
+        return MakeSharedJoinState(options_.num_threads);
+      });
+    }
+    const bool cache_build =
+        shared == nullptr && SideIsStable(*node->children[1]);
+    const int worker = region_worker_ >= 0 ? region_worker_ : 0;
+    if (choice.method == JoinMethod::kNullAwareAnti) {
+      return MakeNullAwareAntiJoinOp(
+          std::move(left), std::move(right), std::move(choice.keys[0]),
+          std::move(right_types), cache_build, std::move(shared), worker);
+    }
+    ScalarExprPtr residual = choice.residual.empty()
+                                 ? nullptr
+                                 : MakeAnd(std::move(choice.residual));
+    return MakeHashJoinOp(kind, std::move(left), std::move(right),
+                          std::move(choice.keys), std::move(residual),
+                          std::move(right_types), cache_build,
+                          std::move(shared), worker);
   }
 
   /// An Apply whose inner is an index-served Select over Get, with keys

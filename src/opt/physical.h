@@ -26,9 +26,10 @@ struct PhysicalBuildOptions {
   int num_threads = 0;
 };
 
-/// Translates a logical tree into an executable plan. Joins pick hash vs
-/// nested-loops locally; Apply executes as an index join when its inner
-/// is an index-served Select over Get, else as rebinding nested loops.
+/// Translates a logical tree into an executable plan. Each join runs as
+/// the operator ChooseJoin (join_choice.h) picks; Apply executes as an
+/// index join when its inner is an index-served Select over Get, else as
+/// rebinding nested loops.
 /// (The cost-based optimizer produces the logical tree; see optimizer.h.)
 ///
 /// When `cost` is supplied, each physical operator implementing a logical

@@ -111,18 +111,20 @@ class ApplyIntroducer {
           if (conjunct->children[0]->HasSubquery()) break;
           ORQ_ASSIGN_OR_RETURN(RelExprPtr sub, Rewrite(conjunct->rel));
           ColumnId y = sub->OutputColumns()[0];
-          ScalarExprPtr cmp = MakeCompare(
-              conjunct->cmp, conjunct->children[0], CRef(*columns_, y));
           if (conjunct->quantifier == Quantifier::kAny) {
+            ScalarExprPtr cmp = MakeCompare(
+                conjunct->cmp, conjunct->children[0], CRef(*columns_, y));
             input = MakeApply(ApplyKind::kSemi, input,
                               MakeSelect(sub, cmp));
           } else {
             // ALL: reject the row when some inner row makes the comparison
-            // not-true (false or unknown).
-            ScalarExprPtr not_true = MakeOr(
-                {MakeCompare(NegateCompare(conjunct->cmp),
-                             conjunct->children[0], CRef(*columns_, y)),
-                 MakeIsNull(cmp)});
+            // not-true (false or unknown). The negated comparison is NULL
+            // exactly when `cmp` is, so testing it spells `x <> ALL` as
+            // NOT IN's `x = y OR (x = y) IS NULL`.
+            ScalarExprPtr negated = MakeCompare(
+                NegateCompare(conjunct->cmp), conjunct->children[0],
+                CRef(*columns_, y));
+            ScalarExprPtr not_true = MakeOr({negated, MakeIsNull(negated)});
             input = MakeApply(ApplyKind::kAnti, input,
                               MakeSelect(sub, not_true));
           }

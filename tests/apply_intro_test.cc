@@ -2,6 +2,7 @@
 // each subquery construct into Apply operators, checked by tree shape.
 #include <gtest/gtest.h>
 
+#include "algebra/expr_util.h"
 #include "algebra/printer.h"
 #include "catalog/catalog.h"
 #include "sql/apply_intro.h"
@@ -128,6 +129,23 @@ TEST_F(ApplyIntroTest, QuantifiedAllBecomesAntiApply) {
   RelExprPtr tree = Introduce(
       "select a from t where a > all (select d from u where c = a)");
   EXPECT_EQ(CountApplyKind(tree, ApplyKind::kAnti), 1);
+}
+
+// `x <> ALL (S)` tests nullness on its negated comparison, so it gets NOT
+// IN's exact predicate, `b = d OR (b = d) IS NULL`: the physical builder
+// then runs both as the same null-aware hash anti join.
+TEST_F(ApplyIntroTest, NotEqualAllSpellsNotInsPredicate) {
+  auto inner_predicate = [](const RelExprPtr& tree) {
+    const RelExpr* apply = tree.get();
+    while (apply->kind != RelKind::kApply) apply = apply->children[0].get();
+    return apply->children[1]->predicate;
+  };
+  ScalarExprPtr not_in = inner_predicate(
+      Introduce("select a from t where b not in (select d from u)"));
+  ScalarExprPtr ne_all = inner_predicate(
+      Introduce("select a from t where b <> all (select d from u)"));
+  EXPECT_TRUE(ScalarEquals(not_in, ne_all))
+      << ScalarToString(not_in) << " vs " << ScalarToString(ne_all);
 }
 
 TEST_F(ApplyIntroTest, QuantifiedAnyBecomesSemiApply) {

@@ -438,6 +438,29 @@ class ProbeBoundaryTest : public BatchExecTest {
                               Value::Double(0.5 * static_cast<double>(i))})
                       .ok());
     }
+    // a: the anti-residual build, (x, y) with both nullable. Against q.v
+    // (0..kRows-1), `q.v < y` is TRUE, FALSE or UNKNOWN per candidate, and
+    // a probe row's bucket mixes the three: key 2 holds y = 500, 1500 and
+    // NULL, key 4 only NULLs, key 3 a duplicate, key 9 a y no v is under,
+    // and two NULL keys.
+    a_ = *catalog_.CreateTable("a", {{"x", DataType::kInt64, true},
+                                     {"y", DataType::kInt64, true}});
+    const Value null = Value::Null(DataType::kInt64);
+    const std::vector<std::pair<Value, Value>> pairs = {
+        {Value::Int64(2), Value::Int64(500)},
+        {Value::Int64(2), Value::Int64(1500)},
+        {Value::Int64(2), null},
+        {Value::Int64(4), null},
+        {Value::Int64(4), null},
+        {Value::Int64(3), Value::Int64(2000)},
+        {Value::Int64(3), Value::Int64(2000)},
+        {Value::Int64(7), Value::Int64(1000)},
+        {Value::Int64(9), Value::Int64(0)},
+        {null, Value::Int64(500)},
+        {null, null}};
+    for (const auto& [x, y] : pairs) {
+      ASSERT_TRUE(a_->Append({x, y}).ok());
+    }
   }
 
   static std::vector<DataType> RTypes() {
@@ -500,26 +523,63 @@ class ProbeBoundaryTest : public BatchExecTest {
   }
 
   /// NOT IN: the null-aware HashJoin(anti) vs NestedLoopsJoin(anti) on
-  /// `q.k = r.x OR (q.k = r.x) IS NULL`, the build filtered as given.
+  /// `q.k = r.x OR (q.k = r.x) IS NULL`, and on the older `<> ALL`
+  /// spelling `q.k = r.x OR (q.k <> r.x) IS NULL`, the build filtered as
+  /// given.
   void ExpectNotIn(const ScalarExprPtr& build_filter,
                    const std::string& what) {
+    ScalarExprPtr k = CRef(1, DataType::kInt64);
+    ScalarExprPtr x = CRef(3, DataType::kInt64);
+    for (const ScalarExprPtr& tested :
+         {Eq(k, x), MakeCompare(CompareOp::kNe, k, x)}) {
+      ExpectHashJoinMatchesNL(
+          [&](BuildMode mode, int worker, SharedRegionStatePtr probe,
+              SharedRegionStatePtr build, SharedRegionStatePtr join) {
+            return MakeNullAwareAntiJoinOp(
+                Probe(nullptr, std::move(probe)),
+                Build(build_filter, std::move(build)), {k, x}, RTypes(),
+                mode == BuildMode::kCached, std::move(join), worker);
+          },
+          [&] {
+            return MakeNLJoinOp(
+                PhysJoinKind::kLeftAnti, Probe(nullptr, nullptr),
+                Build(build_filter, nullptr),
+                MakeOr({Eq(k, x), MakeIsNull(tested)}), false, RTypes());
+          },
+          (tested->cmp == CompareOp::kEq ? "NOT IN " : "<> ALL ") + what);
+    }
+  }
+
+  /// a's rows (columns 3, 4) that pass `build_filter`.
+  PhysicalOpPtr BuildA(const ScalarExprPtr& build_filter,
+                       SharedRegionStatePtr source) {
+    return MakeFilterOp(Scan(a_, {0, 1}, 3, std::move(source)),
+                        build_filter);
+  }
+
+  /// HashJoin(anti) on q.k = a.x with `residual` vs NestedLoopsJoin(anti)
+  /// on the key AND the residual, the build filtered as given.
+  void ExpectAntiResidual(const ScalarExprPtr& build_filter,
+                          const ScalarExprPtr& residual,
+                          const std::string& what) {
+    const std::vector<DataType> types = {DataType::kInt64, DataType::kInt64};
+    ScalarExprPtr k = CRef(1, DataType::kInt64);
+    ScalarExprPtr x = CRef(3, DataType::kInt64);
     ExpectHashJoinMatchesNL(
         [&](BuildMode mode, int worker, SharedRegionStatePtr probe,
             SharedRegionStatePtr build, SharedRegionStatePtr join) {
-          return MakeNullAwareAntiJoinOp(
-              Probe(nullptr, std::move(probe)),
-              Build(build_filter, std::move(build)),
-              {CRef(1, DataType::kInt64), CRef(3, DataType::kInt64)},
-              RTypes(), mode == BuildMode::kCached, std::move(join), worker);
+          return MakeHashJoinOp(
+              PhysJoinKind::kLeftAnti, Probe(nullptr, std::move(probe)),
+              BuildA(build_filter, std::move(build)), {{k, x}}, residual,
+              types, mode == BuildMode::kCached, std::move(join), worker);
         },
         [&] {
-          ScalarExprPtr eq =
-              Eq(CRef(1, DataType::kInt64), CRef(3, DataType::kInt64));
-          return MakeNLJoinOp(PhysJoinKind::kLeftAnti, Probe(nullptr, nullptr),
-                              Build(build_filter, nullptr),
-                              MakeOr({eq, MakeIsNull(eq)}), false, RTypes());
+          return MakeNLJoinOp(PhysJoinKind::kLeftAnti,
+                              Probe(nullptr, nullptr),
+                              BuildA(build_filter, nullptr),
+                              MakeAnd2(Eq(k, x), residual), false, types);
         },
-        "NOT IN " + what);
+        "anti residual " + what);
   }
 
   static constexpr PhysJoinKind kKinds[] = {
@@ -528,6 +588,7 @@ class ProbeBoundaryTest : public BatchExecTest {
 
   Table* q_ = nullptr;
   Table* r_ = nullptr;
+  Table* a_ = nullptr;
 };
 
 // An empty build: inner and semi emit nothing, anti passes every probe
@@ -630,6 +691,36 @@ TEST_F(ProbeBoundaryTest, NotInMatrix) {
     Result<std::vector<Row>> rows = ExecuteToVector(join.get(), &ctx);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_EQ(rows->size(), static_cast<size_t>((kRows + 5) / 11));
+  }
+}
+
+// An anti join with a residual, the shape a correlated NOT IN or ALL
+// decorrelates to: the correlation is the key and the residual decides
+// each candidate. A probe row is rejected only by a candidate whose
+// residual is TRUE; FALSE and UNKNOWN candidates leave it in. q's NULL
+// keys and a's NULL keys match nothing. Checked for a vectorized
+// residual, its `(v < y) IS NULL` disjunction (>= ALL's form), and a
+// per-candidate row-evaluated one (division), over every build: all of a,
+// its non-NULL keys, and none.
+TEST_F(ProbeBoundaryTest, AntiJoinWithResidual) {
+  ScalarExprPtr v = CRef(2, DataType::kInt64);
+  ScalarExprPtr y = CRef(4, DataType::kInt64);
+  ScalarExprPtr less = MakeCompare(CompareOp::kLt, v, y);
+  const std::vector<std::pair<std::string, ScalarExprPtr>> residuals = {
+      {"v < y", less},
+      {"v < y OR (v < y) IS NULL", MakeOr({less, MakeIsNull(less)})},
+      {"v / 1 < y",
+       MakeCompare(CompareOp::kLt, MakeArith(ArithOp::kDiv, v, LitInt(1)),
+                   y)}};
+  const std::vector<std::pair<std::string, ScalarExprPtr>> builds = {
+      {"all", LitBool(true)},
+      {"non-NULL keys", MakeIsNotNull(CRef(3, DataType::kInt64))},
+      {"empty", LitBool(false)}};
+  for (const auto& [residual_name, residual] : residuals) {
+    for (const auto& [build_name, build] : builds) {
+      ExpectAntiResidual(build, residual,
+                         residual_name + ", build " + build_name);
+    }
   }
 }
 

@@ -238,10 +238,13 @@ TEST(TableStorageTest, RejectedAppendsLeaveTheTableUnchanged) {
   }
   EXPECT_EQ(t->Append({Value::Int64(1)}).code(),
             StatusCode::kInvalidArgument);
-  // A value of another type anywhere in the row rejects all of it: the
-  // columns before the bad cell stay unwritten too.
+  // A value of another type anywhere in the row, or a NULL in the NOT
+  // NULL column k, rejects all of it: the columns before the bad cell stay
+  // unwritten too.
   for (const Row& bad :
-       {Row{Value::Int64(40), Value::Int64(7), Value::Double(1.0)},
+       {Row{Value::Null(DataType::kInt64), Value::String("g"),
+            Value::Double(1.0)},
+        Row{Value::Int64(40), Value::Int64(7), Value::Double(1.0)},
         Row{Value::Int64(40), Value::String("g"), Value::String("1.0")},
         Row{Value::Double(40.0), Value::String("g"), Value::Double(1.0)},
         Row{Value::Int64(40), Value::Null(), Value::Bool(true)}}) {

@@ -47,6 +47,39 @@ TEST(FoldScalarTest, DoubleNegationDrops) {
   EXPECT_EQ(FoldScalar(MakeNot(MakeNot(x))), x);
 }
 
+// With the columns known non-NULL, `cmp IS NULL` over them is FALSE and
+// NOT IN's disjunction folds to its equality; a nullable operand keeps it,
+// and so does a comparison across comparison classes (an int64 against a
+// string is UNKNOWN on every row).
+TEST(FoldScalarTest, IsNullOverNotNullColumnsIsFalse) {
+  ScalarExprPtr x = CRef(1, DataType::kInt64);
+  ScalarExprPtr y = CRef(2, DataType::kInt64);
+  ScalarExprPtr eq = Eq(x, y);
+  ScalarExprPtr not_in = MakeOr({eq, MakeIsNull(eq)});
+  ColumnSet both;
+  both.Add(1);
+  both.Add(2);
+  EXPECT_TRUE(ScalarEquals(FoldScalar(not_in, &both), eq));
+  EXPECT_TRUE(IsFalseOrNullLiteral(
+      FoldScalar(MakeIsNull(Eq(x, LitInt(3))), &both)));
+  ColumnSet only_x;
+  only_x.Add(1);
+  EXPECT_EQ(FoldScalar(not_in, &only_x), not_in);
+  EXPECT_EQ(FoldScalar(not_in), not_in);
+
+  ScalarExprPtr s = CRef(3, DataType::kString);
+  ScalarExprPtr d = CRef(4, DataType::kDouble);
+  ColumnSet all = both;
+  all.Add(3);
+  all.Add(4);
+  ScalarExprPtr across = Eq(x, s);
+  ScalarExprPtr not_in_across = MakeOr({across, MakeIsNull(across)});
+  EXPECT_EQ(FoldScalar(not_in_across, &all), not_in_across);
+  ScalarExprPtr literal = MakeIsNull(Eq(x, LitString("1")));
+  EXPECT_EQ(FoldScalar(literal, &all), literal);
+  EXPECT_TRUE(IsFalseOrNullLiteral(FoldScalar(MakeIsNull(Eq(x, d)), &all)));
+}
+
 TEST(FoldScalarTest, DivisionByZeroStaysForRuntime) {
   ScalarExprPtr e = MakeArith(ArithOp::kDiv, LitInt(1), LitInt(0));
   EXPECT_EQ(FoldScalar(e)->kind, ScalarKind::kArith);

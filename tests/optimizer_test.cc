@@ -14,7 +14,9 @@
 #include "engine/engine.h"
 #include "obs/trace.h"
 #include "opt/cost.h"
+#include "opt/join_choice.h"
 #include "opt/join_order.h"
+#include "opt/physical.h"
 #include "opt/rules.h"
 #include "tests/test_util.h"
 #include "tpch/tpch_gen.h"
@@ -294,12 +296,17 @@ TEST_F(JoinOrderTest, OuterJoinBarrier) {
 }
 
 // The enumerator, not the FROM list, picks the build side: the smaller
-// input is the hash join's right (build) child either way round.
+// input is the hash join's right (build) child either way round. An
+// expression equality keys a hash join too (ChooseJoin's EquiKey), so the
+// enumerator prices it as one; priced as nested loops, both orientations
+// would cost the same and the FROM list's order would stand.
 TEST_F(JoinOrderTest, OrientationIsCosted) {
   MakeTables(6);
   for (const char* sql :
        {"select t0.k, t5.k from t0, t5 where t5.a = t0.k",
-        "select t0.k, t5.k from t5, t0 where t5.a = t0.k"}) {
+        "select t0.k, t5.k from t5, t0 where t5.a = t0.k",
+        "select t0.k, t5.k from t0, t5 where t5.a + 1 = t0.k",
+        "select t0.k, t5.k from t5, t0 where t5.a + 1 = t0.k"}) {
     RelExprPtr plan = CompileAndCheck(sql);
     ASSERT_NE(plan, nullptr);
     while (plan->kind != RelKind::kJoin) plan = plan->children[0];
@@ -781,6 +788,109 @@ TEST_F(RuleTest, Q17PlanUsesSegmentApply) {
       no_sa.Compile(GetTpchQuery("Q17").sql);
   ASSERT_TRUE(compiled2.ok());
   EXPECT_EQ(CountKind(compiled2->optimized, RelKind::kSegmentApply), 0);
+}
+
+// Each join is priced as the operator the physical builder runs it as:
+// the cost model and BuildJoin read one ChooseJoin decision. The join's
+// cost is its inputs' plus JoinOperatorCost over the rows the same
+// predicate keeps as an inner join.
+TEST_F(RuleTest, JoinsArePricedAsBuilt) {
+  struct Case {
+    const char* what;
+    JoinKind kind;
+    std::function<ScalarExprPtr(const std::map<std::string, ColumnId>&,
+                                const std::map<std::string, ColumnId>&)>
+        predicate;
+    JoinMethod method;
+    const char* op;
+  };
+  auto not_in = [this](const std::map<std::string, ColumnId>& f,
+                       const std::map<std::string, ColumnId>& d) {
+    ScalarExprPtr eq = Eq(Ref(f, "fv"), Ref(d, "dv"));
+    return MakeOr({eq, MakeIsNull(eq)});
+  };
+  const std::vector<Case> cases = {
+      // A correlated NOT IN, decorrelated: the correlation is the key, the
+      // NOT IN disjunction the residual. It used to be priced as a hash
+      // join and built as nested loops.
+      {"anti join with a residual", JoinKind::kLeftAnti,
+       [&](const auto& f, const auto& d) {
+         return MakeAnd2(Eq(Ref(f, "fd"), Ref(d, "dk")), not_in(f, d));
+       },
+       JoinMethod::kHash, "HashJoin(anti)"},
+      // An expression equality is a hash key; it used to be priced as
+      // nested loops.
+      {"expression equality", JoinKind::kInner,
+       [&](const auto& f, const auto& d) {
+         return Eq(MakeArith(ArithOp::kAdd, Ref(f, "fd"), LitInt(1)),
+                   Ref(d, "dk"));
+       },
+       JoinMethod::kHash, "HashJoin(inner)"},
+      {"uncorrelated NOT IN", JoinKind::kLeftAnti, not_in,
+       JoinMethod::kNullAwareAnti, "HashJoin(null-aware-anti)"},
+      {"no equality", JoinKind::kInner,
+       [&](const auto& f, const auto& d) {
+         return MakeCompare(CompareOp::kLt, Ref(f, "fd"), Ref(d, "dk"));
+       },
+       JoinMethod::kNestedLoops, "NestedLoopsJoin(inner)"},
+  };
+  for (const Case& c : cases) {
+    std::map<std::string, ColumnId> f, d;
+    RelExprPtr fact = Get(fact_, &f);
+    RelExprPtr dim = Get(dim_, &d);
+    ScalarExprPtr predicate = c.predicate(f, d);
+    RelExprPtr join = MakeJoin(c.kind, fact, dim, predicate);
+    EXPECT_EQ(ChooseJoin(*join).method, c.method) << c.what;
+    Result<PhysicalOpPtr> built =
+        BuildPhysicalPlan(join, *columns_, PhysicalBuildOptions());
+    ASSERT_TRUE(built.ok()) << c.what << ": " << built.status().ToString();
+    EXPECT_EQ((*built)->name(), c.op) << c.what;
+
+    CostModel cost(&catalog_);
+    const PlanEstimate& left = cost.Estimate(fact);
+    const PlanEstimate& right = cost.Estimate(dim);
+    const double kept =
+        cost.Estimate(MakeJoin(JoinKind::kInner, fact, dim, predicate)).rows;
+    const bool hash = c.method != JoinMethod::kNestedLoops;
+    EXPECT_DOUBLE_EQ(cost.Estimate(join).cost,
+                     JoinOperatorCost(left, right, kept, hash))
+        << c.what;
+    EXPECT_NE(cost.Estimate(join).cost,
+              JoinOperatorCost(left, right, kept, !hash))
+        << c.what;
+  }
+}
+
+// NOT IN and `<> ALL` over non-NULL columns fold to a plain equality and
+// run as a plain hash anti join; over a nullable column they keep the
+// null-aware one. A correlated NOT IN runs as a hash anti join keyed on the
+// correlation either way. No form is left to nested loops.
+TEST_F(RuleTest, NotInPicksItsHashJoin) {
+  QueryEngine engine(&catalog_, EngineOptions::Full());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"select fk from fact where fd not in (select dk from dim)",
+       "HashJoin(anti)"},
+      {"select fk from fact where fd <> all (select dk from dim)",
+       "HashJoin(anti)"},
+      {"select fk from fact where fv not in (select dv from dim)",
+       "HashJoin(null-aware-anti)"},
+      {"select fk from fact where fv <> all (select dv from dim)",
+       "HashJoin(null-aware-anti)"},
+      {"select fk from fact where fv not in "
+       "(select dv from dim where dk = fd)",
+       "HashJoin(anti)"},
+      {"select fk from fact where fv <> all "
+       "(select dv from dim where dk = fd)",
+       "HashJoin(anti)"},
+  };
+  for (const auto& [sql, op] : cases) {
+    Result<std::string> explain = engine.Explain(sql);
+    ASSERT_TRUE(explain.ok()) << sql << ": " << explain.status().ToString();
+    EXPECT_NE(explain->find(op), std::string::npos) << sql << "\n"
+                                                     << *explain;
+    EXPECT_EQ(explain->find("NestedLoopsJoin"), std::string::npos)
+        << sql << "\n" << *explain;
+  }
 }
 
 TEST_F(RuleTest, CostModelPrefersIndexApplyForSmallOuter) {

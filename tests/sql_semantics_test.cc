@@ -125,6 +125,111 @@ TEST_F(SqlSemanticsTest, NotEqualAllIsNotInDual) {
             1u);  // v=10 fails, v=NULL unknown, v=30 passes
 }
 
+// The correlated matrix for NOT IN, `<> ALL` and `>= ALL`. Each
+// decorrelates to an anti join keyed on the correlation (i.g = o.g) whose
+// residual is the quantified comparison OR its IS NULL, and runs as a hash
+// join. Outer rows by group:
+//   g1: x = 5, empty group           -> TRUE for all three
+//   g2: x = 5, group {3, NULL}       -> UNKNOWN for all three
+//   g3: x = NULL, group {4}          -> UNKNOWN for all three
+//   g4: x = NULL, empty group        -> TRUE for all three
+//   g5: x = 7, group {7, 8}          -> FALSE for all three
+//   g6: x = 9, group {7, 8}          -> TRUE for all three
+//   g7: x = 8, group {7, 8}          -> FALSE for NOT IN, TRUE for >= ALL
+// Checked in the row engine, the columnar engine and with 4 workers.
+TEST_F(SqlSemanticsTest, CorrelatedNotInAndAllMatrix) {
+  Table* o = *catalog_.CreateTable("o", {{"id", DataType::kInt64, false},
+                                         {"g", DataType::kInt64, false},
+                                         {"x", DataType::kInt64, true}});
+  Table* i = *catalog_.CreateTable("i", {{"g", DataType::kInt64, false},
+                                         {"y", DataType::kInt64, true}});
+  const Value null = Value::Null(DataType::kInt64);
+  const std::vector<std::vector<Value>> outer = {
+      {Value::Int64(1), Value::Int64(1), Value::Int64(5)},
+      {Value::Int64(2), Value::Int64(2), Value::Int64(5)},
+      {Value::Int64(3), Value::Int64(3), null},
+      {Value::Int64(4), Value::Int64(4), null},
+      {Value::Int64(5), Value::Int64(5), Value::Int64(7)},
+      {Value::Int64(6), Value::Int64(6), Value::Int64(9)},
+      {Value::Int64(7), Value::Int64(7), Value::Int64(8)}};
+  for (const std::vector<Value>& row : outer) {
+    ASSERT_TRUE(o->Append(row).ok());
+  }
+  const std::vector<std::vector<Value>> inner = {
+      {Value::Int64(2), Value::Int64(3)}, {Value::Int64(2), null},
+      {Value::Int64(3), Value::Int64(4)}, {Value::Int64(5), Value::Int64(7)},
+      {Value::Int64(5), Value::Int64(8)}, {Value::Int64(6), Value::Int64(7)},
+      {Value::Int64(6), Value::Int64(8)}, {Value::Int64(7), Value::Int64(7)},
+      {Value::Int64(7), Value::Int64(8)}};
+  for (const std::vector<Value>& row : inner) {
+    ASSERT_TRUE(i->Append(row).ok());
+  }
+  const std::vector<std::pair<std::string, std::vector<int64_t>>> cases = {
+      {"x not in (select y from i where i.g = o.g)", {1, 4, 6}},
+      {"x <> all (select y from i where i.g = o.g)", {1, 4, 6}},
+      {"x >= all (select y from i where i.g = o.g)", {1, 4, 6, 7}}};
+  struct Mode {
+    const char* name;
+    bool batched;
+    int threads;
+  };
+  for (const Mode& mode : {Mode{"row", false, 0}, Mode{"columnar", true, 0},
+                           Mode{"threads 4", true, 4}}) {
+    EngineOptions options = EngineOptions::Full();
+    options.exec.batched = mode.batched;
+    options.exec.num_threads = mode.threads;
+    QueryEngine engine(&catalog_, options);
+    for (const auto& [where, want] : cases) {
+      const std::string sql =
+          "select id from o where " + where + " order by id";
+      Result<QueryResult> result = engine.Execute(sql);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      std::vector<int64_t> got;
+      for (const Row& row : result->rows) got.push_back(row[0].int64_value());
+      EXPECT_EQ(got, want) << mode.name << ": " << sql;
+    }
+  }
+}
+
+// An int64 compared with a string is UNKNOWN, so over NOT NULL columns of
+// different comparison classes NOT IN rejects every row whose subquery
+// (or correlation group: only n = 3 has none) is non-empty, and the
+// comparison's IS NULL holds on every row.
+TEST_F(SqlSemanticsTest, NotInAcrossComparisonClassesOverNotNullColumns) {
+  Table* c = *catalog_.CreateTable("c", {{"n", DataType::kInt64, false},
+                                         {"name", DataType::kString, false}});
+  Table* cs = *catalog_.CreateTable("cs", {{"m", DataType::kString, false}});
+  for (int64_t n : {1, 2, 3}) {
+    ASSERT_TRUE(
+        c->Append({Value::Int64(n), Value::String(std::to_string(n))}).ok());
+  }
+  for (const char* m : {"1", "2", "x"}) {
+    ASSERT_TRUE(cs->Append({Value::String(m)}).ok());
+  }
+  const std::vector<std::pair<std::string, size_t>> cases = {
+      {"select n from c where n not in (select m from cs)", 0},
+      {"select n from c where n not in (select m from cs where m = 'y')", 3},
+      {"select n from c where n not in (select m from cs where m = name)", 1},
+      {"select n from c where (n = name) is null", 3},
+      {"select n from c where n <> all (select m from cs)", 0}};
+  for (bool batched : {false, true}) {
+    for (int threads : {0, 4}) {
+      if (!batched && threads > 0) continue;
+      EngineOptions options = EngineOptions::Full();
+      options.exec.batched = batched;
+      options.exec.num_threads = threads;
+      QueryEngine engine(&catalog_, options);
+      for (const auto& [sql, want] : cases) {
+        Result<QueryResult> result = engine.Execute(sql);
+        ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+        EXPECT_EQ(result->rows.size(), want)
+            << (batched ? "columnar" : "row") << " threads=" << threads
+            << ": " << sql;
+      }
+    }
+  }
+}
+
 TEST_F(SqlSemanticsTest, InSubqueryMatchesThroughNull) {
   // k=1... v values {10, NULL, 30}; w values {10, NULL}.
   EXPECT_EQ(Run("select k from t where v in (select w from s)").rows.size(),
