@@ -226,12 +226,12 @@ if [ "${ORQ_CI_TSAN:-0}" = "1" ]; then
   # builds the thread-sanitized tree and runs exactly the tests that
   # exercise threaded code — the morsel-parallel engine suites and the
   # column-batch exchange (parallel difftest, parallel/batch/column-batch
-  # unit suites) plus the engine re-entrancy, cancellation, and
+  # unit suites) plus the engine re-entrancy, cancellation, admission and
   # network-server tests.
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "${JOBS}"
   ctest --preset tsan -j "${JOBS}" \
-    -R 'difftest_smoke_parallel|parallel_exec_test|batch_exec_test|column_batch_test|engine_concurrency_test|cancel_test|server_smoke_test|query_store_test'
+    -R 'difftest_smoke_parallel|parallel_exec_test|batch_exec_test|column_batch_test|engine_concurrency_test|cancel_test|server_smoke_test|admission_test|query_store_test'
   echo "CI: all suites passed (release + asan/ubsan + tsan)."
 else
   echo "CI: all suites passed (release + asan/ubsan); set ORQ_CI_TSAN=1 to add the TSan pass."

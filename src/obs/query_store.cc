@@ -118,6 +118,8 @@ std::string QueryRecordJson(const QueryRecord& record) {
   out.push_back(',');
   AppendIntField("submit_nanos", record.submit_nanos, &out);
   out.push_back(',');
+  AppendIntField("admission_wait_us", record.admission_wait_us, &out);
+  out.push_back(',');
   AppendIntField("wall_micros", record.wall_micros, &out);
   out.push_back(',');
   AppendIntField("result_rows", record.result_rows, &out);

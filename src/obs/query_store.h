@@ -51,6 +51,8 @@ struct QueryRecord {
   QueryOutcome outcome = QueryOutcome::kOk;
   std::string error_message;
   int64_t submit_nanos = 0;   // ObsNowNanos timeline
+  /// Time spent inside AdmissionController::Admit, queued for a run slot.
+  int64_t admission_wait_us = 0;
   int64_t wall_micros = 0;    // admission wait + compile + execute
   int64_t result_rows = 0;
   int64_t rows_produced = 0;

@@ -21,7 +21,7 @@ struct AdmissionOptions {
   int max_queued = 64;
 };
 
-/// Counting gate in front of the execution pool. Admission is strict FIFO:
+/// Counting gate in front of query execution. Admission is strict FIFO:
 /// each waiter takes a ticket, and a freed slot goes to the ticket at the
 /// head of the queue — never to a later waiter that happened to wake first,
 /// and never to a fresh arrival while anyone queues (both were possible

@@ -1,7 +1,6 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -28,7 +27,6 @@ std::string Trim(const std::string& s) {
 QueryServer::QueryServer(std::shared_ptr<Catalog> catalog,
                          ServerOptions options)
     : options_(std::move(options)),
-      pool_(std::max(1, options_.worker_threads)),
       admission_([&] {
         AdmissionOptions admission = options_.admission;
         admission.max_concurrent =
@@ -326,7 +324,9 @@ Result<WireResult> QueryServer::RunQuery(
                      admission_.queued());
   }
 
+  const int64_t admit_nanos = ObsNowNanos();
   Status admitted = admission_.Admit(&live->token);
+  const int64_t admission_wait_us = (ObsNowNanos() - admit_nanos) / 1000;
   if (!admitted.ok()) {
     FinishLive(live);
     {
@@ -345,6 +345,7 @@ Result<WireResult> QueryServer::RunQuery(
     rejected.outcome = OutcomeForStatus(admitted);
     rejected.error_message = admitted.message();
     rejected.submit_nanos = start_nanos;
+    rejected.admission_wait_us = admission_wait_us;
     rejected.wall_micros = (ObsNowNanos() - start_nanos) / 1000;
     RecordQuery(std::move(rejected), session->slow_query_ms());
     return admitted;
@@ -354,10 +355,9 @@ Result<WireResult> QueryServer::RunQuery(
   // the session's options or the server's catalog moved underneath it.
   EnsureEngine(session, engine, engine_catalog, engine_generation);
 
-  // Run on the server's work-stealing pool; this connection thread blocks
-  // until its task finishes. The engine may layer its own exchange workers
-  // on top — those live in the engine's pool, not this one, so a pool task
-  // never waits on a second pool task for capacity.
+  // Run on this connection's thread: admission is the one bound on
+  // executing queries. The engine may fan out into its own exchange
+  // workers; those live in the engine's pool.
   MetricsRegistry query_metrics;
   QueryObservation observe;
   observe.profile.query_id = live->id;
@@ -368,25 +368,9 @@ Result<WireResult> QueryServer::RunQuery(
   control.observe = &observe;
   control.progress_rows = &live->progress.rows;
   control.query_id = live->id;
-  QueryEngine* engine_ptr = engine->get();
-
-  Result<QueryResult> result = Status::Internal("query task never ran");
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
-  pool_.Submit([&] {
-    Result<QueryResult> r =
-        params != nullptr ? engine_ptr->ExecuteParams(sql, *params, control)
-                          : engine_ptr->Execute(sql, control);
-    std::lock_guard<std::mutex> lock(done_mu);
-    result = std::move(r);
-    done = true;
-    done_cv.notify_one();
-  });
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done; });
-  }
+  Result<QueryResult> result =
+      params != nullptr ? (*engine)->ExecuteParams(sql, *params, control)
+                        : (*engine)->Execute(sql, control);
   admission_.Release();
   session->CountQuery();
 
@@ -415,6 +399,7 @@ Result<WireResult> QueryServer::RunQuery(
       result.ok() ? QueryOutcome::kOk : OutcomeForStatus(result.status());
   if (!result.ok()) record.error_message = result.status().message();
   record.submit_nanos = start_nanos;
+  record.admission_wait_us = admission_wait_us;
   record.wall_micros = latency_micros;
   record.result_rows =
       result.ok() ? static_cast<int64_t>(result.value().rows.size()) : 0;
@@ -650,8 +635,6 @@ std::vector<PromGauge> QueryServer::ServerGauges() const {
   add("server.admitted_total", admission_.admitted());
   add("server.rejected_total", admission_.rejected());
   add("server.cancelled_total", admission_.cancelled());
-  add("server.pool_threads", pool_.num_threads());
-  add("server.pool_tasks_run", pool_.tasks_run());
   add("server.uptime_ms", (ObsNowNanos() - started_nanos_) / 1000000);
   add("server.query_store_size", static_cast<int64_t>(query_store_.size()));
   add("server.query_store_capacity",

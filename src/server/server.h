@@ -12,7 +12,6 @@
 
 #include "catalog/catalog.h"
 #include "engine/engine.h"
-#include "exec/task_pool.h"
 #include "obs/prom.h"
 #include "obs/query_store.h"
 #include "server/admission.h"
@@ -26,9 +25,8 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; the bound port is available from port().
   int port = 0;
-  /// Worker threads executing admitted queries (the work-stealing
-  /// TaskPool). Admission's max_concurrent is clamped to this, so a
-  /// query never waits inside the pool behind another queued query.
+  /// Cap on queries executing at once: admission's max_concurrent is
+  /// clamped to this. Each admitted query runs on its connection's thread.
   int worker_threads = 4;
   AdmissionOptions admission;
   /// Default per-query deadline for new sessions; 0 = unbounded. Sessions
@@ -47,14 +45,16 @@ struct ServerOptions {
 };
 
 /// The network query service: accepts wire-protocol connections, one
-/// session per connection, and executes admitted queries on a shared
-/// work-stealing TaskPool against an immutable catalog snapshot.
+/// session per connection, and executes admitted queries against an
+/// immutable catalog snapshot.
 ///
 /// Concurrency model:
 ///   * one accept thread + one thread per live connection (sessions are
 ///     long-lived; the bench scale is tens of sessions, not thousands);
-///   * queries pass the AdmissionController, then run as TaskPool tasks —
-///     the connection thread blocks until its query finishes;
+///   * queries pass the AdmissionController, the one bound on executing
+///     queries, then run on their connection's thread; the slot is
+///     released before the reply is encoded and sent, so a slow client
+///     never holds one;
 ///   * each query pins the catalog snapshot current at submit time
 ///     (shared_ptr), so ReplaceCatalog never mutates data under a running
 ///     query — readers drain off the old snapshot and it is freed;
@@ -122,7 +122,7 @@ class QueryServer {
   void AcceptLoop();
   void MetricsLoop();
   void ServeConnection(int fd, int session_id);
-  /// Admission + snapshot pin + engine cache refresh + pooled execution.
+  /// Admission + snapshot pin + engine cache refresh + execution.
   /// `engine`/`engine_catalog`/`engine_generation` are the connection's
   /// cached engine state (rebuilt when SET or a snapshot swap invalidated
   /// it). Non-null `params` runs the statement as a parameterized
@@ -167,7 +167,6 @@ class QueryServer {
   };
 
   ServerOptions options_;
-  TaskPool pool_;
   AdmissionController admission_;
 
   mutable std::mutex catalog_mu_;

@@ -95,10 +95,12 @@ Status Session::ApplySet(const std::string& command) {
     ORQ_ASSIGN_OR_RETURN(int64_t n,
                          ParseInt(name, value, 0, int64_t{1} << 40));
     timeout_ms_ = n;
+    return Status::OK();  // session-only: the engine never sees it
   } else if (name == "slow_query_ms") {
     ORQ_ASSIGN_OR_RETURN(int64_t n,
                          ParseInt(name, value, 0, int64_t{1} << 40));
     slow_query_ms_ = n;
+    return Status::OK();  // session-only: the engine never sees it
   } else if (name == "plan_cache") {
     if (value == "on" || value == "true" || value == "1") {
       options_.plan_cache.enable = true;

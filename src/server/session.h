@@ -47,8 +47,10 @@ class Session {
     return "s" + std::to_string(id_) + "q" + std::to_string(++next_query_seq_);
   }
 
-  /// Generation counter bumped by every successful SET, so the connection
-  /// loop knows to rebuild its cached engine.
+  /// Generation counter bumped by every successful SET that changes the
+  /// engine options, so the connection loop knows to rebuild its cached
+  /// engine (and its plan cache). timeout_ms and slow_query_ms stay on the
+  /// session and leave it alone.
   int64_t options_generation() const { return options_generation_; }
 
   int64_t queries_run() const { return queries_run_; }

@@ -101,6 +101,7 @@ TEST(QueryStoreTest, RecordAndHistoryJsonAreWellFormed) {
   record.fingerprint = FingerprintHex(record.sql);
   record.outcome = QueryOutcome::kError;
   record.error_message = "bind: no such column \"x\"";
+  record.admission_wait_us = 567;
   record.wall_micros = 1234;
   record.has_plan = true;
   record.plan.name = "HashJoin(inner)";
@@ -122,6 +123,7 @@ TEST(QueryStoreTest, RecordAndHistoryJsonAreWellFormed) {
   EXPECT_EQ(doc.StringOr("query_id", ""), "s1q1");
   EXPECT_EQ(doc.StringOr("outcome", ""), "error");
   EXPECT_EQ(doc.StringOr("sql", ""), record.sql);
+  EXPECT_EQ(doc.NumberOr("admission_wait_us", 0), 567);
   EXPECT_EQ(doc.NumberOr("wall_micros", 0), 1234);
   ASSERT_NE(doc.Find("plan"), nullptr);
   ASSERT_NE(doc.Find("profile"), nullptr);

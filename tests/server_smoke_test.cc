@@ -717,12 +717,95 @@ TEST(AdmissionControllerTest, ShutdownWakesWaitersWithUnavailable) {
 TEST(ServerSmokeTest, OverloadedServerRejectsAtTheDoor) {
   // One slot, zero queue: with several slow queries in flight at once, at
   // least one arrival must be shed as Unavailable (kept deterministic by
-  // parking one long query in the single slot first).
+  // parking one long query in the single slot first). The second input
+  // asks admission for four slots on a one-worker server: worker_threads
+  // clamps max_concurrent, so it must still shed the second query.
+  for (const int max_concurrent : {1, 4}) {
+    SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
+    ServerOptions options;
+    options.worker_threads = 1;
+    options.admission.max_concurrent = max_concurrent;
+    options.admission.max_queued = 0;
+    options.default_timeout_ms = 2000;  // the parked query self-cancels
+    QueryServer server(SharedCatalog(), options);
+    ASSERT_TRUE(server.Start().ok());
+
+    Result<Client> slow = Client::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(slow.ok());
+    Client slow_client = std::move(slow.value());
+    std::thread slow_thread([&slow_client] {
+      // Holds the only run slot until its 2s deadline fires.
+      Result<WireResult> result = slow_client.Query(kHugeCrossJoin);
+      EXPECT_FALSE(result.ok());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    Result<Client> fast = Client::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(fast.ok());
+    Client fast_client = std::move(fast.value());
+    Result<WireResult> rejected =
+        fast_client.Query("SELECT COUNT(*) FROM nation");
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
+
+    slow_thread.join();
+    // Slot free again: the same session's next query is admitted.
+    Result<WireResult> ok = fast_client.Query("SELECT COUNT(*) FROM nation");
+    EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+    server.Stop();
+  }
+}
+
+/// The `\history` records (newest first) as parsed JSON objects.
+std::vector<JsonValue> HistoryRecords(Client* client) {
+  Result<std::string> history = client->Admin("history 10");
+  if (!history.ok()) {
+    ADD_FAILURE() << history.status().ToString();
+    return {};
+  }
+  JsonValue doc;
+  std::string error;
+  if (!ParseJson(*history, &doc, &error)) {
+    ADD_FAILURE() << error << "\n" << *history;
+    return {};
+  }
+  const JsonValue* queries = doc.Find("queries");
+  if (queries == nullptr) {
+    ADD_FAILURE() << *history;
+    return {};
+  }
+  return queries->array;
+}
+
+TEST(ServerSmokeTest, SessionOnlySetKeepsThePlanCache) {
+  // timeout_ms lives on the session and never reaches the engine, so
+  // setting it must not rebuild the connection's engine and its plan cache.
+  QueryServer server(SharedCatalog(), ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok());
+  Client client = std::move(connected.value());
+  ASSERT_TRUE(client.Set("plan_cache", "on").ok());
+  const char kSql[] = "SELECT COUNT(*) FROM nation WHERE n_regionkey = 1";
+  ASSERT_TRUE(client.Query(kSql).ok());
+  ASSERT_TRUE(client.Set("timeout_ms", "5000").ok());
+  ASSERT_TRUE(client.Query(kSql).ok());
+
+  const std::vector<JsonValue> records = HistoryRecords(&client);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].StringOr("cache", ""), "miss");
+  EXPECT_EQ(records[0].StringOr("cache", ""), "hit");
+  server.Stop();
+}
+
+TEST(ServerSmokeTest, HistoryRecordsAdmissionWait) {
+  // One run slot: a long query parks in it, a second query queues behind
+  // it until the first is cancelled. The second query's record must
+  // charge at least that queued time to admission_wait_us.
   ServerOptions options;
   options.worker_threads = 1;
   options.admission.max_concurrent = 1;
-  options.admission.max_queued = 0;
-  options.default_timeout_ms = 2000;  // the parked query self-cancels
+  options.admission.max_queued = 4;
   QueryServer server(SharedCatalog(), options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -730,24 +813,67 @@ TEST(ServerSmokeTest, OverloadedServerRejectsAtTheDoor) {
   ASSERT_TRUE(slow.ok());
   Client slow_client = std::move(slow.value());
   std::thread slow_thread([&slow_client] {
-    // Holds the only run slot until its 2s deadline fires.
-    Result<WireResult> result = slow_client.Query(kHugeCrossJoin);
-    EXPECT_FALSE(result.ok());
+    EXPECT_FALSE(slow_client.Query(kHugeCrossJoin).ok());
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  Result<Client> queued = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(queued.ok());
+  Client queued_client = std::move(queued.value());
+  Result<Client> admin = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(admin.ok());
+  Client admin_client = std::move(admin.value());
 
-  Result<Client> fast = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(fast.ok());
-  Client fast_client = std::move(fast.value());
-  Result<WireResult> rejected =
-      fast_client.Query("SELECT COUNT(*) FROM nation");
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
-
+  // Id of a live query that is (or, want_queued=false, is no longer)
+  // waiting for admission, polled from \queries; empty after ~5s.
+  auto await_live = [&admin_client](bool want_queued) {
+    for (int spin = 0; spin < 500; ++spin) {
+      Result<std::string> queries = admin_client.Admin("queries");
+      JsonValue doc;
+      std::string error;
+      if (!queries.ok() || !ParseJson(*queries, &doc, &error)) break;
+      for (const JsonValue& entry : doc.Find("queries")->array) {
+        if ((entry.StringOr("phase", "") == "queued") == want_queued) {
+          return entry.StringOr("query_id", "");
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return std::string();
+  };
+  const std::string slow_id = await_live(/*want_queued=*/false);
+  ASSERT_FALSE(slow_id.empty()) << "cross join never started";
+  std::thread queued_thread([&queued_client] {
+    Result<WireResult> result =
+        queued_client.Query("SELECT COUNT(*) FROM nation");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  });
+  ASSERT_FALSE(await_live(/*want_queued=*/true).empty());
+  const auto queued_at = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto released_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(admin_client.Admin("cancel " + slow_id).ok());
   slow_thread.join();
-  // Slot free again: the same session's next query is admitted.
-  Result<WireResult> ok = fast_client.Query("SELECT COUNT(*) FROM nation");
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  queued_thread.join();
+
+  // A query is listed just before it enters Admit; allow for that gap.
+  const int64_t margin_us = 5000;
+  const int64_t queued_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(released_at -
+                                                            queued_at)
+          .count();
+  // Either query may land in the store first: the freed slot lets the
+  // queued one finish while the cancelled one is still recording.
+  const std::vector<JsonValue> records = HistoryRecords(&admin_client);
+  ASSERT_EQ(records.size(), 2u);
+  for (const JsonValue& record : records) {
+    const std::string id = record.StringOr("query_id", "");
+    if (id == slow_id) {
+      EXPECT_LT(record.NumberOr("admission_wait_us", -1), queued_us);
+    } else {
+      EXPECT_EQ(id, queued_client.last_query_id());
+      EXPECT_GE(record.NumberOr("admission_wait_us", -1),
+                queued_us - margin_us);
+    }
+  }
   server.Stop();
 }
 

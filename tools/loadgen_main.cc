@@ -23,7 +23,10 @@
 // --prepared instead PREPAREs one parameterized statement per session and
 // EXECUTEs it with a varying key — the prepared-statement fast path.
 // --min-hit-rate asserts the server-reported plan-cache hit rate at the
-// end of the run (exit 1 below the bar); this is the CI gate.
+// end of the run (exit 1 below the bar); this is the CI gate. --workers
+// (self-hosted server) caps how many queries execute at once
+// (--max-concurrent is clamped to it); each admitted query runs on its
+// connection's thread.
 //
 // The --json report is one JSON-lines record in the BENCH_*.json schema
 // (name/wall_ms/result_rows/rows_produced/error gate through

@@ -15,6 +15,8 @@
 // bound port to a file so scripts can discover it. --timeout-ms is the
 // default per-query deadline new sessions start with (SET timeout_ms
 // overrides per session); --threads the default engine worker count.
+// --workers caps how many queries execute at once (--max-concurrent is
+// clamped to it); each admitted query runs on its connection's thread.
 // --metrics-port exposes a plain-HTTP GET /metrics endpoint (Prometheus
 // text format; 0 = ephemeral, discoverable via --metrics-port-file).
 // --slow-query-ms sets the default slow-query capture threshold and
