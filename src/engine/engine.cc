@@ -222,10 +222,41 @@ void AppendOutputSignature(const std::vector<ColumnId>& output_cols,
   }
 }
 
-Status MissingParamsError(size_t num_params) {
-  return Status::InvalidArgument(
-      "statement has " + std::to_string(num_params) +
-      " parameter(s); supply values via ExecuteParams / EXECUTE");
+/// The one arity rule for a statement's `?` parameters, shared by every
+/// entry point and both lanes.
+Status ParamCountError(size_t expected, size_t got) {
+  if (got == 0) {
+    return Status::InvalidArgument(
+        "statement has " + std::to_string(expected) +
+        " parameter(s); supply values via ExecuteParams / EXECUTE");
+  }
+  return Status::InvalidArgument("statement expects " +
+                                 std::to_string(expected) +
+                                 " parameter(s), got " + std::to_string(got));
+}
+
+/// An optimized tree as a template: the compiled statement's explicit `?`
+/// parameters are its only placeholders so far.
+std::shared_ptr<CachedPlan> TemplateOf(QueryEngine::Compiled compiled) {
+  auto plan = std::make_shared<CachedPlan>();
+  plan->columns = std::move(compiled.columns);
+  plan->optimized = std::move(compiled.optimized);
+  plan->output_cols = std::move(compiled.output_cols);
+  plan->output_names = std::move(compiled.output_names);
+  plan->param_types = std::move(compiled.param_types);
+  plan->num_explicit_params = plan->param_types.size();
+  return plan;
+}
+
+/// Preorder registration of the operator tree for span export: ids are
+/// assigned parent-before-child and names are formatted once, up front, so
+/// span emission at Close touches no virtual calls.
+void RegisterOpTree(SpanRecorder* spans, const PhysicalOp& op,
+                    int parent_id) {
+  const int id = spans->RegisterOp(&op, op.name(), parent_id);
+  for (const PhysicalOp* child : op.children()) {
+    RegisterOpTree(spans, *child, id);
+  }
 }
 
 }  // namespace
@@ -268,7 +299,7 @@ Result<QueryEngine::PlannedQuery> QueryEngine::PlanWithCache(
   if (std::shared_ptr<const CachedPlan> plan = cache->LookupText(
           sql, options_key, catalog_version, &planned.auto_values, metrics)) {
     planned.plan = std::move(plan);
-    planned.from_cache = true;
+    planned.cache = CacheOutcome::kHit;
     cache->CountHit();
     if (metrics != nullptr) metrics->Add(MetricCounter::kPlanCacheHits, 1);
     return planned;
@@ -293,7 +324,7 @@ Result<QueryEngine::PlannedQuery> QueryEngine::PlanWithCache(
     cache->Insert(sql, options_key, plan, param.values, metrics);
     planned.plan = std::move(plan);
     planned.auto_values = std::move(param.values);
-    planned.from_cache = true;
+    planned.cache = CacheOutcome::kHit;
     cache->CountHit();
     if (metrics != nullptr) metrics->Add(MetricCounter::kPlanCacheHits, 1);
     return planned;
@@ -309,124 +340,134 @@ Result<QueryEngine::PlannedQuery> QueryEngine::PlanWithCache(
   ORQ_ASSIGN_OR_RETURN(
       compiled, FinishCompile(std::move(compiled), options, profile, cancel));
 
-  auto entry = std::make_shared<CachedPlan>();
-  entry->columns = compiled.columns;
-  entry->optimized = compiled.optimized;
-  entry->output_cols = compiled.output_cols;
-  entry->output_names = compiled.output_names;
-  entry->param_types = compiled.param_types;
+  std::shared_ptr<CachedPlan> entry = TemplateOf(std::move(compiled));
   entry->param_types.insert(entry->param_types.end(), param.types.begin(),
                             param.types.end());
-  entry->num_explicit_params = num_explicit;
   entry->canonical = std::move(canonical);
+  entry->fingerprint = FingerprintHex(entry->canonical);
   entry->catalog_version = catalog_version;
   cache->Insert(sql, options_key, entry, param.values, metrics);
 
   planned.plan = std::move(entry);
   planned.auto_values = std::move(param.values);
-  planned.from_cache = false;
+  planned.cache = CacheOutcome::kMiss;
   return planned;
 }
 
-Result<QueryEngine::Compiled> QueryEngine::MaterializePlan(
+Result<QueryEngine::PlannedQuery> QueryEngine::Resolve(
+    const std::string& sql, const EngineOptions& options,
+    QueryProfile* profile, const CancelToken* cancel,
+    MetricsRegistry* metrics) {
+  if (options.plan_cache.enable) {
+    return PlanWithCache(sql, options, profile, cancel, metrics);
+  }
+  ORQ_ASSIGN_OR_RETURN(Compiled compiled,
+                       CompileWith(sql, options, profile, cancel));
+  PlannedQuery planned;
+  planned.plan = TemplateOf(std::move(compiled));
+  return planned;
+}
+
+Result<QueryEngine::Compiled> QueryEngine::BindParams(
     const PlannedQuery& planned,
     const std::vector<Value>& explicit_values) const {
   const CachedPlan& plan = *planned.plan;
   if (explicit_values.size() != plan.num_explicit_params) {
-    return Status::InvalidArgument(
-        "statement expects " + std::to_string(plan.num_explicit_params) +
-        " parameter(s), got " + std::to_string(explicit_values.size()));
+    return ParamCountError(plan.num_explicit_params, explicit_values.size());
+  }
+  Compiled compiled;
+  compiled.columns = plan.columns;
+  compiled.optimized = plan.optimized;
+  compiled.output_cols = plan.output_cols;
+  compiled.output_names = plan.output_names;
+  // A template compiled for this call alone with nothing to bind runs as
+  // is. A cached template is walked even with no values: dropping that
+  // walk makes literal-free hits fast enough to trip the layer pass's
+  // per-execution attribution rule (ROADMAP, "attribution check must hold
+  // for fast hits"), so it waits for that rule to change.
+  if (planned.cache == CacheOutcome::kOff && explicit_values.empty()) {
+    return compiled;
   }
   std::vector<Value> values;
   values.reserve(explicit_values.size() + planned.auto_values.size());
   values.insert(values.end(), explicit_values.begin(), explicit_values.end());
   values.insert(values.end(), planned.auto_values.begin(),
                 planned.auto_values.end());
-  Compiled compiled;
-  compiled.columns = plan.columns;
   ORQ_ASSIGN_OR_RETURN(
       compiled.optimized,
       SubstituteParams(plan.optimized, values, plan.param_types));
-  compiled.output_cols = plan.output_cols;
-  compiled.output_names = plan.output_names;
   return compiled;
 }
 
 Result<QueryEngine::PreparedInfo> QueryEngine::Prepare(
     const std::string& sql) {
-  const EngineOptions options = this->options();
+  ORQ_ASSIGN_OR_RETURN(PlannedQuery planned,
+                       Resolve(sql, options(), nullptr, nullptr, nullptr));
+  const CachedPlan& plan = *planned.plan;
   PreparedInfo info;
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, nullptr, nullptr, nullptr));
-    const CachedPlan& plan = *planned.plan;
-    info.param_types.assign(
-        plan.param_types.begin(),
-        plan.param_types.begin() +
-            static_cast<long>(plan.num_explicit_params));
-    info.output_names = plan.output_names;
-    return info;
-  }
-  ORQ_ASSIGN_OR_RETURN(Compiled compiled, CompileWith(sql, options));
-  info.param_types = compiled.param_types;
-  info.output_names = compiled.output_names;
+  info.param_types.assign(
+      plan.param_types.begin(),
+      plan.param_types.begin() + static_cast<long>(plan.num_explicit_params));
+  info.output_names = plan.output_names;
   return info;
+}
+
+Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
+  return ExecuteParams(sql, {}, ExecControl{});
+}
+
+Result<QueryResult> QueryEngine::Execute(const std::string& sql,
+                                         const ExecControl& control) {
+  return ExecuteParams(sql, {}, control);
 }
 
 Result<QueryResult> QueryEngine::ExecuteParams(
     const std::string& sql, const std::vector<Value>& params,
     const ExecControl& control) {
-  const EngineOptions options = this->options();
+  return ExecuteWith(
+      sql, params, options(), control, /*spans=*/nullptr,
+      control.observe != nullptr ? &control.observe->fingerprint : nullptr);
+}
+
+Result<QueryResult> QueryEngine::ExecuteCompiled(const Compiled& compiled,
+                                                 const ExecControl& control) {
+  return BuildAndRun(compiled, options(), control, /*spans=*/nullptr);
+}
+
+Result<QueryResult> QueryEngine::ExecuteWith(const std::string& sql,
+                                             const std::vector<Value>& params,
+                                             const EngineOptions& options,
+                                             const ExecControl& control,
+                                             SpanRecorder* spans,
+                                             std::string* fingerprint) {
   QueryObservation* observe = control.observe;
   QueryProfile* profile = observe != nullptr ? &observe->profile : nullptr;
   if (profile != nullptr) {
     if (profile->start_nanos == 0) profile->start_nanos = ObsNowNanos();
     if (profile->query_id.empty()) profile->query_id = control.query_id;
   }
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, profile, control.cancel,
-                      control.metrics));
-    if (profile != nullptr) {
-      profile->cache =
-          planned.from_cache ? CacheOutcome::kHit : CacheOutcome::kMiss;
-    }
-    if (observe != nullptr) {
-      observe->fingerprint = FingerprintHex(planned.plan->canonical);
-    }
-    ORQ_ASSIGN_OR_RETURN(Compiled compiled,
-                         MaterializePlan(planned, params));
-    return ExecuteCompiledWith(compiled, options, control);
+  ORQ_ASSIGN_OR_RETURN(PlannedQuery planned,
+                       Resolve(sql, options, profile, control.cancel,
+                               control.metrics));
+  const CachedPlan& plan = *planned.plan;
+  if (profile != nullptr) profile->cache = planned.cache;
+  if (fingerprint != nullptr) {
+    // Taken from the template, before any value is bound. A cache entry
+    // stores its own. The plain lane's template still embeds its literals,
+    // so literal variants of a shape stay distinct, while every EXECUTE of
+    // one prepared statement shares a fingerprint.
+    *fingerprint = plan.fingerprint.empty()
+                       ? FingerprintHex(CanonicalizeTree(*plan.optimized))
+                       : plan.fingerprint;
   }
-  ORQ_ASSIGN_OR_RETURN(Compiled compiled,
-                       CompileWith(sql, options, profile, control.cancel));
-  if (params.size() != compiled.param_types.size()) {
-    return Status::InvalidArgument(
-        "statement expects " + std::to_string(compiled.param_types.size()) +
-        " parameter(s), got " + std::to_string(params.size()));
-  }
-  if (!params.empty()) {
-    ORQ_ASSIGN_OR_RETURN(
-        compiled.optimized,
-        SubstituteParams(compiled.optimized, params, compiled.param_types));
-  }
-  if (observe != nullptr) {
-    observe->fingerprint =
-        FingerprintHex(CanonicalizeTree(*compiled.optimized));
-  }
-  return ExecuteCompiledWith(compiled, options, control);
+  ORQ_ASSIGN_OR_RETURN(Compiled compiled, BindParams(planned, params));
+  return BuildAndRun(compiled, options, control, spans);
 }
 
-Result<QueryResult> QueryEngine::ExecuteCompiled(const Compiled& compiled,
-                                                 const ExecControl& control) {
-  return ExecuteCompiledWith(compiled, options(), control);
-}
-
-Result<QueryResult> QueryEngine::ExecuteCompiledWith(
-    const Compiled& compiled, const EngineOptions& options,
-    const ExecControl& control) {
+Result<QueryResult> QueryEngine::BuildAndRun(const Compiled& compiled,
+                                             const EngineOptions& options,
+                                             const ExecControl& control,
+                                             SpanRecorder* spans) {
   QueryObservation* observe = control.observe;
   QueryProfile* profile = observe != nullptr ? &observe->profile : nullptr;
   if (profile != nullptr && profile->start_nanos == 0) {
@@ -435,19 +476,15 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
   PhysicalOpPtr plan;
   {
     PhaseTimer timer(profile, QueryPhase::kPhysicalBuild);
-    if (observe != nullptr) {
-      // Cost estimates ride along so the observation carries est-vs-actual
-      // rows per operator; plan choice happened during optimization, the
-      // model only annotates here (same as ExecuteAnalyzed).
-      CostModel cost(catalog_);
-      ORQ_ASSIGN_OR_RETURN(
-          plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
-                                  EffectivePhysicalOptions(options), &cost));
-    } else {
-      ORQ_ASSIGN_OR_RETURN(
-          plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
-                                  EffectivePhysicalOptions(options)));
-    }
+    // An observed query gets cost estimates on its operators, so the
+    // observation carries est-vs-actual rows; plan choice happened during
+    // optimization, the model only annotates here.
+    CostModel cost(catalog_);
+    ORQ_ASSIGN_OR_RETURN(
+        plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
+                                EffectivePhysicalOptions(options),
+                                observe != nullptr ? &cost : nullptr));
+    if (spans != nullptr) RegisterOpTree(spans, *plan, /*parent_id=*/-1);
   }
   // The pool reference is held across execution so a concurrent
   // set_options cannot destroy threads a running exchange depends on.
@@ -465,124 +502,63 @@ Result<QueryResult> QueryEngine::ExecuteCompiledWith(
   ctx.progress_rows = control.progress_rows;
   StatsCollector collector;
   ExecInstruments instruments;
-  if (control.metrics != nullptr) instruments.metrics = control.metrics;
-  if (observe != nullptr) instruments.stats = &collector;
-  if (instruments.metrics != nullptr || instruments.stats != nullptr) {
+  instruments.metrics = control.metrics;
+  instruments.stats = observe != nullptr ? &collector : nullptr;
+  instruments.spans = spans;
+  if (instruments.metrics != nullptr || instruments.stats != nullptr ||
+      instruments.spans != nullptr) {
     ctx.instruments = &instruments;
   }
-  if (observe == nullptr) return RunAndProject(plan.get(), compiled, &ctx);
 
-  // Observed path: capture phase timings and the stats tree whether the
-  // query succeeds or fails — a cancelled query still reports the phases
-  // it finished and the rows its operators produced.
-  Result<QueryResult> result = Status::Internal("query did not run");
-  {
+  Result<QueryResult> result = [&] {
     PhaseTimer timer(profile, QueryPhase::kExecute);
-    const int64_t start = ObsNowNanos();
-    result = RunAndProject(plan.get(), compiled, &ctx);
-    observe->exec_wall_nanos = ObsNowNanos() - start;
-  }
-  observe->plan = BuildPlanStats(*plan, collector, compiled.columns.get());
-  observe->has_plan = true;
-  observe->profile.total_nanos = ObsNowNanos() - observe->profile.start_nanos;
+    return RunAndProject(plan.get(), compiled, &ctx);
+  }();
   if (control.progress_rows != nullptr) {
     control.progress_rows->store(ctx.rows_produced,
                                  std::memory_order_relaxed);
   }
+  if (observe != nullptr) {
+    // The observation is taken whether the query succeeded or failed: a
+    // cancelled query still reports the phases it finished and the rows
+    // its operators produced. total_nanos ends with the execute phase; the
+    // stats snapshot after it is bookkeeping, not lifecycle.
+    observe->exec_wall_nanos = profile->phase(QueryPhase::kExecute).wall_nanos;
+    profile->total_nanos = ObsNowNanos() - profile->start_nanos;
+    observe->plan = BuildPlanStats(*plan, collector, compiled.columns.get());
+    observe->has_plan = true;
+  }
   return result;
 }
-
-namespace {
-
-/// Preorder registration of the operator tree for span export: ids are
-/// assigned parent-before-child and names are formatted once, up front, so
-/// span emission at Close touches no virtual calls.
-void RegisterOpTree(SpanRecorder* spans, const PhysicalOp& op,
-                    int parent_id) {
-  const int id = spans->RegisterOp(&op, op.name(), parent_id);
-  for (const PhysicalOp* child : op.children()) {
-    RegisterOpTree(spans, *child, id);
-  }
-}
-
-}  // namespace
 
 Result<AnalyzedQuery> QueryEngine::ExecuteAnalyzed(
     const std::string& sql, const AnalyzeOptions& analyze) {
   AnalyzedQuery analyzed;
   analyzed.sql = sql;
-  analyzed.profile.start_nanos = ObsNowNanos();
-  analyzed.profile.query_id = analyze.query_id;
-  if (analyzed.profile.query_id.empty()) {
+  QueryObservation observe;
+  ExecControl control;
+  control.cancel = analyze.cancel;
+  control.metrics = &analyzed.metrics;
+  control.observe = &observe;
+  control.query_id = analyze.query_id;
+  if (control.query_id.empty()) {
     // Engine-local ids for analyzed runs outside the server's minting
     // (difftest, bench, orq_profile): "q<n>", monotonic per process.
     static std::atomic<int64_t> next_analyzed_id{0};
-    analyzed.profile.query_id =
+    control.query_id =
         "q" + std::to_string(next_analyzed_id.fetch_add(1) + 1);
   }
-
   EngineOptions options = this->options();
   options.normalizer.trace = &analyzed.trace;
   options.optimizer.trace = &analyzed.trace;
-  Compiled compiled;
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, &analyzed.profile, analyze.cancel,
-                      &analyzed.metrics));
-    if (planned.plan->num_explicit_params > 0) {
-      return MissingParamsError(planned.plan->num_explicit_params);
-    }
-    analyzed.profile.cache =
-        planned.from_cache ? CacheOutcome::kHit : CacheOutcome::kMiss;
-    ORQ_ASSIGN_OR_RETURN(compiled, MaterializePlan(planned, {}));
-  } else {
-    ORQ_ASSIGN_OR_RETURN(
-        compiled,
-        CompileWith(sql, options, &analyzed.profile, analyze.cancel));
-    if (!compiled.param_types.empty()) {
-      return MissingParamsError(compiled.param_types.size());
-    }
-  }
-
-  PhysicalOpPtr plan;
-  {
-    PhaseTimer timer(&analyzed.profile, QueryPhase::kPhysicalBuild);
-    CostModel cost(catalog_);
-    ORQ_ASSIGN_OR_RETURN(
-        plan, BuildPhysicalPlan(compiled.optimized, *compiled.columns,
-                                EffectivePhysicalOptions(options), &cost));
-    if (analyze.record_spans) {
-      RegisterOpTree(&analyzed.spans, *plan, /*parent_id=*/-1);
-    }
-  }
-
-  std::shared_ptr<TaskPool> pool =
-      SharedTaskPool(options.exec.num_threads);
-  StatsCollector collector;
-  ExecInstruments instruments;
-  instruments.stats = &collector;
-  instruments.metrics = &analyzed.metrics;
-  instruments.spans = analyze.record_spans ? &analyzed.spans : nullptr;
-  ORQ_RETURN_IF_ERROR(ValidateBatchSize(options.exec.batch_size));
-  ExecContext ctx;
-  ctx.instruments = &instruments;
-  ctx.batched = options.exec.batched;
-  ctx.batch_size = options.exec.batch_size;
-  ctx.pool = pool.get();
-  ctx.morsel_rows = options.exec.morsel_rows;
-  ctx.cancel = analyze.cancel;
-  {
-    PhaseTimer timer(&analyzed.profile, QueryPhase::kExecute);
-    const int64_t start = ObsNowNanos();
-    ORQ_ASSIGN_OR_RETURN(analyzed.result,
-                         RunAndProject(plan.get(), compiled, &ctx));
-    analyzed.exec_wall_nanos = ObsNowNanos() - start;
-  }
-  analyzed.profile.total_nanos =
-      ObsNowNanos() - analyzed.profile.start_nanos;
-  analyzed.plan =
-      BuildPlanStats(*plan, collector, compiled.columns.get());
+  ORQ_ASSIGN_OR_RETURN(
+      analyzed.result,
+      ExecuteWith(sql, {}, options, control,
+                  analyze.record_spans ? &analyzed.spans : nullptr,
+                  /*fingerprint=*/nullptr));
+  analyzed.profile = std::move(observe.profile);
+  analyzed.plan = std::move(observe.plan);
+  analyzed.exec_wall_nanos = observe.exec_wall_nanos;
   // rows_produced stays the context counter (set in RunAndProject); the
   // per-operator aggregation must independently agree with it —
   // TotalRowsOut(plan) == rows_produced is a tested invariant, and the
@@ -614,52 +590,6 @@ Result<std::string> QueryEngine::ExplainAnalyze(const std::string& sql) {
                 static_cast<double>(analyzed.exec_wall_nanos) / 1e6);
   out += line;
   return out;
-}
-
-Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
-  return Execute(sql, ExecControl{});
-}
-
-Result<QueryResult> QueryEngine::Execute(const std::string& sql,
-                                         const ExecControl& control) {
-  const EngineOptions options = this->options();
-  QueryObservation* observe = control.observe;
-  QueryProfile* profile = observe != nullptr ? &observe->profile : nullptr;
-  if (profile != nullptr) {
-    if (profile->start_nanos == 0) profile->start_nanos = ObsNowNanos();
-    if (profile->query_id.empty()) profile->query_id = control.query_id;
-  }
-  if (options.plan_cache.enable) {
-    ORQ_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlanWithCache(sql, options, profile, control.cancel,
-                      control.metrics));
-    if (planned.plan->num_explicit_params > 0) {
-      return MissingParamsError(planned.plan->num_explicit_params);
-    }
-    if (profile != nullptr) {
-      profile->cache =
-          planned.from_cache ? CacheOutcome::kHit : CacheOutcome::kMiss;
-    }
-    if (observe != nullptr) {
-      observe->fingerprint = FingerprintHex(planned.plan->canonical);
-    }
-    ORQ_ASSIGN_OR_RETURN(Compiled compiled, MaterializePlan(planned, {}));
-    return ExecuteCompiledWith(compiled, options, control);
-  }
-  ORQ_ASSIGN_OR_RETURN(Compiled compiled,
-                       CompileWith(sql, options, profile, control.cancel));
-  if (!compiled.param_types.empty()) {
-    return MissingParamsError(compiled.param_types.size());
-  }
-  if (observe != nullptr) {
-    // No cache lane: fingerprint the optimized tree directly. Literals are
-    // still embedded here, so unlike the cache-lane fingerprint this one
-    // distinguishes literal variants of a shape.
-    observe->fingerprint =
-        FingerprintHex(CanonicalizeTree(*compiled.optimized));
-  }
-  return ExecuteCompiledWith(compiled, options, control);
 }
 
 Result<std::string> QueryEngine::Explain(const std::string& sql) {

@@ -148,6 +148,14 @@ struct EngineOptions {
 /// The public entry point: parse -> bind -> Apply introduction ->
 /// normalization -> cost-based optimization -> execution (paper section 4).
 ///
+/// Execute, ExecuteParams and ExecuteAnalyzed run one lifecycle:
+///  1. Resolve `sql` to an optimized template and its literal values,
+///     through the plan cache or compiled for this call alone; an observed
+///     Execute fingerprints the template.
+///  2. Bind parameters: one arity check, then the values are substituted.
+///  3. Build and run; an observed call's `total_nanos` ends with the
+///     execute phase, before its per-operator stats are snapshot.
+///
 /// Re-entrancy: Execute/ExecuteCompiled/ExecuteAnalyzed/Explain are safe
 /// to call from many threads concurrently on one engine. Each call
 /// snapshots the configuration once at entry and pins the worker pool via
@@ -205,9 +213,10 @@ class QueryEngine {
                                       const ExecControl& control = {});
 
   /// Executes `sql` with full observability: per-operator stats collection,
-  /// rule tracing, and cost-model estimates on the physical plan. Results
-  /// are identical to Execute; only the instrumented path pays collection
-  /// overhead.
+  /// rule tracing, and cost-model estimates on the physical plan. This is
+  /// an observed Execute with trace sinks (and optionally a span recorder)
+  /// attached: results, stats tree and cache outcome equal what an
+  /// ExecControl::observe call reports.
   Result<AnalyzedQuery> ExecuteAnalyzed(const std::string& sql,
                                         const AnalyzeOptions& analyze = {});
 
@@ -229,7 +238,11 @@ class QueryEngine {
   /// Executes a statement with positional parameter values (`?` in the
   /// SQL, matched by position). Works with the plan cache on or off; with
   /// it on, repeated calls reuse the cached optimized template and skip
-  /// every compile phase up to physical build.
+  /// every compile phase up to physical build. A wrong number of values
+  /// (none for a statement with `?`, or values for one without) is
+  /// InvalidArgument on either lane. The observed fingerprint is taken
+  /// before the values are bound, so every EXECUTE of one statement shares
+  /// it.
   Result<QueryResult> ExecuteParams(const std::string& sql,
                                     const std::vector<Value>& params,
                                     const ExecControl& control = {});
@@ -263,14 +276,23 @@ class QueryEngine {
                                  QueryProfile* profile,
                                  const CancelToken* cancel);
 
-  /// One query resolved through the plan cache: the shared immutable
-  /// template plus the literal values stripped from this statement text
-  /// (explicit `?` values are supplied separately at execution).
+  /// One statement resolved to an optimized template: the shared
+  /// immutable cache entry, or on the plain lane a template compiled for
+  /// this call alone. `auto_values` are the literals the cache lane
+  /// stripped from this statement text (explicit `?` values are supplied
+  /// separately).
   struct PlannedQuery {
     std::shared_ptr<const CachedPlan> plan;
     std::vector<Value> auto_values;
-    bool from_cache = false;
+    CacheOutcome cache = CacheOutcome::kOff;
   };
+
+  /// Lifecycle step 1: the plan-cache lane when enabled, else CompileWith.
+  Result<PlannedQuery> Resolve(const std::string& sql,
+                               const EngineOptions& options,
+                               QueryProfile* profile,
+                               const CancelToken* cancel,
+                               MetricsRegistry* metrics);
 
   /// Cache-lane compilation: level-1 text hit skips everything; level-2
   /// fingerprint hit skips normalize/optimize; miss compiles the
@@ -282,20 +304,34 @@ class QueryEngine {
                                      const CancelToken* cancel,
                                      MetricsRegistry* metrics);
 
-  /// Substitutes all parameter values into the template and builds a
-  /// Compiled shim sharing the template's ColumnManager (safe: physical
-  /// build takes the manager by const reference).
-  Result<Compiled> MaterializePlan(const PlannedQuery& planned,
-                                   const std::vector<Value>& explicit_values)
+  /// Lifecycle step 2: checks the explicit values' arity and substitutes
+  /// them (and the auto values) into the template, as a Compiled sharing
+  /// the template's ColumnManager (safe: physical build takes the manager
+  /// by const reference).
+  Result<Compiled> BindParams(const PlannedQuery& planned,
+                              const std::vector<Value>& explicit_values)
       const;
 
   PlanCache* EnsurePlanCache(const PlanCacheOptions& options);
 
-  /// Execution against an explicit options snapshot (all public execute
-  /// paths funnel here so concurrent callers never re-read live options).
-  Result<QueryResult> ExecuteCompiledWith(const Compiled& compiled,
-                                          const EngineOptions& options,
-                                          const ExecControl& control);
+  /// The whole lifecycle against an explicit options snapshot (so
+  /// concurrent callers never re-read live options, and ExecuteAnalyzed
+  /// can attach trace sinks). `spans` (optional) records operator spans;
+  /// `fingerprint` (optional) receives the template's fingerprint, so only
+  /// a caller that keeps one pays for it.
+  Result<QueryResult> ExecuteWith(const std::string& sql,
+                                  const std::vector<Value>& params,
+                                  const EngineOptions& options,
+                                  const ExecControl& control,
+                                  SpanRecorder* spans,
+                                  std::string* fingerprint);
+
+  /// Lifecycle step 3: physical build, execution and, when
+  /// `control.observe` is set, the observation snapshot.
+  Result<QueryResult> BuildAndRun(const Compiled& compiled,
+                                  const EngineOptions& options,
+                                  const ExecControl& control,
+                                  SpanRecorder* spans);
 
   /// Physical-build options with the execution thread count applied (the
   /// builder decides where the Exchange goes, so it must know N).

@@ -66,7 +66,9 @@ Result<RelExprPtr> SubstituteParams(const RelExprPtr& root,
 
 /// An optimized plan template plus everything needed to execute it.
 /// Immutable once cached; concurrent executions substitute parameters into
-/// fresh trees and never touch the template or its ColumnManager.
+/// fresh trees and never touch the template or its ColumnManager. With the
+/// cache off, each query compiles a template of its own (no auto
+/// parameters, no canonical key).
 struct CachedPlan {
   ColumnManagerPtr columns;
   RelExprPtr optimized;  // contains kParam placeholders
@@ -78,6 +80,10 @@ struct CachedPlan {
   size_t num_explicit_params = 0;
   /// CanonicalizeTree of the parameterized bound tree + output signature.
   std::string canonical;
+  /// FingerprintHex(canonical), computed once when the entry is built;
+  /// every observed hit copies it into its QueryObservation. Empty on a
+  /// template compiled with the cache off.
+  std::string fingerprint;
   int64_t catalog_version = 0;
 };
 

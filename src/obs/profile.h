@@ -36,10 +36,6 @@ struct PhaseSpan {
   int64_t wall_nanos = 0;
 };
 
-/// Wall-nanosecond breakdown of one query's lifecycle. Accumulated by
-/// QueryEngine::ExecuteAnalyzed; phases are timed back to back, so
-/// PhaseSum() accounts for the whole of `total_nanos` up to the (tiny)
-/// bookkeeping between phases — the invariant obs_test pins at 5%.
 /// Plan-cache outcome of one query, for the EXPLAIN ANALYZE breakdown.
 enum class CacheOutcome : int {
   kOff = 0,   // plan cache disabled; no line rendered
@@ -47,6 +43,13 @@ enum class CacheOutcome : int {
   kHit,       // served from cache; compile phases up to optimize skipped
 };
 
+/// Wall-nanosecond breakdown of one query's lifecycle. Accumulated by
+/// every observed call (QueryEngine::ExecuteAnalyzed, or an Execute with
+/// ExecControl::observe set); phases are timed back to back and
+/// `total_nanos` ends with the execute phase, before the per-operator
+/// stats snapshot, so PhaseSum() accounts for the whole of `total_nanos`
+/// up to the (tiny) bookkeeping between phases — the invariant obs_test
+/// pins at 5%.
 struct QueryProfile {
   PhaseSpan phases[kNumQueryPhases];
   /// Start of the measured window (compile entry), ObsNowNanos timeline.

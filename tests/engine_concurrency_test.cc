@@ -56,27 +56,55 @@ std::vector<std::vector<std::string>> SerialBags() {
   return bags;
 }
 
+// Two inputs: plain Execute with the plan cache off, and the plan cache
+// on with alternate threads running an observed Execute and
+// ExecuteAnalyzed, so cache hits share one CachedPlan while the lifecycle
+// runs under both observation sinks.
 TEST(EngineConcurrencyTest, ConcurrentExecuteMatchesSerial) {
   const std::vector<std::vector<std::string>> expected = SerialBags();
-  QueryEngine engine(SharedCatalog());
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 6;
-  std::atomic<int> divergences{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        const int qi = (t + round) % kNumQueries;
-        Result<QueryResult> result = engine.Execute(kQueryMix[qi]);
-        if (!result.ok() || CanonicalBag(*result) != expected[qi]) {
-          divergences.fetch_add(1, std::memory_order_relaxed);
+  for (bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "plan cache on" : "plan cache off");
+    EngineOptions options = EngineOptions::Full();
+    options.plan_cache.enable = cache;
+    QueryEngine engine(SharedCatalog(), options);
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 6;
+    std::atomic<int> divergences{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          const int qi = (t + round) % kNumQueries;
+          Result<QueryResult> result = Status::Internal("not run");
+          if (!cache) {
+            result = engine.Execute(kQueryMix[qi]);
+          } else if (t % 2 == 0) {
+            QueryObservation observe;
+            ExecControl control;
+            control.observe = &observe;
+            result = engine.Execute(kQueryMix[qi], control);
+          } else {
+            Result<AnalyzedQuery> analyzed =
+                engine.ExecuteAnalyzed(kQueryMix[qi]);
+            if (analyzed.ok()) {
+              result = std::move(analyzed->result);
+            } else {
+              result = analyzed.status();
+            }
+          }
+          if (!result.ok() || CanonicalBag(*result) != expected[qi]) {
+            divergences.fetch_add(1, std::memory_order_relaxed);
+          }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(divergences.load(), 0);
+    if (cache) {
+      EXPECT_GT(engine.plan_cache_hits(), 0);
+    }
   }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(divergences.load(), 0);
 }
 
 TEST(EngineConcurrencyTest, ExecuteUnderOptionsChurnMatchesSerial) {

@@ -261,22 +261,107 @@ TEST_F(ObsTest, AnalyzedJsonIsValidAndRoundTrips) {
 
 // The lifecycle phases are timed back to back inside one total window, so
 // their sum must account for (nearly) all of the end-to-end wall time —
-// only trivial bookkeeping between phases is unattributed. Timing tests
-// fight the scheduler; a few attempts keep this deterministic in practice.
+// only trivial bookkeeping between phases is unattributed. Two inputs:
+// ExecuteAnalyzed and the observed Execute behind `\history` profiles.
+// Timing tests fight the scheduler; a few attempts keep this deterministic
+// in practice.
 TEST_F(ObsTest, PhaseSumCoversTotalWallTime) {
   QueryEngine engine(&catalog_);
-  double best_ratio = 0.0;
-  for (int attempt = 0; attempt < 5 && best_ratio < 0.95; ++attempt) {
-    Result<AnalyzedQuery> analyzed = engine.ExecuteAnalyzed(subquery_sql_);
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-    const QueryProfile& profile = analyzed->profile;
-    ASSERT_GT(profile.total_nanos, 0);
-    EXPECT_LE(profile.PhaseSum(), profile.total_nanos);
-    const double ratio = static_cast<double>(profile.PhaseSum()) /
-                         static_cast<double>(profile.total_nanos);
-    if (ratio > best_ratio) best_ratio = ratio;
+  for (bool analyze : {true, false}) {
+    SCOPED_TRACE(analyze ? "ExecuteAnalyzed" : "observed Execute");
+    double best_ratio = 0.0;
+    for (int attempt = 0; attempt < 5 && best_ratio < 0.95; ++attempt) {
+      QueryProfile profile;
+      if (analyze) {
+        Result<AnalyzedQuery> analyzed =
+            engine.ExecuteAnalyzed(subquery_sql_);
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+        profile = analyzed->profile;
+      } else {
+        QueryObservation observe;
+        ExecControl control;
+        control.observe = &observe;
+        Result<QueryResult> result = engine.Execute(subquery_sql_, control);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        profile = observe.profile;
+      }
+      ASSERT_GT(profile.total_nanos, 0);
+      EXPECT_LE(profile.PhaseSum(), profile.total_nanos);
+      const double ratio = static_cast<double>(profile.PhaseSum()) /
+                           static_cast<double>(profile.total_nanos);
+      if (ratio > best_ratio) best_ratio = ratio;
+    }
+    EXPECT_GE(best_ratio, 0.95);
   }
-  EXPECT_GE(best_ratio, 0.95);
+}
+
+// An observed Execute and ExecuteAnalyzed run one lifecycle, so apart
+// from timings they report the same query: with the plan cache off, on a
+// cache miss and on a cache hit.
+TEST_F(ObsTest, ObservedExecuteMatchesExecuteAnalyzed) {
+  struct Report {
+    std::vector<std::string> rows;
+    int64_t rows_produced = 0;
+    CacheOutcome cache = CacheOutcome::kOff;
+    PlanStatsNode plan;
+  };
+  auto observed = [this](QueryEngine* engine) {
+    QueryObservation observe;
+    ExecControl control;
+    control.observe = &observe;
+    Result<QueryResult> result = engine->Execute(subquery_sql_, control);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(observe.has_plan);
+    if (!result.ok()) return Report();
+    return Report{RowsToStrings(result->rows), result->rows_produced,
+                  observe.profile.cache, std::move(observe.plan)};
+  };
+  auto analyzed = [this](QueryEngine* engine) {
+    Result<AnalyzedQuery> query = engine->ExecuteAnalyzed(subquery_sql_);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    if (!query.ok()) return Report();
+    return Report{RowsToStrings(query->result.rows),
+                  query->result.rows_produced, query->profile.cache,
+                  std::move(query->plan)};
+  };
+  auto operators = [](const PlanStatsNode& plan) {
+    std::vector<std::string> out;
+    ForEachNode(plan, [&out](const PlanStatsNode& node) {
+      out.push_back(node.name + " est=" + std::to_string(node.est_rows) +
+                    " actual=" + std::to_string(node.stats.rows_out));
+    });
+    return out;
+  };
+
+  EngineOptions cached = EngineOptions::Full();
+  cached.plan_cache.enable = true;
+  QueryEngine plain_engine(&catalog_);
+  QueryEngine observed_engine(&catalog_, cached);
+  QueryEngine analyzed_engine(&catalog_, cached);
+  struct State {
+    const char* name;
+    QueryEngine* observed;
+    QueryEngine* analyzed;
+    CacheOutcome cache;
+  };
+  for (const State& state :
+       {State{"cache off", &plain_engine, &plain_engine, CacheOutcome::kOff},
+        State{"cache miss", &observed_engine, &analyzed_engine,
+              CacheOutcome::kMiss},
+        State{"cache hit", &observed_engine, &analyzed_engine,
+              CacheOutcome::kHit}}) {
+    SCOPED_TRACE(state.name);
+    const Report a = observed(state.observed);
+    const Report b = analyzed(state.analyzed);
+    EXPECT_FALSE(a.rows.empty());
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.rows_produced, b.rows_produced);
+    EXPECT_EQ(a.cache, state.cache);
+    EXPECT_EQ(b.cache, state.cache);
+    EXPECT_EQ(operators(a.plan), operators(b.plan));
+    EXPECT_EQ(TotalRowsOut(a.plan), a.rows_produced);
+    EXPECT_EQ(TotalRowsOut(b.plan), b.rows_produced);
+  }
 }
 
 TEST_F(ObsTest, ProfileRecordsEveryPipelinePhase) {

@@ -183,24 +183,74 @@ TEST_F(PlanCacheTest, ExecuteParamsCoercesStringToDate) {
   EXPECT_EQ(RowsText(*via_params), RowsText(*via_literal));
 }
 
+// One arity rule on both lanes: every misuse is InvalidArgument, with the
+// same message whether the plan cache is on or off.
 TEST_F(PlanCacheTest, ParameterCountAndTypeErrors) {
-  QueryEngine engine(&catalog_, CachedOptions());
   const std::string sql =
       "select c_name from customer where c_custkey = ?";
-  // Plain Execute cannot run a statement with parameter markers.
-  Result<QueryResult> no_params = engine.Execute(sql);
-  ASSERT_FALSE(no_params.ok());
-  EXPECT_EQ(no_params.status().code(), StatusCode::kInvalidArgument);
-  // Wrong arity.
-  Result<QueryResult> too_many =
-      engine.ExecuteParams(sql, {Value::Int64(1), Value::Int64(2)});
-  ASSERT_FALSE(too_many.ok());
-  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
-  // Un-coercible type: a string where an int64 comparison was inferred.
-  Result<QueryResult> bad_type =
-      engine.ExecuteParams(sql, {Value::String("not-a-number")});
-  ASSERT_FALSE(bad_type.ok());
-  EXPECT_EQ(bad_type.status().code(), StatusCode::kInvalidArgument);
+  std::vector<std::string> messages[2];
+  for (bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "plan cache on" : "plan cache off");
+    EngineOptions options = EngineOptions::Full();
+    options.plan_cache.enable = cache;
+    QueryEngine engine(&catalog_, options);
+    std::vector<Status> misuses = {
+        // Plain Execute and ExecuteAnalyzed cannot run a statement with
+        // parameter markers; neither can ExecuteParams without values.
+        engine.Execute(sql).status(),
+        engine.ExecuteAnalyzed(sql).status(),
+        engine.ExecuteParams(sql, {}).status(),
+        // Wrong arity, both ways.
+        engine.ExecuteParams(sql, {Value::Int64(1), Value::Int64(2)})
+            .status(),
+        engine.ExecuteParams("select c_name from customer", {Value::Int64(1)})
+            .status(),
+        // Un-coercible type: a string where an int64 comparison was
+        // inferred.
+        engine.ExecuteParams(sql, {Value::String("not-a-number")}).status(),
+    };
+    // Missing values read the same whichever entry point ran.
+    EXPECT_EQ(misuses[0].message(), misuses[1].message());
+    EXPECT_EQ(misuses[0].message(), misuses[2].message());
+    for (const Status& status : misuses) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      messages[cache ? 0 : 1].push_back(status.message());
+    }
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+}
+
+// A prepared statement's observed fingerprint is taken before its values
+// are bound, so every EXECUTE of it aggregates under one fingerprint in
+// `\history` whether or not the plan cache is on. Without the cache,
+// literal variants of unprepared SQL stay distinct.
+TEST_F(PlanCacheTest, PreparedStatementKeepsOneFingerprint) {
+  const std::string sql =
+      "select c_name from customer where c_custkey = ? order by c_name";
+  auto fingerprint = [](QueryEngine* engine, const std::string& text,
+                        const std::vector<Value>& params) {
+    QueryObservation observe;
+    ExecControl control;
+    control.observe = &observe;
+    Result<QueryResult> result = engine->ExecuteParams(text, params, control);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(observe.fingerprint.size(), 16u);
+    return observe.fingerprint;
+  };
+  for (bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "plan cache on" : "plan cache off");
+    EngineOptions options = EngineOptions::Full();
+    options.plan_cache.enable = cache;
+    QueryEngine engine(&catalog_, options);
+    EXPECT_EQ(fingerprint(&engine, sql, {Value::Int64(3)}),
+              fingerprint(&engine, sql, {Value::Int64(7)}));
+  }
+  QueryEngine engine(&catalog_);
+  EXPECT_NE(fingerprint(&engine,
+                        "select c_name from customer where c_custkey = 3", {}),
+            fingerprint(&engine,
+                        "select c_name from customer where c_custkey = 7", {}));
 }
 
 TEST_F(PlanCacheTest, HotPathSkipsCompilePhases) {
